@@ -102,6 +102,19 @@ def orbit_of(p: int, d: int, value: int) -> FrobOrbit:
     return orbit(exp_class(p, d, value))
 
 
+def orbit_rep(p: int, value: int) -> int:
+    """Least member of the Frobenius orbit of value modulo p^3 - 1.
+
+    Equals type_from_exponent(p, value).chars[0].rep without building
+    the class, orbit and type objects.  p is not validated: callers
+    take it from an object whose construction already checked it.
+    """
+    e = p**3 - 1
+    v = value % e
+    v1 = v * p % e
+    return min(v, v1, v1 * p % e)
+
+
 def niveau_of(c: ExpClass) -> int:
     """Least k with value * p^k = value mod p^d - 1, i.e. the orbit size."""
     return orbit(c).size

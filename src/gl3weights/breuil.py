@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import ExpClass, check_prime, exp_class
+from .arith import ExpClass, check_prime, exp_class, orbit_rep
 from .tame_types import TameType, type_from_exponent
 
 PRINCIPAL_SERIES = "principal_series"
@@ -229,7 +229,7 @@ def reduction_candidates(t: LiftType) -> ReductionCandidates:
     digit patterns of the descent data contribute a family.
     """
     check_gaps(t)
-    reps = set()
-    for value in _candidate_exponents(t):
-        reps.add(type_from_exponent(t.p, value).chars[0].rep)
+    # copied from a set, the frozenset gets a table sized to its members;
+    # built straight from a generator it keeps the over-allocated one
+    reps = {orbit_rep(t.p, value) for value in _candidate_exponents(t)}
     return ReductionCandidates(t.p, frozenset(reps))

@@ -337,8 +337,10 @@ def _read_envelope(stream) -> tuple[str, dict]:
         raise SystemExit(_usage_error(f"malformed JSON envelope: {exc}"))
     if not isinstance(doc, dict):
         raise SystemExit(_usage_error("envelope must be a JSON object"))
-    if doc.get("version") != SCHEMA_VERSION:
-        raise SystemExit(_usage_error(f"unsupported envelope version {doc.get('version')!r}"))
+    version = doc.get("version")
+    # type(), not isinstance(): True == 1, but a boolean is not a version
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SystemExit(_usage_error(f"unsupported envelope version {version!r}"))
     command = doc.get("command")
     if command not in HANDLERS:
         raise SystemExit(_usage_error(f"unknown command {command!r}"))

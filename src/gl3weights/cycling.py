@@ -8,12 +8,19 @@ in turn.  For generic parameters this closure reaches all nine
 predicted weights.  The engine re-checks every membership decision
 against the elimination branch and refuses to continue on any
 disagreement, so a completed graph certifies both computations.
+
+Everything that depends only on the type is computed once per type and
+memoized in bounded caches: the table parameters, the nine-weight frame
+and each forced step.  So each membership decision is cross-checked
+once per (type, weight, operator), and the closure from each start
+only reads the cached steps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .elimination import CONSISTENT, eliminate
 from .induction import implied_weights
@@ -25,7 +32,7 @@ from .predicted import (
     is_predicted,
     nine_weight_families,
 )
-from .tame_types import TameType, dual_twist, type_from_exponent
+from .tame_types import TameType, dual_twist
 from .weights import WeightClass, dual, is_generic
 
 CASE_DIRECT = "direct"
@@ -56,16 +63,21 @@ class CyclingGraph:
     stuck_reason: str | None = None
 
 
+# Memo bounds: callers that reuse a type run its starts close together,
+# so a few hundred types keep all the reuse.
+_TYPE_MEMO = 512
+_STEP_MEMO = 18 * _TYPE_MEMO  # 9 table weights x 2 operators per type
+
+
+@lru_cache(maxsize=_TYPE_MEMO)
 def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
     """All (a, b, c) with a-b > 5, b-c > 4, a-c < p-7, last coordinate
     in [0, p-2], whose attached type tau((1 2 3), (a+2, b+1, c)) is t."""
     p = t.p
-    rep = t.orbit_rep()
     e = p**3 - 1
     c2 = p * p + p + 1
-    members = type_from_exponent(p, rep).chars[0].elements()
     found = set()
-    for n in members:
+    for n in t.chars[0].elements():
         for g2 in range(5, p - 13):
             base = (g2 + 2) + p * (g2 + 1)
             g1 = (n - base) % c2
@@ -118,14 +130,48 @@ def _checked_membership(v: WeightClass, t: TameType) -> bool:
     return member
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """The nine-weight table of a type and what every closure reads from it."""
+
+    table: frozenset[WeightClass]
+    predicted: PredictedSet
+    families: tuple[tuple[WeightClass, str], ...]
+    duals: dict[WeightClass, WeightClass]
+
+
+@lru_cache(maxsize=_TYPE_MEMO)
+def _frame(t: TameType, params: tuple[int, int, int]) -> _Frame:
+    fams = nine_weight_families(*params, t.p)
+    table = frozenset(w for fam in fams.values() for w in fam)
+    families = tuple(
+        sorted(
+            ((w, name) for name in (LOWER_FAMILY, UPPER_FAMILY, SHADOW_FAMILY)
+             for w in fams[name]),
+            key=lambda pair: pair[0].coords,
+        )
+    )
+    return _Frame(
+        table, PredictedSet(t.p, table, t), families, {w: dual(w) for w in table}
+    )
+
+
+@lru_cache(maxsize=_STEP_MEMO)
+def _forced_step(t: TameType, w: WeightClass, j: int) -> tuple[WeightClass, ...]:
+    """Implied weights of (w, j) that are predicted for t, sorted by coordinates."""
+    return tuple(
+        sorted(
+            (v for v in implied_weights(w, j) if _checked_membership(v, t)),
+            key=lambda v: v.coords,
+        )
+    )
+
+
 def _closure(
     t: TameType, start: WeightClass, params: tuple[int, int, int]
 ) -> CyclingGraph:
-    a, b, c = params
-    p = t.p
-    fams = nine_weight_families(a, b, c, p)
-    table = frozenset(w for fam in fams.values() for w in fam)
-    predicted = PredictedSet(p, table, t)
+    frame = _frame(t, params)
+    table = frame.table
     if start not in table:
         raise ConsistencyError(
             f"predicted start {start} missing from the nine-weight table {params}"
@@ -137,11 +183,7 @@ def _closure(
     while queue:
         w = queue.popleft()
         for j in (1, 2):
-            implied = implied_weights(w, j)
-            filtered = sorted(
-                (v for v in implied if _checked_membership(v, t)),
-                key=lambda v: v.coords,
-            )
+            filtered = _forced_step(t, w, j)
             if len(filtered) == 1:
                 v = filtered[0]
                 edges.append((w, v, j))
@@ -149,14 +191,7 @@ def _closure(
                     nodes.add(v)
                     queue.append(v)
             elif filtered:
-                stalls.append((w, j, tuple(filtered)))
-    families = tuple(
-        sorted(
-            ((w, name) for name in (LOWER_FAMILY, UPPER_FAMILY, SHADOW_FAMILY)
-             for w in fams[name]),
-            key=lambda pair: pair[0].coords,
-        )
-    )
+                stalls.append((w, j, filtered))
     if nodes == table:
         status, stuck_node, reason = STATUS_COMPLETE, None, None
     else:
@@ -165,7 +200,7 @@ def _closure(
         stuck_node = missing[0]
         reason = f"closure reached {len(nodes)} of {len(table)} predicted weights"
     return CyclingGraph(
-        p=p,
+        p=t.p,
         case=CASE_DIRECT,
         params=params,
         source=t,
@@ -173,36 +208,47 @@ def _closure(
         nodes=frozenset(nodes),
         edges=tuple(edges),
         non_singletons=tuple(stalls),
-        families=families,
-        predicted=predicted,
+        families=frame.families,
+        predicted=frame.predicted,
         status=status,
         stuck_node=stuck_node,
         stuck_reason=reason,
     )
 
 
-def _dualize_graph(g: CyclingGraph, t: TameType, start: WeightClass) -> CyclingGraph:
+def _dualize_graph(
+    g: CyclingGraph,
+    t: TameType,
+    start: WeightClass,
+    duals: dict[WeightClass, WeightClass],
+) -> CyclingGraph:
+    """The graph g, dualized; weights outside the duals map fall back to dual()."""
     swap = {1: 2, 2: 1}
+
+    def flip(w: WeightClass) -> WeightClass:
+        v = duals.get(w)
+        return dual(w) if v is None else v
+
     return CyclingGraph(
         p=g.p,
         case=CASE_DUAL,
         params=g.params,
         source=t,
         start=start,
-        nodes=frozenset(dual(w) for w in g.nodes),
-        edges=tuple((dual(u), dual(v), swap[j]) for u, v, j in g.edges),
+        nodes=frozenset(flip(w) for w in g.nodes),
+        edges=tuple((flip(u), flip(v), swap[j]) for u, v, j in g.edges),
         non_singletons=tuple(
-            (dual(w), swap[j], tuple(sorted((dual(v) for v in vs),
+            (flip(w), swap[j], tuple(sorted((flip(v) for v in vs),
                                             key=lambda v: v.coords)))
             for w, j, vs in g.non_singletons
         ),
         families=tuple(
-            sorted(((dual(w), name) for w, name in g.families),
+            sorted(((flip(w), name) for w, name in g.families),
                    key=lambda pair: pair[0].coords)
         ),
-        predicted=PredictedSet(g.p, frozenset(dual(w) for w in g.predicted.weights), t),
+        predicted=PredictedSet(g.p, frozenset(flip(w) for w in g.predicted.weights), t),
         status=g.status,
-        stuck_node=dual(g.stuck_node) if g.stuck_node is not None else None,
+        stuck_node=flip(g.stuck_node) if g.stuck_node is not None else None,
         stuck_reason=g.stuck_reason,
     )
 
@@ -212,8 +258,9 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
     case, params = normalize_parameters(t, start)
     if case == CASE_DIRECT:
         return _closure(t, start, params)
-    inner = _closure(dual_twist(t, 2), dual(start), params)
-    return _dualize_graph(inner, t, start)
+    flipped = dual_twist(t, 2)
+    inner = _closure(flipped, dual(start), params)
+    return _dualize_graph(inner, t, start, _frame(flipped, params).duals)
 
 
 def emit_dot(g: CyclingGraph) -> str:

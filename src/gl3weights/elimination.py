@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import orbit_rep
 from .breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -31,7 +32,6 @@ from .tame_types import (
     XI_132,
     TameType,
     tau_exponent,
-    type_from_exponent,
 )
 from .weights import WeightClass
 
@@ -86,7 +86,7 @@ def lift_types_for(w: WeightClass) -> tuple[LiftType, LiftType, LiftType]:
 def _crystalline_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
     x, y, z = coords
     return frozenset(
-        type_from_exponent(p, tau_exponent(xi, (x + 2, y + 1, z), p)).chars[0].rep
+        orbit_rep(p, tau_exponent(xi, (x + 2, y + 1, z), p))
         for xi in ORDER_THREE_CYCLES
     )
 
@@ -133,7 +133,7 @@ def surviving_family_reps(w: WeightClass) -> frozenset[int]:
     ):
         for b0, b1, b2 in triples:
             mu = (y + b0, x - p + 1 + b1, z + b2)
-            reps.add(type_from_exponent(p, tau_exponent(xi, mu, p)).chars[0].rep)
+            reps.add(orbit_rep(p, tau_exponent(xi, mu, p)))
     return frozenset(reps)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import orbit_rep
 from .tame_types import (
     ORDER_THREE_CYCLES,
     TameType,
@@ -52,7 +53,7 @@ def _membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
         candidates += [
             tau_exponent(xi, (z + p, y + 1, x - p + 2), p) for xi in ORDER_THREE_CYCLES
         ]
-    return frozenset(type_from_exponent(p, v).chars[0].rep for v in candidates)
+    return frozenset(orbit_rep(p, v) for v in candidates)
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
@@ -90,13 +91,12 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
     modulo p^2 + p + 1, then divide out the slope to recover z.
     """
     p = t.p
-    rep = _require_irreducible(t)
+    _require_irreducible(t)
     e = p**3 - 1
     c2 = p * p + p + 1
     inv = {1: 1, p: p * p % c2, p * p: p % c2}
     found: set[WeightClass] = set()
-    members = type_from_exponent(p, rep).chars[0].elements()
-    for n in members:
+    for n in t.chars[0].elements():
         for needs_high, coef, baseline in _solver_rows(p):
             ic = inv[coef]
             for g2 in range(p - 2):

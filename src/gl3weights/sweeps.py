@@ -323,24 +323,33 @@ SUITES = {
 }
 
 
-def run_suite(name: str, p: int, seed: int, count: int) -> tuple[int, list[dict]]:
+def _suite(name: str):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn, _exhaustive = SUITES[name]
+    return SUITES[name]
+
+
+def run_suite(name: str, p: int, seed: int, count: int) -> tuple[int, list[dict]]:
+    fn, _exhaustive = _suite(name)
     return fn(p, seed, count)
 
 
 def run_suite_parallel(
     name: str, p: int, seed: int, count: int, jobs: int
 ) -> tuple[int, list[dict]]:
-    """Split a randomized suite across processes; exhaustive suites run once."""
-    fn, exhaustive = SUITES[name]
+    """Split a randomized suite across processes; exhaustive suites run once.
+
+    The count is split into chunks whose sizes differ by at most one,
+    chunk i drawing from seed + 7919*i, so exactly `count` checks run.
+    """
+    fn, exhaustive = _suite(name)
+    jobs = min(jobs, count)
     if jobs <= 1 or exhaustive:
         return fn(p, seed, count)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = -(-count // jobs)
-    args = [(name, p, seed + 7919 * i, chunk) for i in range(jobs)]
+    size, extra = divmod(count, jobs)
+    args = [(name, p, seed + 7919 * i, size + (i < extra)) for i in range(jobs)]
     checks = 0
     failures: list[dict] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:

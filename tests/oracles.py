@@ -43,5 +43,10 @@ def orbit_elements(p: int, d: int, value: int) -> set[int]:
     return out
 
 
+def least_orbit_member(p: int, d: int, value: int) -> int:
+    """Frobenius orbit representative by walking the whole orbit."""
+    return min(orbit_elements(p, d, value))
+
+
 def weyl_dimension(x: int, y: int, z: int) -> int:
     return (x - y + 1) * (y - z + 1) * (x - z + 2) // 2

@@ -1,5 +1,7 @@
 """Digit arithmetic: exponent classes, Frobenius orbits, the 3-digit split."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +16,12 @@ from gl3weights.arith import (
     embed_niveau,
     exp_class,
     niveau_of,
+    orbit,
     orbit_of,
+    orbit_rep,
 )
 
-from oracles import orbit_elements, split_solutions
+from oracles import least_orbit_member, orbit_elements, split_solutions
 
 PRIMES = (7, 11, 13)
 
@@ -159,3 +163,15 @@ def test_orbit_rep_is_invariant(v):
 def test_decomposition_guard():
     with pytest.raises(ValueError):
         Decomposition(DIVISIBLE).coords
+
+
+@pytest.mark.parametrize("p,values", [
+    (5, range(5**3 - 1)),
+    (7, range(7**3 - 1)),
+    (29, random.Random(29).sample(range(-29**3, 2 * 29**3), 2000)),
+    (53, random.Random(53).sample(range(-53**3, 2 * 53**3), 2000)),
+])
+def test_orbit_rep_matches_orbit_walk(p, values):
+    for v in values:
+        want = least_orbit_member(p, 3, v)
+        assert orbit_rep(p, v) == orbit(exp_class(p, 3, v)).rep == want, (p, v)

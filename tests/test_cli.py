@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,6 +179,39 @@ def test_query_bad_version(capsys):
     with pytest.raises(SystemExit):
         run(["query"], stdin=io.StringIO(env))
     assert "version" in capsys.readouterr().err
+
+
+def test_query_boolean_version(capsys):
+    env = json.dumps({"version": True, "command": "decompose",
+                      "params": {"n": 10, "p": 7}})
+    with pytest.raises(SystemExit) as exc:
+        run(["query"], stdin=io.StringIO(env))
+    assert exc.value.code == 2
+    assert "version" in capsys.readouterr().err
+
+
+def test_query_unknown_suite_is_domain_error(capsys):
+    env = json.dumps({"version": 1, "command": "sweep",
+                      "params": {"suite": "nope", "jobs": 2}})
+    code, out, _ = invoke(capsys, "query", stdin=env)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValueError"
+    assert "unknown suite 'nope'" in json.loads(out)["error"]["message"]
+
+
+def test_python_m_matches_entry_point():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    args = ["decompose", "--n", "4", "--p", "31"]
+    outs = [
+        subprocess.run(cmd + args, capture_output=True, env=env, timeout=60, check=True)
+        for cmd in (
+            [sys.executable, "-m", "gl3weights"],
+            [sys.executable, "-c", "from gl3weights.cli import main; main()"],
+        )
+    ]
+    assert outs[0].stdout == outs[1].stdout == b'{"case":"I","x":4,"y":0,"z":0}\n'
 
 
 def test_query_unknown_command(capsys):

@@ -1,15 +1,20 @@
 """Weight cycling: parameter normalization, closure, DOT emission."""
 
+import dataclasses
+
 import pytest
 
+from gl3weights import cycling
 from gl3weights.cycling import (
     CASE_DIRECT,
     CASE_DUAL,
     STATUS_COMPLETE,
+    ConsistencyError,
     cycle,
     emit_dot,
     normalize_parameters,
 )
+from gl3weights.elimination import CONSISTENT, ELIMINATED
 from gl3weights.predicted import (
     LOWER_FAMILY,
     SHADOW_FAMILY,
@@ -136,3 +141,58 @@ def test_emit_dot_frozen():
     g = cycle(table_type(), weight(29, 15, 8, 0))
     assert emit_dot(g) == EXPECTED_DOT
     assert emit_dot(g) == emit_dot(cycle(table_type(), weight(29, 15, 8, 0)))
+
+
+def cycling_memos():
+    """The lru_caches defined in the cycling module, found by scanning."""
+    return [
+        obj for obj in vars(cycling).values()
+        if hasattr(obj, "cache_clear")
+        and obj.__wrapped__.__module__ == cycling.__name__
+    ]
+
+
+def clear_cycling_memos():
+    for memo in cycling_memos():
+        memo.cache_clear()
+
+
+def test_cycling_memos_are_bounded():
+    memos = cycling_memos()
+    assert memos
+    for memo in memos:
+        assert memo.cache_info().maxsize is not None, memo
+
+
+@pytest.mark.parametrize("dual_case", [False, True])
+def test_memoized_closure_matches_cold(dual_case):
+    t = table_type(31, (20, 9, 3))
+    starts = nine_weight_table(20, 9, 3, 31).sorted_weights()
+    if dual_case:
+        t = dual_twist(t, 2)
+        starts = tuple(dual(w) for w in starts)
+    cold = []
+    for start in starts:
+        clear_cycling_memos()
+        cold.append(cycle(t, start))
+    warm = [cycle(t, start) for start in starts]
+    assert cold[0].case == (CASE_DUAL if dual_case else CASE_DIRECT)
+    assert warm == cold
+    assert [emit_dot(g) for g in warm] == [emit_dot(g) for g in cold]
+
+
+def test_cross_check_stays_on_the_path(monkeypatch):
+    flip_at = weight(29, 43, 28, 8)  # T1-implied by the start F(15,8,0)
+    real = cycling.eliminate
+
+    def lying_eliminate(w, t):
+        report = real(w, t)
+        if w != flip_at:
+            return report
+        verdict = ELIMINATED if report.verdict == CONSISTENT else CONSISTENT
+        return dataclasses.replace(report, verdict=verdict)
+
+    clear_cycling_memos()
+    monkeypatch.setattr(cycling, "eliminate", lying_eliminate)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        cycle(table_type(), weight(29, 15, 8, 0))

@@ -47,3 +47,15 @@ def test_exhaustive_suite_ignores_jobs():
     a = run_suite_parallel("decompose", 7, 0, 10, jobs=1)
     b = run_suite_parallel("decompose", 7, 0, 10, jobs=4)
     assert a == b
+
+
+def test_parallel_rejects_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite_parallel("nope", 7, 0, 10, jobs=2)
+
+
+def test_parallel_runs_exactly_count_checks():
+    # two processes; the odd count splits into chunks of 3 and 2
+    checks, failures = run_suite_parallel("slopes", 7, 4, 5, jobs=2)
+    assert failures == []
+    assert checks == 5
