@@ -7,186 +7,53 @@ candidate tables (`breuil`), predicted weight sets (`predicted`),
 parabolic induction constituents (`induction`), weight elimination
 (`elimination`), weight-cycling closures (`cycling`), slope bounds
 (`slopes`), and randomized invariant sweeps (`sweeps`).
+
+`import gl3weights` loads none of them: each layer is imported the first
+time one of its names, or the submodule itself, is looked up here.
 """
 
-from .arith import (
-    CASE_I,
-    CASE_II,
-    DIVISIBLE,
-    Decomposition,
-    ExpClass,
-    FrobOrbit,
-    decompose_exponent,
-    embed_niveau,
-    exp_class,
-    niveau_of,
-    orbit,
-    orbit_of,
-    orbit_rep,
-)
-from .weights import (
-    WeightClass,
-    alcove,
-    canonicalize,
-    dim_weight,
-    dual,
-    is_delta_generic,
-    is_generic,
-    is_strongly_generic,
-    shadow,
-    shadow_inverse,
-    weight,
-    weyl_dim,
-)
-from .tame_types import (
-    FORCED,
-    HYPOTHESIS_VIOLATED,
-    NOT_ISOMORPHIC,
-    TameType,
-    distinguish,
-    dual_twist,
-    gap_interval_condition,
-    iso,
-    sum_of_characters,
-    tau,
-    tau_exponent,
-    type_from_exponent,
-)
-from .breuil import (
-    BreuilModule,
-    LiftType,
-    ReductionCandidates,
-    cuspidal,
-    cuspidal_dual,
-    fractional_shift,
-    inertial_character,
-    is_maximal,
-    is_minimal,
-    maximal_model,
-    principal_series,
-    random_module,
-    reduction_candidates,
-    validate,
-)
-from .predicted import (
-    PredictedSet,
-    enumerate_predicted,
-    is_predicted,
-    nine_weight_families,
-    nine_weight_table,
-    theta,
-)
-from .induction import (
-    AntidominantCochar,
-    LeviWeight,
-    MU_ONE,
-    MU_TWO,
-    implied_weights,
-    induction_constituents,
-    levi_restriction,
-)
-from .elimination import (
-    CONSISTENT,
-    ELIMINATED,
-    EliminationReport,
-    UnsupportedWeight,
-    eliminate,
-    intersection_sets,
-    lift_types_for,
-)
-from .cycling import ConsistencyError, CyclingGraph, cycle, emit_dot, normalize_parameters
-from .slopes import (
-    HodgeData,
-    hecke_normalization,
-    hodge_data,
-    newton_hodge_gap,
-    ordinarity_threshold,
-    slope_criticality,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CASE_I",
-    "CASE_II",
-    "DIVISIBLE",
-    "Decomposition",
-    "ExpClass",
-    "FrobOrbit",
-    "decompose_exponent",
-    "embed_niveau",
-    "exp_class",
-    "niveau_of",
-    "orbit",
-    "orbit_of",
-    "orbit_rep",
-    "WeightClass",
-    "alcove",
-    "canonicalize",
-    "dim_weight",
-    "dual",
-    "is_delta_generic",
-    "is_generic",
-    "is_strongly_generic",
-    "shadow",
-    "shadow_inverse",
-    "weight",
-    "weyl_dim",
-    "FORCED",
-    "HYPOTHESIS_VIOLATED",
-    "NOT_ISOMORPHIC",
-    "TameType",
-    "distinguish",
-    "dual_twist",
-    "gap_interval_condition",
-    "iso",
-    "sum_of_characters",
-    "tau",
-    "tau_exponent",
-    "type_from_exponent",
-    "BreuilModule",
-    "LiftType",
-    "ReductionCandidates",
-    "cuspidal",
-    "cuspidal_dual",
-    "fractional_shift",
-    "inertial_character",
-    "is_maximal",
-    "is_minimal",
-    "maximal_model",
-    "principal_series",
-    "random_module",
-    "reduction_candidates",
-    "validate",
-    "PredictedSet",
-    "enumerate_predicted",
-    "is_predicted",
-    "nine_weight_families",
-    "nine_weight_table",
-    "theta",
-    "AntidominantCochar",
-    "LeviWeight",
-    "MU_ONE",
-    "MU_TWO",
-    "implied_weights",
-    "induction_constituents",
-    "levi_restriction",
-    "CONSISTENT",
-    "ELIMINATED",
-    "EliminationReport",
-    "UnsupportedWeight",
-    "eliminate",
-    "intersection_sets",
-    "lift_types_for",
-    "ConsistencyError",
-    "CyclingGraph",
-    "cycle",
-    "emit_dot",
-    "normalize_parameters",
-    "HodgeData",
-    "hecke_normalization",
-    "hodge_data",
-    "newton_hodge_gap",
-    "ordinarity_threshold",
-    "slope_criticality",
-]
+# home module -> the names it exports at package level
+_EXPORTS = {
+    "arith": "CASE_I CASE_II DIVISIBLE Decomposition ExpClass FrobOrbit decompose_exponent"
+             " embed_niveau exp_class niveau_of orbit orbit_of orbit_rep",
+    "weights": "WeightClass alcove canonicalize dim_weight dual is_delta_generic is_generic"
+               " is_strongly_generic shadow shadow_inverse weight weyl_dim",
+    "tame_types": "FORCED HYPOTHESIS_VIOLATED NOT_ISOMORPHIC TameType distinguish dual_twist"
+                  " gap_interval_condition iso sum_of_characters tau tau_exponent"
+                  " type_from_exponent",
+    "breuil": "BreuilModule LiftType ReductionCandidates cuspidal cuspidal_dual"
+              " fractional_shift inertial_character is_maximal is_minimal maximal_model"
+              " principal_series random_module reduction_candidates validate",
+    "predicted": "PredictedSet enumerate_predicted is_predicted nine_weight_families"
+                 " nine_weight_table theta",
+    "induction": "AntidominantCochar LeviWeight MU_ONE MU_TWO implied_weights"
+                 " induction_constituents levi_restriction",
+    "elimination": "CONSISTENT ELIMINATED EliminationReport UnsupportedWeight eliminate"
+                   " intersection_sets lift_types_for",
+    "cycling": "ConsistencyError CyclingGraph cycle emit_dot normalize_parameters",
+    "slopes": "HodgeData hecke_normalization hodge_data newton_hodge_gap"
+              " ordinarity_threshold slope_criticality",
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset(_EXPORTS) | {"sweeps", "cli"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

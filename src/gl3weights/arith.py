@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SUPPORTED_NIVEAUX = (1, 2, 3)
+# exclusive upper bound on the characteristic p
+P_LIMIT = 2**16
 
 DIVISIBLE = "divisible"
 CASE_I = "I"
@@ -34,8 +36,14 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    """Reject characteristics outside the supported range (primes >= 5)."""
-    if not is_prime(p) or p < 5:
+    """Reject characteristics outside the supported range: primes 5 <= p < P_LIMIT.
+
+    The bound is checked first, so a huge p is refused without trial
+    division (which takes O(sqrt(p)) steps).
+    """
+    if p >= P_LIMIT:
+        raise ValueError(f"characteristic must be a prime below {P_LIMIT}, got {p}")
+    if p < 5 or not is_prime(p):
         raise ValueError(f"characteristic must be a prime >= 5, got {p}")
 
 

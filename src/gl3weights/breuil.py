@@ -198,7 +198,8 @@ class ReductionCandidates:
         return tuple(type_from_exponent(self.p, rep) for rep in sorted(self.orbit_reps))
 
 
-def _candidate_exponents(t: LiftType) -> list[int]:
+def candidate_exponents(t: LiftType) -> list[int]:
+    """Candidate niveau-3 exponents of a lift, before reduction to orbit representatives."""
     p = t.p
     a, b, c = t.params
     out: list[int] = []
@@ -231,5 +232,5 @@ def reduction_candidates(t: LiftType) -> ReductionCandidates:
     check_gaps(t)
     # copied from a set, the frozenset gets a table sized to its members;
     # built straight from a generator it keeps the over-allocated one
-    reps = {orbit_rep(t.p, value) for value in _candidate_exponents(t)}
+    reps = {orbit_rep(t.p, value) for value in candidate_exponents(t)}
     return ReductionCandidates(t.p, frozenset(reps))

@@ -4,7 +4,11 @@ Every invocation emits a single JSON document on stdout (except
 `cycle --dot`, which emits DOT text), with keys sorted and no incidental
 whitespace, so equal inputs produce byte-identical outputs.  Exit codes:
 0 success, 1 domain error or sweep failure (machine-readable error
-object on stdout), 2 usage error.
+object on stdout), 2 usage error: a malformed envelope, a missing
+parameter or a value of the wrong JSON type (nothing on stdout).
+
+Each handler imports the layers it needs when it runs, so a command
+loads only its own part of the package.
 """
 
 from __future__ import annotations
@@ -12,24 +16,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .arith import DIVISIBLE, decompose_exponent
-from .breuil import (
-    inertial_character,
-    is_maximal,
-    is_minimal,
-    maximal_model,
-    validate,
-)
-from .cycling import CyclingGraph, cycle, emit_dot
-from .elimination import BRANCH_INTERSECTION, eliminate
-from .predicted import enumerate_predicted
-from .tame_types import ORDER_THREE_CYCLES, TameType, tau, type_from_exponent
-from .weights import WeightClass, alcove, canonicalize, dim_weight
-from . import sweeps
+if TYPE_CHECKING:
+    from .cycling import CyclingGraph
+    from .tame_types import TameType
+    from .weights import WeightClass
 
 SCHEMA_VERSION = 1
+# literal copies of tame_types.ORDER_THREE_CYCLES and sorted(sweeps.SUITES),
+# so that building the parser imports neither (a test keeps them equal)
+XI_CHOICES = ("123", "132")
+SUITE_NAMES = (
+    "breuil", "candidates", "cycling", "decompose", "elimination",
+    "orbits", "predicted", "slopes", "tame", "weights",
+)
+
+
+class UsageError(ValueError):
+    """A missing parameter or a value of the wrong type: exit 2."""
 
 
 def _dump(doc: Any) -> str:
@@ -40,34 +45,55 @@ def _ints(text: str, n: int, what: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
+        raise UsageError(f"{what} must be comma-separated integers, got {text!r}")
     if len(parts) != n:
-        raise ValueError(f"{what} must have {n} entries, got {len(parts)}")
+        raise UsageError(f"{what} must have {n} entries, got {len(parts)}")
     return parts
 
 
-def _type_from_params(params: dict, p: int) -> TameType:
-    desc = params.get("type")
+def _param(params: dict, key: str) -> Any:
+    if key not in params:
+        raise UsageError(f"missing parameter {key!r}")
+    return params[key]
+
+
+def _int(params: dict, key: str, default: int | None = None) -> int:
+    """params[key], which must be a JSON integer; a default makes it optional."""
+    value = _param(params, key) if default is None else params.get(key, default)
+    # type(), not isinstance(): True is an int, but not an integer input
+    if type(value) is not int:
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(params: dict, key: str, n: int) -> tuple[int, ...]:
+    value = _param(params, key)
+    if (not isinstance(value, list) or len(value) != n
+            or any(type(v) is not int for v in value)):
+        raise UsageError(f"{key} must be a list of {n} integers, got {value!r}")
+    return tuple(value)
+
+
+def _type_spec(params: dict) -> dict:
+    """The type description, checked for shape only."""
+    desc = _param(params, "type")
     if not isinstance(desc, dict):
-        raise ValueError("missing type description")
+        raise UsageError("type must be an object")
     if "orbit_rep" in desc:
-        return type_from_exponent(p, int(desc["orbit_rep"]))
+        return {"orbit_rep": _int(desc, "orbit_rep")}
     if "xi" in desc and "mu" in desc:
-        xi = str(desc["xi"])
-        if xi not in ORDER_THREE_CYCLES:
-            raise ValueError(f"xi must be one of {ORDER_THREE_CYCLES}")
-        mu = tuple(int(v) for v in desc["mu"])
-        if len(mu) != 3:
-            raise ValueError("mu must have 3 entries")
-        return tau(xi, mu, p)
-    raise ValueError("type needs either orbit_rep or xi and mu")
+        if not isinstance(desc["xi"], str):
+            raise UsageError(f"xi must be a string, got {desc['xi']!r}")
+        return {"xi": desc["xi"], "mu": _int_list(desc, "mu", 3)}
+    raise UsageError("type needs either orbit_rep or xi and mu")
 
 
-def _weight_from_params(params: dict, p: int, key: str = "weight") -> WeightClass:
-    coords = params.get(key)
-    if not isinstance(coords, (list, tuple)) or len(coords) != 3:
-        raise ValueError(f"{key} must be a list of 3 integers")
-    return canonicalize(tuple(int(v) for v in coords), p)
+def _build_type(spec: dict, p: int) -> TameType:
+    from .tame_types import tau, type_from_exponent
+
+    if "orbit_rep" in spec:
+        return type_from_exponent(p, spec["orbit_rep"])
+    return tau(spec["xi"], spec["mu"], p)
 
 
 def _weight_doc(w: WeightClass) -> list[int]:
@@ -83,22 +109,31 @@ def _type_doc(t: TameType) -> dict:
     return doc
 
 
+# Handlers check the shape of every parameter before calling the
+# library, so a usage error is reported ahead of any domain error.
+
 def handle_decompose(params: dict) -> dict:
-    d = decompose_exponent(int(params["n"]), int(params["p"]))
+    from .arith import DIVISIBLE, decompose_exponent
+
+    d = decompose_exponent(_int(params, "n"), _int(params, "p"))
     if d.kind == DIVISIBLE:
         return {"case": DIVISIBLE}
     return {"case": d.kind, "x": d.x, "y": d.y, "z": d.z}
 
 
 def handle_dims(params: dict) -> dict:
-    p = int(params["p"])
-    w = _weight_from_params(params, p)
+    from .weights import alcove, canonicalize, dim_weight
+
+    p, coords = _int(params, "p"), _int_list(params, "weight", 3)
+    w = canonicalize(coords, p)
     return {"p": p, "F": _weight_doc(w), "dim": dim_weight(w), "alcove": alcove(w)}
 
 
 def handle_predict(params: dict) -> dict:
-    p = int(params["p"])
-    t = _type_from_params(params, p)
+    from .predicted import enumerate_predicted
+
+    p, spec = _int(params, "p"), _type_spec(params)
+    t = _build_type(spec, p)
     pred = enumerate_predicted(t)
     return {
         "p": p,
@@ -108,9 +143,12 @@ def handle_predict(params: dict) -> dict:
 
 
 def handle_eliminate(params: dict) -> dict:
-    p = int(params["p"])
-    w = _weight_from_params(params, p)
-    t = _type_from_params(params, p)
+    from .elimination import BRANCH_INTERSECTION, eliminate
+    from .weights import canonicalize
+
+    p, coords, spec = _int(params, "p"), _int_list(params, "weight", 3), _type_spec(params)
+    w = canonicalize(coords, p)
+    t = _build_type(spec, p)
     report = eliminate(w, t)
     doc: dict[str, Any] = {
         "p": p,
@@ -156,22 +194,28 @@ def _graph_doc(g: CyclingGraph) -> dict:
 
 
 def handle_cycle(params: dict) -> dict | str:
-    p = int(params["p"])
-    t = _type_from_params(params, p)
-    start = _weight_from_params(params, p, key="start")
-    g = cycle(t, start)
-    if params.get("dot"):
+    from .cycling import cycle, emit_dot
+    from .weights import canonicalize
+
+    p, coords, spec = _int(params, "p"), _int_list(params, "start", 3), _type_spec(params)
+    dot = params.get("dot", False)
+    if not isinstance(dot, bool):
+        raise UsageError(f"dot must be true or false, got {dot!r}")
+    g = cycle(_build_type(spec, p), canonicalize(coords, p))
+    if dot:
         return emit_dot(g)
     return _graph_doc(g)
 
 
 def handle_breuil(params: dict) -> dict:
-    p, d, r = int(params["p"]), int(params["d"]), int(params["r"])
-    heights = tuple(int(v) for v in params["heights"])
-    if "exponents" in params and params["exponents"] is not None:
-        exponents = tuple(int(v) for v in params["exponents"])
+    from .breuil import inertial_character, is_maximal, is_minimal, maximal_model, validate
+
+    p, d, r = _int(params, "p"), _int(params, "d"), _int(params, "r")
+    heights = _int_list(params, "heights", d)
+    if params.get("exponents") is not None:
+        exponents = _int_list(params, "exponents", d)
     else:
-        k = [int(params["k0"])]
+        k = [_int(params, "k0")]
         for i in range(1, d):
             k.append(p * (k[-1] + heights[i - 1]) % (p**d - 1))
         exponents = tuple(k)
@@ -194,12 +238,16 @@ def handle_breuil(params: dict) -> dict:
 
 
 def handle_sweep(params: dict) -> dict:
-    name = str(params.get("suite", "decompose"))
-    p = int(params.get("p", 7))
-    seed = int(params.get("seed", 0))
-    count = int(params.get("count", 200))
-    jobs = int(params.get("jobs", 1))
-    checks, failures = sweeps.run_suite_parallel(name, p, seed, count, jobs)
+    from .sweeps import run_suite_parallel
+
+    name = params.get("suite", "decompose")
+    if not isinstance(name, str):
+        raise UsageError(f"suite must be a string, got {name!r}")
+    p = _int(params, "p", 7)
+    seed = _int(params, "seed", 0)
+    count = _int(params, "count", 200)
+    jobs = _int(params, "jobs", 1)
+    checks, failures = run_suite_parallel(name, p, seed, count, jobs)
     return {
         "suite": name,
         "p": p,
@@ -222,7 +270,7 @@ HANDLERS = {
 
 
 def _add_type_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--xi", choices=ORDER_THREE_CYCLES, help="order-3 cycle")
+    sub.add_argument("--xi", choices=XI_CHOICES, help="order-3 cycle")
     sub.add_argument("--mu", help="comma-separated coordinate triple")
     sub.add_argument("--orbit-rep", type=int, dest="orbit_rep",
                      help="niveau-3 exponent orbit representative")
@@ -233,7 +281,7 @@ def _type_params(args: argparse.Namespace) -> dict:
         return {"orbit_rep": args.orbit_rep}
     if args.xi is not None and args.mu is not None:
         return {"xi": args.xi, "mu": list(_ints(args.mu, 3, "--mu"))}
-    raise ValueError("give a type via --orbit-rep or --xi with --mu")
+    raise UsageError("give a type via --orbit-rep or --xi with --mu")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k0", type=int, help="first exponent; the rest follow")
 
     sp = subs.add_parser("sweep", help="run an invariant sweep")
-    sp.add_argument("--suite", default="decompose", choices=sorted(sweeps.SUITES))
+    sp.add_argument("--suite", default="decompose", choices=SUITE_NAMES)
     sp.add_argument("--p", type=int, default=7)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=200)
@@ -327,13 +375,14 @@ def _params_from_args(args: argparse.Namespace) -> dict:
             "count": args.count,
             "jobs": args.jobs,
         }
-    raise ValueError(f"unknown command {cmd!r}")
+    raise UsageError(f"unknown command {cmd!r}")
 
 
 def _read_envelope(stream) -> tuple[str, dict]:
     try:
         doc = json.load(stream)
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON, bad UTF-8 and over-long integer literals
+    except (ValueError, RecursionError) as exc:
         raise SystemExit(_usage_error(f"malformed JSON envelope: {exc}"))
     if not isinstance(doc, dict):
         raise SystemExit(_usage_error("envelope must be a JSON object"))
@@ -356,18 +405,15 @@ def _usage_error(message: str) -> int:
 
 
 def run(argv: list[str] | None = None, stdin=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "query":
-        command, params = _read_envelope(stdin or sys.stdin)
-    else:
-        command = args.command
-        try:
-            params = _params_from_args(args)
-        except ValueError as exc:
-            return _usage_error(str(exc))
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "query":
+            command, params = _read_envelope(stdin or sys.stdin)
+        else:
+            command, params = args.command, _params_from_args(args)
         result = HANDLERS[command](params)
+    except UsageError as exc:
+        return _usage_error(str(exc))
     except (ValueError, KeyError, ArithmeticError, RuntimeError) as exc:
         print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1

@@ -45,7 +45,7 @@ def _require_irreducible(t: TameType) -> int:
 
 
 @lru_cache(maxsize=None)
-def _membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
+def membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
     """Orbit representatives a type must hit for the weight to be predicted."""
     x, y, z = coords
     candidates = [tau_exponent(xi, (x + 2, y + 1, z), p) for xi in ORDER_THREE_CYCLES]
@@ -68,7 +68,7 @@ def is_predicted(w: WeightClass, t: TameType) -> bool:
         raise ValueError(
             f"{w} has a difference above p-3; membership is undefined there"
         )
-    return rep in _membership_reps(w.p, w.coords)
+    return rep in membership_reps(w.p, w.coords)
 
 
 # solver rows: (needs_span_above_wall, coefficient of g1, baseline(g2))

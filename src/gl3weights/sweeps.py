@@ -2,7 +2,9 @@
 
 Each suite re-checks a family of library invariants on exhaustive or
 seeded-random instances and reports machine-readable counterexamples.
-Suites are pure functions of (p, seed, count) so runs reproduce.
+A randomized suite checks one instance per call, and instance i of a
+run draws from `random.Random(f"{seed}:{i}")`, so a run is a pure
+function of (suite, p, seed, count) however many processes share it.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ def _fail(failures: list[dict], **kw) -> None:
     failures.append(dict(sorted(kw.items())))
 
 
-def sweep_decompose(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
+def sweep_decompose(p: int) -> tuple[int, list[dict]]:
     """Exhaustive split of one period of exponents: shape validity,
     reassembly, the translation rule, and the case counts."""
-    del seed, count
     c2 = p * p + p + 1
     failures: list[dict] = []
     tally = {arith.CASE_I: 0, arith.CASE_II: 0, arith.DIVISIBLE: 0}
@@ -46,28 +47,24 @@ def sweep_decompose(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
     return c2 + 1, failures
 
 
-def sweep_orbits(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
+def sweep_orbits(rng: random.Random, p: int, failures: list[dict]) -> None:
     e = p**3 - 1
-    failures: list[dict] = []
-    for _ in range(count):
-        v = rng.randrange(e)
-        o = arith.orbit_of(p, 3, v)
-        for m in o.elements():
-            if arith.orbit_of(p, 3, m) != o:
-                _fail(failures, value=v, reason="orbit depends on the member")
-        if 3 % o.size:
-            _fail(failures, value=v, reason="orbit size must divide 3")
-        u = rng.randrange(p - 1)
-        w = rng.randrange(p - 1)
-        a = arith.embed_niveau(arith.exp_class(p, 1, u), 3)
-        b = arith.embed_niveau(arith.exp_class(p, 1, w), 3)
-        s = arith.embed_niveau(arith.exp_class(p, 1, (u + w) % (p - 1)), 3)
-        if (a.value + b.value) % e != s.value:
-            _fail(failures, u=u, w=w, reason="embedding is not additive")
-        if arith.niveau_of(a) != 1:
-            _fail(failures, u=u, reason="embedded class must have niveau 1")
-    return count, failures
+    v = rng.randrange(e)
+    o = arith.orbit_of(p, 3, v)
+    for m in o.elements():
+        if arith.orbit_of(p, 3, m) != o:
+            _fail(failures, value=v, reason="orbit depends on the member")
+    if 3 % o.size:
+        _fail(failures, value=v, reason="orbit size must divide 3")
+    u = rng.randrange(p - 1)
+    w = rng.randrange(p - 1)
+    a = arith.embed_niveau(arith.exp_class(p, 1, u), 3)
+    b = arith.embed_niveau(arith.exp_class(p, 1, w), 3)
+    s = arith.embed_niveau(arith.exp_class(p, 1, (u + w) % (p - 1)), 3)
+    if (a.value + b.value) % e != s.value:
+        _fail(failures, u=u, w=w, reason="embedding is not additive")
+    if arith.niveau_of(a) != 1:
+        _fail(failures, u=u, reason="embedded class must have niveau 1")
 
 
 def _random_weight(rng: random.Random, p: int) -> wt.WeightClass:
@@ -77,95 +74,83 @@ def _random_weight(rng: random.Random, p: int) -> wt.WeightClass:
     return wt.canonicalize((z + g1 + g2, z + g2, z), p)
 
 
-def sweep_weights(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for _ in range(count):
-        w = _random_weight(rng, p)
-        shift = rng.randrange(-3, 4) * (p - 1)
-        again = wt.canonicalize(tuple(c + shift for c in w.coords), p)
-        if again != w:
-            _fail(failures, coords=list(w.coords), reason="canonical form unstable")
-        if wt.dual(wt.dual(w)) != w:
-            _fail(failures, coords=list(w.coords), reason="dual not involutive")
-        try:
-            pos = wt.alcove(w)
-        except ValueError:
-            continue
-        if wt.alcove(wt.dual(w)) != pos:
-            _fail(failures, coords=list(w.coords), reason="dual changes alcove")
-        delta = rng.randrange(0, 7)
-        if wt.is_delta_generic(w, delta) != wt.is_delta_generic(wt.dual(w), delta):
-            _fail(failures, coords=list(w.coords), reason="dual changes genericity")
-        if pos == wt.ALCOVE_UPPER:
-            s = wt.shadow(w)
-            if wt.shadow_inverse(s) != w:
-                _fail(failures, coords=list(w.coords), reason="shadow not involutive")
-            if wt.dim_weight(w) + wt.weyl_dim(*s.coords) != wt.weyl_dim(*w.coords):
-                _fail(failures, coords=list(w.coords), reason="upper dimension wrong")
-    return count, failures
+def sweep_weights(rng: random.Random, p: int, failures: list[dict]) -> None:
+    w = _random_weight(rng, p)
+    shift = rng.randrange(-3, 4) * (p - 1)
+    again = wt.canonicalize(tuple(c + shift for c in w.coords), p)
+    if again != w:
+        _fail(failures, coords=list(w.coords), reason="canonical form unstable")
+    if wt.dual(wt.dual(w)) != w:
+        _fail(failures, coords=list(w.coords), reason="dual not involutive")
+    try:
+        pos = wt.alcove(w)
+    except ValueError:
+        return
+    if wt.alcove(wt.dual(w)) != pos:
+        _fail(failures, coords=list(w.coords), reason="dual changes alcove")
+    delta = rng.randrange(0, 7)
+    if wt.is_delta_generic(w, delta) != wt.is_delta_generic(wt.dual(w), delta):
+        _fail(failures, coords=list(w.coords), reason="dual changes genericity")
+    if pos == wt.ALCOVE_UPPER:
+        s = wt.shadow(w)
+        if wt.shadow_inverse(s) != w:
+            _fail(failures, coords=list(w.coords), reason="shadow not involutive")
+        if wt.dim_weight(w) + wt.weyl_dim(*s.coords) != wt.weyl_dim(*w.coords):
+            _fail(failures, coords=list(w.coords), reason="upper dimension wrong")
 
 
-def sweep_tame(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
+def sweep_tame(rng: random.Random, p: int, failures: list[dict]) -> None:
     e = p**3 - 1
-    failures: list[dict] = []
-    for _ in range(count):
-        c = rng.randrange(-p, p)
-        g1 = rng.randrange(1, p)
-        g2 = rng.randrange(1, max(2, p + 1 - g1))
-        abc = (c + g1 + g2, c + g2, c)
-        total = sum(abc)
-        # a second triple with the same sum inside the window
-        while True:
-            h1 = rng.randrange(1, p)
-            h2 = rng.randrange(1, p + 1 - h1)
-            if (total - h1 - 2 * h2) % 3 == 0:
-                z = (total - h1 - 2 * h2) // 3
-                xyz = (z + h1 + h2, z + h2, z)
-                break
-        res = tt.distinguish(abc, xyz, p)
-        if res.tag == tt.HYPOTHESIS_VIOLATED:
-            _fail(failures, abc=list(abc), xyz=list(xyz), reason="bad generator")
-        elif (res.tag == tt.FORCED) != (abc == xyz):
-            _fail(failures, abc=list(abc), xyz=list(xyz), reason="rigidity failed")
-        t = tt.tau(tt.XI_123, abc, p)
-        if not tt.iso(t, tt.tau(tt.XI_123, (abc[2], abc[0], abc[1]), p)):
-            _fail(failures, abc=list(abc), reason="cyclic shift changes the type")
-        k = rng.randrange(0, p)
-        if not tt.iso(tt.dual_twist(tt.dual_twist(t, k), k), t):
-            _fail(failures, abc=list(abc), k=k, reason="dual twist not involutive")
-        v = rng.randrange(e)
-        t2 = tt.type_from_exponent(p, v)
-        if not tt.iso(t2, tt.type_from_exponent(p, v * p % e)):
-            _fail(failures, value=v, reason="type depends on orbit member")
-    return count, failures
+    c = rng.randrange(-p, p)
+    g1 = rng.randrange(1, p)
+    g2 = rng.randrange(1, max(2, p + 1 - g1))
+    abc = (c + g1 + g2, c + g2, c)
+    total = sum(abc)
+    # a second triple with the same sum inside the window
+    while True:
+        h1 = rng.randrange(1, p)
+        h2 = rng.randrange(1, p + 1 - h1)
+        if (total - h1 - 2 * h2) % 3 == 0:
+            z = (total - h1 - 2 * h2) // 3
+            xyz = (z + h1 + h2, z + h2, z)
+            break
+    res = tt.distinguish(abc, xyz, p)
+    if res.tag == tt.HYPOTHESIS_VIOLATED:
+        _fail(failures, abc=list(abc), xyz=list(xyz), reason="bad generator")
+    elif (res.tag == tt.FORCED) != (abc == xyz):
+        _fail(failures, abc=list(abc), xyz=list(xyz), reason="rigidity failed")
+    t = tt.tau(tt.XI_123, abc, p)
+    if not tt.iso(t, tt.tau(tt.XI_123, (abc[2], abc[0], abc[1]), p)):
+        _fail(failures, abc=list(abc), reason="cyclic shift changes the type")
+    k = rng.randrange(0, p)
+    if not tt.iso(tt.dual_twist(tt.dual_twist(t, k), k), t):
+        _fail(failures, abc=list(abc), k=k, reason="dual twist not involutive")
+    v = rng.randrange(e)
+    t2 = tt.type_from_exponent(p, v)
+    if not tt.iso(t2, tt.type_from_exponent(p, v * p % e)):
+        _fail(failures, value=v, reason="type depends on orbit member")
 
 
-def sweep_breuil(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for _ in range(count):
-        m = breuil.random_module(rng, p, 3, 2)
-        try:
-            shifts = [breuil.fractional_shift(m, i) for i in range(m.d)]
-        except ValueError:
-            _fail(failures, heights=list(m.heights), reason="shift not integral")
-            continue
-        for i in range(m.d):
-            if shifts[i] < m.heights[i]:
-                _fail(failures, heights=list(m.heights), reason="shift below height")
-            want = m.p * (shifts[i] - m.heights[i])
-            if shifts[(i + 1) % m.d] != want:
-                _fail(failures, heights=list(m.heights), reason="shift recursion")
-        mx = breuil.maximal_model(m)
-        if not breuil.is_maximal(mx):
-            _fail(failures, heights=list(m.heights), reason="model not maximal")
-        if breuil.inertial_character(mx) != breuil.inertial_character(m):
-            _fail(failures, heights=list(m.heights), reason="character changed")
-        if breuil.maximal_model(mx) != mx:
-            _fail(failures, heights=list(m.heights), reason="not idempotent")
-    return count, failures
+def sweep_breuil(rng: random.Random, p: int, failures: list[dict]) -> None:
+    m = breuil.random_module(rng, p, 3, 2)
+    try:
+        shifts = [breuil.fractional_shift(m, i) for i in range(m.d)]
+    except ValueError:
+        _fail(failures, heights=list(m.heights), reason="shift not integral")
+        return
+    for i in range(m.d):
+        if shifts[i] < m.heights[i]:
+            _fail(failures, heights=list(m.heights), reason="shift below height")
+        want = m.p * (shifts[i] - m.heights[i])
+        if shifts[(i + 1) % m.d] != want:
+            _fail(failures, heights=list(m.heights), reason="shift recursion")
+    mx = breuil.maximal_model(m)
+    if not breuil.is_maximal(mx):
+        _fail(failures, heights=list(m.heights), reason="model not maximal")
+    if breuil.inertial_character(mx) != breuil.inertial_character(m):
+        _fail(failures, heights=list(m.heights), reason="character changed")
+    if breuil.maximal_model(mx) != mx:
+        _fail(failures, heights=list(m.heights), reason="not idempotent")
 
 
 def _random_table_triple(rng: random.Random, p: int) -> tuple[int, int, int]:
@@ -175,140 +160,122 @@ def _random_table_triple(rng: random.Random, p: int) -> tuple[int, int, int]:
     return (c + g1 + g2, c + g2, c)
 
 
-def sweep_candidates(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for _ in range(count):
-        g1 = rng.randrange(3, p - 6)
-        g2 = rng.randrange(3, p - 3 - g1)
-        c = rng.randrange(-p, p)
-        a, b = c + g1 + g2, c + g2
-        params = (a, b, c)
-        for make in (breuil.principal_series, breuil.cuspidal, breuil.cuspidal_dual):
-            lift = make(p, params)
-            for value in breuil._candidate_exponents(lift):
-                if (value - (a + b + c + 3)) % (p - 1):
-                    _fail(failures, params=list(params), kind=lift.kind,
-                          value=value, reason="determinant digit sum")
-        fwd = breuil.reduction_candidates(breuil.cuspidal(p, (-c, -b, -a)))
-        twisted = frozenset(
-            tt.dual_twist(tt.type_from_exponent(p, rep), 2).chars[0].rep
-            for rep in fwd.orbit_reps
-        )
-        bwd = breuil.reduction_candidates(breuil.cuspidal_dual(p, params))
-        if twisted != bwd.orbit_reps:
-            _fail(failures, params=list(params), reason="cuspidal duality broken")
-    return count, failures
+def sweep_candidates(rng: random.Random, p: int, failures: list[dict]) -> None:
+    g1 = rng.randrange(3, p - 6)
+    g2 = rng.randrange(3, p - 3 - g1)
+    c = rng.randrange(-p, p)
+    a, b = c + g1 + g2, c + g2
+    params = (a, b, c)
+    for make in (breuil.principal_series, breuil.cuspidal, breuil.cuspidal_dual):
+        lift = make(p, params)
+        for value in breuil.candidate_exponents(lift):
+            if (value - (a + b + c + 3)) % (p - 1):
+                _fail(failures, params=list(params), kind=lift.kind,
+                      value=value, reason="determinant digit sum")
+    fwd = breuil.reduction_candidates(breuil.cuspidal(p, (-c, -b, -a)))
+    twisted = frozenset(
+        tt.dual_twist(tt.type_from_exponent(p, rep), 2).chars[0].rep
+        for rep in fwd.orbit_reps
+    )
+    bwd = breuil.reduction_candidates(breuil.cuspidal_dual(p, params))
+    if twisted != bwd.orbit_reps:
+        _fail(failures, params=list(params), reason="cuspidal duality broken")
 
 
-def sweep_predicted(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for _ in range(count):
-        if p >= 19:
-            a, b, c = _random_table_triple(rng, p)
-            table = predicted.nine_weight_table(a, b, c, p)
-            por = predicted.enumerate_predicted(table.source)
-            if por.weights != table.weights:
-                _fail(failures, params=[a, b, c], reason="table/enumeration mismatch")
-            rotated = predicted.theta(a, b, c, p)
-            table2 = predicted.nine_weight_table(*rotated, p)
-            if table2.weights != table.weights:
-                _fail(failures, params=[a, b, c], reason="theta changes the nine-set")
-        t = tt.type_from_exponent(p, rng.randrange(p**3 - 1))
-        if not t.is_irreducible():
-            continue
-        fast = predicted.enumerate_predicted(t)
-        dual_set = predicted.enumerate_predicted(tt.dual_twist(t, 2))
-        if frozenset(wt.dual(w) for w in fast.weights) != dual_set.weights:
-            _fail(failures, rep=t.orbit_rep(), reason="duality mismatch")
-        if p <= 13:
-            slow = predicted.enumerate_predicted_bruteforce(t)
-            if slow.weights != fast.weights:
-                _fail(failures, rep=t.orbit_rep(), reason="solver/scan mismatch")
-    return count, failures
-
-
-def sweep_elimination(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    e = p**3 - 1
-    for _ in range(count):
-        g1 = rng.randrange(8, p - 5)
-        g2 = rng.randrange(max(8, p + 2 - g1), p - 5)
-        z = rng.randrange(p - 1)
-        w = wt.canonicalize((z + g1 + g2, z + g2, z), p)
-        sets = elimination.intersection_sets(w)
-        if not (sets[3] <= sets[0] and sets[3] <= sets[1] and sets[3] <= sets[2]):
-            _fail(failures, coords=list(w.coords), reason="intersection not minimal")
-        if sets[3] != elimination.surviving_family_reps(w):
-            _fail(failures, coords=list(w.coords), reason="closed form mismatch")
-        if sets[3] != predicted._membership_reps(p, w.coords):
-            _fail(failures, coords=list(w.coords), reason="prediction mismatch")
-        t = tt.type_from_exponent(p, rng.randrange(e))
-        if t.is_irreducible():
-            rep = elimination.eliminate(w, t)
-            if (rep.verdict == elimination.CONSISTENT) != predicted.is_predicted(w, t):
-                _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
-                      reason="verdict disagrees with membership")
-    return count, failures
-
-
-def sweep_cycling(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for _ in range(count):
+def sweep_predicted(rng: random.Random, p: int, failures: list[dict]) -> None:
+    if p >= 19:
         a, b, c = _random_table_triple(rng, p)
         table = predicted.nine_weight_table(a, b, c, p)
-        t = table.source if rng.random() < 0.5 else tt.dual_twist(table.source, 2)
-        start = rng.choice(sorted(table.weights, key=lambda v: v.coords))
-        if t is not table.source:
-            start = wt.dual(start)
-        g = cycling.cycle(t, start)
-        if g.status != cycling.STATUS_COMPLETE:
-            _fail(failures, params=[a, b, c], start=list(start.coords),
-                  reason="closure incomplete")
-        if g.nodes != g.predicted.weights:
-            _fail(failures, params=[a, b, c], reason="nodes differ from prediction")
-        for u, v, j in g.edges:
-            if v not in g.predicted.weights:
-                _fail(failures, params=[a, b, c], reason="edge leaves the table")
-    return count, failures
+        por = predicted.enumerate_predicted(table.source)
+        if por.weights != table.weights:
+            _fail(failures, params=[a, b, c], reason="table/enumeration mismatch")
+        rotated = predicted.theta(a, b, c, p)
+        table2 = predicted.nine_weight_table(*rotated, p)
+        if table2.weights != table.weights:
+            _fail(failures, params=[a, b, c], reason="theta changes the nine-set")
+    t = tt.type_from_exponent(p, rng.randrange(p**3 - 1))
+    if not t.is_irreducible():
+        return
+    fast = predicted.enumerate_predicted(t)
+    dual_set = predicted.enumerate_predicted(tt.dual_twist(t, 2))
+    if frozenset(wt.dual(w) for w in fast.weights) != dual_set.weights:
+        _fail(failures, rep=t.orbit_rep(), reason="duality mismatch")
+    if p <= 13:
+        slow = predicted.enumerate_predicted_bruteforce(t)
+        if slow.weights != fast.weights:
+            _fail(failures, rep=t.orbit_rep(), reason="solver/scan mismatch")
 
 
-def sweep_slopes(p: int, seed: int, count: int) -> tuple[int, list[dict]]:
+def sweep_elimination(rng: random.Random, p: int, failures: list[dict]) -> None:
+    e = p**3 - 1
+    g1 = rng.randrange(8, p - 5)
+    g2 = rng.randrange(max(8, p + 2 - g1), p - 5)
+    z = rng.randrange(p - 1)
+    w = wt.canonicalize((z + g1 + g2, z + g2, z), p)
+    sets = elimination.intersection_sets(w)
+    if not (sets[3] <= sets[0] and sets[3] <= sets[1] and sets[3] <= sets[2]):
+        _fail(failures, coords=list(w.coords), reason="intersection not minimal")
+    if sets[3] != elimination.surviving_family_reps(w):
+        _fail(failures, coords=list(w.coords), reason="closed form mismatch")
+    if sets[3] != predicted.membership_reps(p, w.coords):
+        _fail(failures, coords=list(w.coords), reason="prediction mismatch")
+    t = tt.type_from_exponent(p, rng.randrange(e))
+    if t.is_irreducible():
+        rep = elimination.eliminate(w, t)
+        if (rep.verdict == elimination.CONSISTENT) != predicted.is_predicted(w, t):
+            _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
+                  reason="verdict disagrees with membership")
+
+
+def sweep_cycling(rng: random.Random, p: int, failures: list[dict]) -> None:
+    a, b, c = _random_table_triple(rng, p)
+    table = predicted.nine_weight_table(a, b, c, p)
+    t = table.source if rng.random() < 0.5 else tt.dual_twist(table.source, 2)
+    start = rng.choice(sorted(table.weights, key=lambda v: v.coords))
+    if t is not table.source:
+        start = wt.dual(start)
+    g = cycling.cycle(t, start)
+    if g.status != cycling.STATUS_COMPLETE:
+        _fail(failures, params=[a, b, c], start=list(start.coords),
+              reason="closure incomplete")
+    if g.nodes != g.predicted.weights:
+        _fail(failures, params=[a, b, c], reason="nodes differ from prediction")
+    for u, v, j in g.edges:
+        if v not in g.predicted.weights:
+            _fail(failures, params=[a, b, c], reason="edge leaves the table")
+
+
+def sweep_slopes(rng: random.Random, p: int, failures: list[dict]) -> None:
     del p
-    rng = random.Random(seed)
-    failures: list[dict] = []
-    for _ in range(count):
-        n = rng.randrange(2, 5)
-        f = rng.randrange(1, 4)
-        e_ram = rng.randrange(1, 4)
-        hodge = []
-        for _ in range(f * e_ram):
-            lam = sorted((rng.randrange(0, 30) for _ in range(n)), reverse=True)
-            hodge.append(tuple(lam))
-        j = rng.randrange(1, n)
-        thr = slopes.ordinarity_threshold(
-            slopes.hodge_data(n, f, e_ram, hodge, [0] * n), j
-        )
-        vals = sorted(Fraction(rng.randrange(0, 200), rng.randrange(1, 8))
-                      for _ in range(n))
-        h = slopes.hodge_data(n, f, e_ram, hodge, vals)
-        mu = induction.AntidominantCochar((0,) * (n - j) + (1,) * j)
-        if thr != Fraction(slopes.hecke_normalization(mu, h), e_ram):
-            _fail(failures, reason="threshold/normalization mismatch")
-        gap = slopes.newton_hodge_gap(h, j)
-        if gap != h.t_vals[j - 1] - thr:
-            _fail(failures, reason="gap identity broken")
-        crit = slopes.slope_criticality(h, j)
-        want = (slopes.CRITICAL if gap == 0
-                else slopes.ABOVE_BOUND if gap > 0 else slopes.BELOW_BOUND)
-        if crit != want:
-            _fail(failures, reason="criticality tag mismatch")
-    return count, failures
+    n = rng.randrange(2, 5)
+    f = rng.randrange(1, 4)
+    e_ram = rng.randrange(1, 4)
+    hodge = []
+    for _ in range(f * e_ram):
+        lam = sorted((rng.randrange(0, 30) for _ in range(n)), reverse=True)
+        hodge.append(tuple(lam))
+    j = rng.randrange(1, n)
+    thr = slopes.ordinarity_threshold(
+        slopes.hodge_data(n, f, e_ram, hodge, [0] * n), j
+    )
+    vals = sorted(Fraction(rng.randrange(0, 200), rng.randrange(1, 8))
+                  for _ in range(n))
+    h = slopes.hodge_data(n, f, e_ram, hodge, vals)
+    mu = induction.AntidominantCochar((0,) * (n - j) + (1,) * j)
+    if thr != Fraction(slopes.hecke_normalization(mu, h), e_ram):
+        _fail(failures, reason="threshold/normalization mismatch")
+    gap = slopes.newton_hodge_gap(h, j)
+    if gap != h.t_vals[j - 1] - thr:
+        _fail(failures, reason="gap identity broken")
+    crit = slopes.slope_criticality(h, j)
+    want = (slopes.CRITICAL if gap == 0
+            else slopes.ABOVE_BOUND if gap > 0 else slopes.BELOW_BOUND)
+    if crit != want:
+        _fail(failures, reason="criticality tag mismatch")
 
 
+# name -> (check, exhaustive): an exhaustive check takes p and returns
+# (checks, failures); a randomized one checks the instance its rng draws
 SUITES = {
     "decompose": (sweep_decompose, True),
     "orbits": (sweep_orbits, False),
@@ -329,36 +296,48 @@ def _suite(name: str):
     return SUITES[name]
 
 
+def _run_instances(
+    name: str, p: int, seed: int, start: int, stop: int
+) -> tuple[int, list[dict]]:
+    """Instances start..stop-1 of a suite; an exhaustive suite runs whole."""
+    check, exhaustive = _suite(name)
+    if exhaustive:
+        return check(p)
+    failures: list[dict] = []
+    for i in range(start, stop):
+        check(random.Random(f"{seed}:{i}"), p, failures)
+    return stop - start, failures
+
+
 def run_suite(name: str, p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    fn, _exhaustive = _suite(name)
-    return fn(p, seed, count)
+    return _run_instances(name, p, seed, 0, count)
 
 
 def run_suite_parallel(
     name: str, p: int, seed: int, count: int, jobs: int
 ) -> tuple[int, list[dict]]:
-    """Split a randomized suite across processes; exhaustive suites run once.
+    """run_suite split across processes, with the same result for any jobs.
 
-    The count is split into chunks whose sizes differ by at most one,
-    chunk i drawing from seed + 7919*i, so exactly `count` checks run.
+    Each process takes a contiguous range of instance indices (sizes
+    differ by at most one), and failures are joined in index order.
     """
-    fn, exhaustive = _suite(name)
+    _check, exhaustive = _suite(name)
     jobs = min(jobs, count)
     if jobs <= 1 or exhaustive:
-        return fn(p, seed, count)
+        return run_suite(name, p, seed, count)
     from concurrent.futures import ProcessPoolExecutor
 
     size, extra = divmod(count, jobs)
-    args = [(name, p, seed + 7919 * i, size + (i < extra)) for i in range(jobs)]
+    bounds = [i * size + min(i, extra) for i in range(jobs + 1)]
+    args = [(name, p, seed, bounds[i], bounds[i + 1]) for i in range(jobs)]
     checks = 0
     failures: list[dict] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for got_checks, got_failures in pool.map(_run_star, args):
             checks += got_checks
             failures.extend(got_failures)
-    failures.sort(key=repr)
     return checks, failures
 
 
-def _run_star(args: tuple[str, int, int, int]) -> tuple[int, list[dict]]:
-    return run_suite(*args)
+def _run_star(args: tuple[str, int, int, int, int]) -> tuple[int, list[dict]]:
+    return _run_instances(*args)

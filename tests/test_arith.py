@@ -10,8 +10,10 @@ from gl3weights.arith import (
     CASE_I,
     CASE_II,
     DIVISIBLE,
+    P_LIMIT,
     Decomposition,
     ExpClass,
+    check_prime,
     decompose_exponent,
     embed_niveau,
     exp_class,
@@ -39,6 +41,16 @@ def test_exp_class_rejects_bad_characteristic():
         ExpClass(3, 3, 1)
     with pytest.raises(ValueError):
         ExpClass(7, 4, 1)
+
+
+def test_check_prime_bound():
+    check_prime(65521)  # the largest prime below the bound
+    assert P_LIMIT == 2**16
+    for p in (P_LIMIT, 65537, 1152921504606846883):
+        with pytest.raises(ValueError, match="below 65536"):
+            check_prime(p)
+    with pytest.raises(ValueError, match="prime >= 5"):
+        check_prime(65535)
 
 
 def test_orbit_example():

@@ -225,3 +225,72 @@ def test_query_malformed(capsys):
     with pytest.raises(SystemExit):
         run(["query"], stdin=io.StringIO("not json"))
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, params", [
+    ("predict", {"p": 29, "type": {"xi": "123", "mu": 5}}),
+    ("predict", {"p": 29, "type": {"xi": 123, "mu": [17, 9, 0]}}),
+    ("predict", {"p": 29, "type": {"orbit_rep": "278"}}),
+    ("predict", {"p": 29, "type": {"mu": [17, 9, 0]}}),
+    ("predict", {"p": 29}),
+    ("dims", {"p": 29, "weight": [1.5, 0, 0]}),
+    ("dims", {"p": 29, "weight": [True, 0, 0]}),
+    ("dims", {"p": 29, "weight": [15, 8]}),
+    ("dims", {"p": "29", "weight": [15, 8, 0]}),
+    ("decompose", {"p": 7}),
+    ("decompose", {"n": 10.0, "p": 7}),
+    ("decompose", {"n": 10, "p": False}),
+    ("cycle", {"p": 29, "start": [15, 8, 0], "type": {"orbit_rep": 278}, "dot": 1}),
+    ("breuil", {"p": 7, "d": 3, "r": 2, "heights": [684, 684], "k0": 100}),
+    ("breuil", {"p": 7, "d": 3, "r": 2, "heights": [684, 684, 684]}),
+    ("sweep", {"suite": "weights", "count": 2.5}),
+    ("sweep", {"suite": 3}),
+    # a missing type is reported even though p=9 is also a domain error
+    ("eliminate", {"p": 9, "weight": [15, 8, 0]}),
+])
+def test_query_schema_errors_are_usage_errors(capsys, command, params):
+    env = json.dumps({"version": 1, "command": command, "params": params})
+    code, out, err = invoke(capsys, "query", stdin=env)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gl3weights: error: ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": 1, "command": "decompose", "params": {"n": ' + "9" * 5000 + ', "p": 7}}',
+    "[" * 100_000 + "]" * 100_000,
+])
+def test_query_unparseable_envelope_is_usage_error(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        run(["query"], stdin=io.StringIO(text))
+    assert exc.value.code == 2
+    assert "malformed" in capsys.readouterr().err
+
+
+def test_query_domain_error_keeps_exit_1(capsys):
+    env = json.dumps({"version": 1, "command": "predict",
+                      "params": {"p": 29, "type": {"xi": "321", "mu": [17, 9, 0]}}})
+    code, out, _ = invoke(capsys, "query", stdin=env)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_huge_prime_is_refused_quickly():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gl3weights", "decompose", "--n", "5",
+         "--p", "1152921504606846883"],
+        capture_output=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["error"]["type"] == "ValueError"
+    assert "65536" in doc["error"]["message"]
+
+
+def test_literal_choices_match_the_library():
+    from gl3weights import cli, sweeps, tame_types
+
+    assert cli.XI_CHOICES == tame_types.ORDER_THREE_CYCLES
+    assert list(cli.SUITE_NAMES) == sorted(sweeps.SUITES)

@@ -1,5 +1,7 @@
 """Every randomized invariant suite runs clean at small sizes."""
 
+import multiprocessing
+
 import pytest
 
 from gl3weights.sweeps import SUITES, run_suite, run_suite_parallel
@@ -39,8 +41,30 @@ def test_parallel_matches_serial_totals():
     checks1, fails1 = run_suite_parallel("slopes", 7, 4, 24, jobs=1)
     checks2, fails2 = run_suite_parallel("slopes", 7, 4, 24, jobs=3)
     assert fails1 == fails2 == []
-    # chunks use derived seeds, so totals agree even though draws differ
-    assert checks1 > 0 and checks2 > 0
+    assert checks1 == checks2 == 24
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, exh) in SUITES.items() if not exh))
+def test_parallel_equals_serial(name):
+    # instance i draws from (seed, i), so the split across processes is invisible
+    serial = run_suite(name, SUITE_PRIMES[name], 5, 5)
+    assert run_suite_parallel(name, SUITE_PRIMES[name], 5, 5, jobs=2) == serial
+    assert serial[0] == 5
+
+
+def _record_draw(rng, p, failures):
+    failures.append({"draw": rng.random()})
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched suite reaches the workers only through fork")
+def test_instance_draws_do_not_depend_on_jobs_or_count(monkeypatch):
+    monkeypatch.setitem(SUITES, "weights", (_record_draw, False))
+    checks, draws = run_suite("weights", 11, 3, 5)
+    assert checks == 5 and len({d["draw"] for d in draws}) == 5
+    for jobs in (2, 3):
+        assert run_suite_parallel("weights", 11, 3, 5, jobs) == (checks, draws)
+    assert run_suite("weights", 11, 3, 2)[1] == draws[:2]
 
 
 def test_exhaustive_suite_ignores_jobs():
