@@ -14,6 +14,8 @@ from dataclasses import dataclass
 SUPPORTED_NIVEAUX = (1, 2, 3)
 # exclusive upper bound on the characteristic p
 P_LIMIT = 2**16
+# entry bound of the package's memos; a benchmark pass fills the largest to about 5k
+MEMO_SIZE = 2**15
 
 DIVISIBLE = "divisible"
 CASE_I = "I"
@@ -198,3 +200,21 @@ def decompose_exponent(n: int, p: int) -> Decomposition:
         x, y, z = 1, alpha + 2 - p, alpha + beta + 1 - 2 * p
         kind = CASE_II
     return Decomposition(kind, x + q, y + q, z + q)
+
+
+def solve_digit_pair(p: int, slope: int, r: int) -> tuple[int, int]:
+    """The digits (g1, g2) in [0, p] solving g1 + slope*g2 = r modulo p^2+p+1.
+
+    slope is p+1, giving the base-(p+1) split of r, or -p: as -p(p+1) = 1
+    modulo p^2+p+1, that is the split of (p+1)*r with the digits swapped.
+    The split is injective on [0, p-3]^2, where it stays below
+    (p+2)(p-3) < p^2+p+1, so every solution in that box is this one.
+    """
+    c = p * p + p + 1
+    if (slope - p - 1) % c == 0:
+        g2, g1 = divmod(r % c, p + 1)
+    elif (slope + p) % c == 0:
+        g1, g2 = divmod((p + 1) * r % c, p + 1)
+    else:
+        raise ValueError(f"slope must be p+1 or -p modulo {c}, got {slope}")
+    return g1, g2

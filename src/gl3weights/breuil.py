@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import ExpClass, check_prime, exp_class, orbit_rep
 from .tame_types import TameType, type_from_exponent
@@ -220,7 +219,6 @@ def candidate_exponents(t: LiftType) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def reduction_candidates(t: LiftType) -> ReductionCandidates:
     """All inertial exponents of rank-one subquotients of reductions.
 

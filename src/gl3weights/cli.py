@@ -428,3 +428,7 @@ def run(argv: list[str] | None = None, stdin=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

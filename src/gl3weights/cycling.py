@@ -30,9 +30,10 @@ from .predicted import (
     SHADOW_FAMILY,
     UPPER_FAMILY,
     is_predicted,
+    membership_solution,
     nine_weight_families,
 )
-from .tame_types import TameType, dual_twist
+from .tame_types import XI_123, TameType, dual_twist
 from .weights import WeightClass, dual, is_generic
 
 CASE_DIRECT = "direct"
@@ -74,18 +75,11 @@ def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
     """All (a, b, c) with a-b > 5, b-c > 4, a-c < p-7, last coordinate
     in [0, p-2], whose attached type tau((1 2 3), (a+2, b+1, c)) is t."""
     p = t.p
-    e = p**3 - 1
-    c2 = p * p + p + 1
     found = set()
     for n in t.chars[0].elements():
-        for g2 in range(5, p - 13):
-            base = (g2 + 2) + p * (g2 + 1)
-            g1 = (n - base) % c2
-            if not 6 <= g1 <= p - 8 - g2:
-                continue
-            a_val = (base + g1) % e
-            z = (n - a_val) % e // c2
-            found.add((z + g1 + g2, z + g2, z))
+        a, b, c = membership_solution(p, n, XI_123, False)
+        if a - b > 5 and b - c > 4 and a - c < p - 7:
+            found.add((a, b, c))
     return tuple(sorted(found))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import orbit_rep
+from .arith import MEMO_SIZE, orbit_rep
 from .breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -82,7 +82,7 @@ def lift_types_for(w: WeightClass) -> tuple[LiftType, LiftType, LiftType]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _crystalline_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
     x, y, z = coords
     return frozenset(
@@ -91,7 +91,7 @@ def _crystalline_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _intersection_data(
     w: WeightClass,
 ) -> tuple[tuple[tuple[str, frozenset[int]], ...], frozenset[int]]:
@@ -116,7 +116,7 @@ def intersection_sets(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def surviving_family_reps(w: WeightClass) -> frozenset[int]:
     """Closed form of the large-span intersection: two short families.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import MEMO_SIZE
 from .weights import WeightClass, canonicalize, dual
 
 SHAPE_2_1 = "2+1"
@@ -155,7 +156,7 @@ def induction_constituents(levi: LeviWeight) -> tuple[WeightClass, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
     """Weights forced to be modular when the level-j operator is not
     invertible at w.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import orbit_rep
+from .arith import MEMO_SIZE, orbit_rep, solve_digit_pair
 from .tame_types import (
     ORDER_THREE_CYCLES,
     TameType,
@@ -44,16 +44,22 @@ def _require_irreducible(t: TameType) -> int:
     return t.orbit_rep()
 
 
-@lru_cache(maxsize=None)
+# membership rows (xi, above the wall); the upper two apply when x - z > p - 2
+MEMBERSHIP_ROWS = tuple((xi, high) for high in (False, True) for xi in ORDER_THREE_CYCLES)
+
+
+def _mu(x: int, y: int, z: int, p: int, high: bool) -> tuple[int, int, int]:
+    return (z + p, y + 1, x - p + 2) if high else (x + 2, y + 1, z)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
     """Orbit representatives a type must hit for the weight to be predicted."""
     x, y, z = coords
-    candidates = [tau_exponent(xi, (x + 2, y + 1, z), p) for xi in ORDER_THREE_CYCLES]
-    if x - z > p - 2:
-        candidates += [
-            tau_exponent(xi, (z + p, y + 1, x - p + 2), p) for xi in ORDER_THREE_CYCLES
-        ]
-    return frozenset(orbit_rep(p, v) for v in candidates)
+    rows = MEMBERSHIP_ROWS if x - z > p - 2 else MEMBERSHIP_ROWS[:2]
+    return frozenset(
+        orbit_rep(p, tau_exponent(xi, _mu(x, y, z, p, high), p)) for xi, high in rows
+    )
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
@@ -71,43 +77,48 @@ def is_predicted(w: WeightClass, t: TameType) -> bool:
     return rep in membership_reps(w.p, w.coords)
 
 
-# solver rows: (needs_span_above_wall, coefficient of g1, baseline(g2))
-def _solver_rows(p: int) -> tuple[tuple[bool, int, object], ...]:
-    p2 = p * p
-    return (
-        (False, 1, lambda g2: (g2 + 2) + p * (g2 + 1)),
-        (False, 1, lambda g2: (g2 + 2) + p2 * (g2 + 1)),
-        (True, p2, lambda g2: p + p * (g2 + 1) + p2 * (g2 + 2 - p)),
-        (True, p, lambda g2: p + p * (g2 + 2 - p) + p2 * (g2 + 1)),
+@lru_cache(maxsize=MEMO_SIZE)
+def _row_congruence(p: int, xi: str, high: bool) -> tuple[int, int, int, int, int]:
+    """(e0, k1, k2, u, slope): the row's exponent of F(g1+g2, g2, 0) is
+    e0 + k1*g1 + k2*g2 mod p^3-1, and u*k1 = 1, u*k2 = slope mod p^2+p+1."""
+    c2 = p * p + p + 1
+    e0, e1, e2 = (
+        tau_exponent(xi, _mu(g1 + g2, g2, 0, p, high), p)
+        for g1, g2 in ((0, 0), (1, 0), (0, 1))
     )
+    u = pow(e1 - e0, -1, c2)
+    return e0, e1 - e0, e2 - e0, u, (e2 - e0) * u % c2
+
+
+def membership_solution(p: int, n: int, xi: str, high: bool) -> tuple[int, int, int]:
+    """The weight F(x, y, z), 0 <= z <= p-2, with exponent n on the row
+    (xi, high); it is the only one with both differences at most p-3.
+
+    Moving z by one adds p^2+p+1 to the exponent, so the differences
+    solve one congruence modulo p^2+p+1 and z is the quotient of the rest.
+    """
+    e0, k1, k2, u, slope = _row_congruence(p, xi, high)
+    g1, g2 = solve_digit_pair(p, slope, (n - e0) * u)
+    c2 = p * p + p + 1
+    z = (n - e0 - k1 * g1 - k2 * g2) % (c2 * (p - 1)) // c2
+    return (g1 + g2 + z, g2 + z, z)
 
 
 def enumerate_predicted(t: TameType) -> PredictedSet:
     """All weights in the validity strip predicted for the type.
 
-    For fixed differences (g1, g2) the membership exponent is linear in
-    the last coordinate with slope p^2 + p + 1, so each Frobenius orbit
-    member contributes at most one weight per (row, g2): solve for g1
-    modulo p^2 + p + 1, then divide out the slope to recover z.
+    Each Frobenius orbit member and membership row contribute at most
+    one weight, the row's `membership_solution`, kept when both its
+    differences are at most p-3 (and x - z > p-2 on the upper rows).
     """
     p = t.p
     _require_irreducible(t)
-    e = p**3 - 1
-    c2 = p * p + p + 1
-    inv = {1: 1, p: p * p % c2, p * p: p % c2}
     found: set[WeightClass] = set()
     for n in t.chars[0].elements():
-        for needs_high, coef, baseline in _solver_rows(p):
-            ic = inv[coef]
-            for g2 in range(p - 2):
-                g1 = (n - baseline(g2)) * ic % c2
-                if g1 > p - 3:
-                    continue
-                if needs_high and g1 + g2 <= p - 2:
-                    continue
-                a_val = (baseline(g2) + coef * g1) % e
-                z = (n - a_val) % e // c2
-                found.add(WeightClass(p, 3, (z + g1 + g2, z + g2, z)))
+        for xi, high in MEMBERSHIP_ROWS:
+            x, y, z = membership_solution(p, n, xi, high)
+            if x - y <= p - 3 and y - z <= p - 3 and (x - z > p - 2 or not high):
+                found.add(WeightClass(p, 3, (x, y, z)))
     return PredictedSet(p, frozenset(found), t)
 
 

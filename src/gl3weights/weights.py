@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import check_prime
+from .arith import MEMO_SIZE, check_prime
 
 ALCOVE_LOWER = "lower"
 ALCOVE_WALL = "wall"
@@ -112,7 +112,7 @@ def weyl_dim(x: int, y: int, z: int) -> int:
     return (x - y + 1) * (y - z + 1) * (x - z + 2) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def dim_weight(w: WeightClass) -> int:
     """Dimension of the irreducible weight.
 

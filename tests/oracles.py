@@ -7,6 +7,10 @@ an independent witness to agree with.
 
 from __future__ import annotations
 
+from gl3weights.predicted import PredictedSet
+from gl3weights.tame_types import TameType
+from gl3weights.weights import WeightClass
+
 
 def split_solutions(n: int, p: int) -> list[tuple[str, int, int, int]]:
     """All (case, x, y, z) solving the three-digit split of n, by search.
@@ -50,3 +54,68 @@ def least_orbit_member(p: int, d: int, value: int) -> int:
 
 def weyl_dimension(x: int, y: int, z: int) -> int:
     return (x - y + 1) * (y - z + 1) * (x - z + 2) // 2
+
+
+# Two O(p) scans witnessing the closed-form solve of the library
+# (predicted.membership_solution): for each orbit member and each g2 they
+# solve the membership congruence for g1 alone, with the rows written out
+# by hand instead of derived from tau_exponent.
+
+# solver rows: (needs_span_above_wall, coefficient of g1, baseline(g2))
+def _solver_rows(p: int) -> tuple[tuple[bool, int, object], ...]:
+    p2 = p * p
+    return (
+        (False, 1, lambda g2: (g2 + 2) + p * (g2 + 1)),
+        (False, 1, lambda g2: (g2 + 2) + p2 * (g2 + 1)),
+        (True, p2, lambda g2: p + p * (g2 + 1) + p2 * (g2 + 2 - p)),
+        (True, p, lambda g2: p + p * (g2 + 2 - p) + p2 * (g2 + 1)),
+    )
+
+
+def enumerate_predicted_rowscan(t: TameType) -> PredictedSet:
+    """All weights in the validity strip predicted for the type.
+
+    For fixed differences (g1, g2) the membership exponent is linear in
+    the last coordinate with slope p^2 + p + 1, so each Frobenius orbit
+    member contributes at most one weight per (row, g2): solve for g1
+    modulo p^2 + p + 1, then divide out the slope to recover z.
+    """
+    p = t.p
+    if not t.is_irreducible():
+        raise ValueError("predicted sets are computed for irreducible niveau-3 types")
+    e = p**3 - 1
+    c2 = p * p + p + 1
+    inv = {1: 1, p: p * p % c2, p * p: p % c2}
+    found: set[WeightClass] = set()
+    for n in t.chars[0].elements():
+        for needs_high, coef, baseline in _solver_rows(p):
+            ic = inv[coef]
+            for g2 in range(p - 2):
+                g1 = (n - baseline(g2)) * ic % c2
+                if g1 > p - 3:
+                    continue
+                if needs_high and g1 + g2 <= p - 2:
+                    continue
+                a_val = (baseline(g2) + coef * g1) % e
+                z = (n - a_val) % e // c2
+                found.add(WeightClass(p, 3, (z + g1 + g2, z + g2, z)))
+    return PredictedSet(p, frozenset(found), t)
+
+
+def table_parameter_scan(t: TameType) -> tuple[tuple[int, int, int], ...]:
+    """All (a, b, c) with a-b > 5, b-c > 4, a-c < p-7, last coordinate
+    in [0, p-2], whose attached type tau((1 2 3), (a+2, b+1, c)) is t."""
+    p = t.p
+    e = p**3 - 1
+    c2 = p * p + p + 1
+    found = set()
+    for n in t.chars[0].elements():
+        for g2 in range(5, p - 13):
+            base = (g2 + 2) + p * (g2 + 1)
+            g1 = (n - base) % c2
+            if not 6 <= g1 <= p - 8 - g2:
+                continue
+            a_val = (base + g1) % e
+            z = (n - a_val) % e // c2
+            found.add((z + g1 + g2, z + g2, z))
+    return tuple(sorted(found))

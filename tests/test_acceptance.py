@@ -426,6 +426,9 @@ def test_criterion_10_cli_determinism(capsys):
     else:
         base = [sys.executable, "-c",
                 "import sys; from gl3weights.cli import main; main()"]
+    # children find the package in this checkout's src/ without an install
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = (
         ["predict", "--p", "29", "--orbit-rep", "278"],
         ["cycle", "--p", "29", "--start", "15,8,0",
@@ -436,7 +439,7 @@ def test_criterion_10_cli_determinism(capsys):
     for args in commands:
         outs = []
         for hash_seed in ("17", "4099"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
             proc = subprocess.run(
                 base + args, capture_output=True, env=env, timeout=120
             )

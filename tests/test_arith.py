@@ -21,6 +21,7 @@ from gl3weights.arith import (
     orbit,
     orbit_of,
     orbit_rep,
+    solve_digit_pair,
 )
 
 from oracles import least_orbit_member, orbit_elements, split_solutions
@@ -75,6 +76,27 @@ def test_orbit_matches_bruteforce():
             assert set(o.elements()) == want
             assert o.rep == min(want)
             assert o.size == len(want)
+
+
+def test_solve_digit_pair_matches_box_search():
+    for p in (5, 7, 11, 13):
+        c = p * p + p + 1
+        for slope in (p + 1, -p):
+            box: dict[int, list[tuple[int, int]]] = {}
+            for g1 in range(p - 2):
+                for g2 in range(p - 2):
+                    box.setdefault((g1 + slope * g2) % c, []).append((g1, g2))
+            for r in range(-c, c):
+                for s in (slope, slope % c):
+                    g1, g2 = solve_digit_pair(p, s, r)
+                    assert 0 <= g1 <= p and 0 <= g2 <= p
+                    assert (g1 + slope * g2 - r) % c == 0
+                    assert box.get(r % c, []) in ([], [(g1, g2)]), (p, slope, r)
+
+
+def test_solve_digit_pair_rejects_other_slopes():
+    with pytest.raises(ValueError, match="slope"):
+        solve_digit_pair(7, 1, 3)
 
 
 def test_embed_niveau_example():

@@ -214,6 +214,21 @@ def test_python_m_matches_entry_point():
     assert outs[0].stdout == outs[1].stdout == b'{"case":"I","x":4,"y":0,"z":0}\n'
 
 
+def test_python_m_cli_matches_python_m_package():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    args = ["decompose", "--n", "5", "--p", "8"]  # a domain error: exit 1
+    package, module = (
+        subprocess.run([sys.executable, "-m", mod] + args, capture_output=True,
+                       env=env, timeout=60)
+        for mod in ("gl3weights", "gl3weights.cli")
+    )
+    assert package.returncode == module.returncode == 1
+    assert package.stdout == module.stdout
+    assert json.loads(module.stdout)["error"]["type"] == "ValueError"
+
+
 def test_query_unknown_command(capsys):
     env = json.dumps({"version": 1, "command": "nope", "params": {}})
     with pytest.raises(SystemExit):

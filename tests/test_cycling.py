@@ -1,10 +1,14 @@
 """Weight cycling: parameter normalization, closure, DOT emission."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import gl3weights
 from gl3weights import cycling
+from gl3weights.arith import orbit_rep
 from gl3weights.cycling import (
     CASE_DIRECT,
     CASE_DUAL,
@@ -23,6 +27,8 @@ from gl3weights.predicted import (
 )
 from gl3weights.tame_types import XI_123, dual_twist, tau, type_from_exponent
 from gl3weights.weights import dual, weight
+
+from oracles import table_parameter_scan
 
 EXPECTED_DOT = """digraph weight_cycling {
   label="start F(15,8,0); status complete";
@@ -157,11 +163,26 @@ def clear_cycling_memos():
         memo.cache_clear()
 
 
-def test_cycling_memos_are_bounded():
-    memos = cycling_memos()
-    assert memos
+def test_every_memo_is_bounded():
+    memos = []
+    for info in pkgutil.iter_modules(gl3weights.__path__):
+        mod = importlib.import_module(f"gl3weights.{info.name}")
+        memos += [
+            obj for obj in vars(mod).values()
+            if hasattr(obj, "cache_info") and obj.__wrapped__.__module__ == mod.__name__
+        ]
+    assert len(memos) >= len(cycling_memos()) + 6
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo
+
+
+@pytest.mark.parametrize("p", [29, 31])
+def test_table_parameters_match_scan(p):
+    c2 = p * p + p + 1
+    for rep in sorted({orbit_rep(p, v) for v in range(p**3 - 1) if v % c2}):
+        t = type_from_exponent(p, rep)
+        for u in (t, dual_twist(t, 2)):
+            assert cycling._table_parameter_solutions(u) == table_parameter_scan(u), rep
 
 
 @pytest.mark.parametrize("dual_case", [False, True])

@@ -1,7 +1,10 @@
 """Predicted weight sets: membership, fast enumeration, nine-weight table."""
 
+import random
+
 import pytest
 
+from gl3weights.arith import orbit_rep
 from gl3weights.predicted import (
     LOWER_FAMILY,
     SHADOW_FAMILY,
@@ -14,7 +17,9 @@ from gl3weights.predicted import (
     theta,
 )
 from gl3weights.tame_types import XI_123, XI_132, dual_twist, iso, tau, type_from_exponent
-from gl3weights.weights import alcove, dual, is_generic, shadow_inverse, weight
+from gl3weights.weights import WeightClass, alcove, dual, is_generic, shadow_inverse, weight
+
+from oracles import enumerate_predicted_rowscan
 
 
 def the_table_type(p=29, abc=(15, 8, 0)):
@@ -78,7 +83,7 @@ def test_table_matches_enumeration():
 
 
 def test_enumeration_matches_bruteforce_small_p():
-    for p in (7, 11):
+    for p in (5, 7, 11):
         e = p**3 - 1
         seen = set()
         for v in range(e):
@@ -89,6 +94,38 @@ def test_enumeration_matches_bruteforce_small_p():
             fast = enumerate_predicted(o).weights
             slow = enumerate_predicted_bruteforce(o).weights
             assert fast == slow, f"p={p} rep={o.orbit_rep()}"
+
+
+def irreducible_types(p):
+    c2 = p * p + p + 1
+    reps = sorted({orbit_rep(p, v) for v in range(p**3 - 1) if v % c2})
+    return [type_from_exponent(p, rep) for rep in reps]
+
+
+def test_enumeration_matches_membership_scan_p13():
+    # enumerate_predicted_bruteforce with the loops turned inside out, so
+    # each strip weight is built once for all 728 types
+    p = 13
+    types = irreducible_types(p)
+    want = {t: set() for t in types}
+    for g1 in range(p - 2):
+        for g2 in range(p - 2):
+            for z in range(p - 1):
+                w = WeightClass(p, 3, (z + g1 + g2, z + g2, z))
+                for t in types:
+                    if is_predicted(w, t):
+                        want[t].add(w)
+    for t in types:
+        assert enumerate_predicted(t).weights == want[t], f"rep={t.orbit_rep()}"
+
+
+@pytest.mark.parametrize("p, sample", [(17, None), (29, 300), (53, 300)])
+def test_enumeration_matches_rowscan(p, sample):
+    types = irreducible_types(p)
+    if sample is not None:
+        types = random.Random(f"rowscan:{p}").sample(types, sample)
+    for t in types:
+        assert enumerate_predicted(t) == enumerate_predicted_rowscan(t), t.orbit_rep()
 
 
 def test_theta_example():
