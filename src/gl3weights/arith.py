@@ -10,6 +10,7 @@ Python ints, so all results are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 SUPPORTED_NIVEAUX = (1, 2, 3)
 # exclusive upper bound on the characteristic p
@@ -22,6 +23,8 @@ CASE_I = "I"
 CASE_II = "II"
 
 
+# memoized: check_prime runs on every ExpClass, WeightClass and type construction
+@lru_cache(maxsize=MEMO_SIZE)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -10,10 +10,12 @@ against the elimination branch and refuses to continue on any
 disagreement, so a completed graph certifies both computations.
 
 Everything that depends only on the type is computed once per type and
-memoized in bounded caches: the table parameters, the nine-weight frame
-and each forced step.  So each membership decision is cross-checked
-once per (type, weight, operator), and the closure from each start
-only reads the cached steps.
+memoized in bounded caches: the table parameters and a frame holding the
+nine-weight table and all 18 forced steps, in the orientation of the
+caller's type.  So each membership decision is cross-checked once per
+(type, weight), and the closure from each start is one BFS over the
+frame.  A type in dual form reads the direct frame of its cyclotomic
+double-twisted dual, flipped once: duality swaps T1 and T2.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class CyclingGraph:
 # Memo bounds: callers that reuse a type run its starts close together,
 # so a few hundred types keep all the reuse.
 _TYPE_MEMO = 512
-_STEP_MEMO = 18 * _TYPE_MEMO  # 9 table weights x 2 operators per type
 
 
 @lru_cache(maxsize=_TYPE_MEMO)
@@ -81,6 +82,12 @@ def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
         if a - b > 5 and b - c > 4 and a - c < p - 7:
             found.add((a, b, c))
     return tuple(sorted(found))
+
+
+@lru_cache(maxsize=_TYPE_MEMO)
+def _flipped(t: TameType) -> TameType:
+    """The type whose direct table the dual case of t reads."""
+    return dual_twist(t, 2)
 
 
 def normalize_parameters(
@@ -107,7 +114,7 @@ def normalize_parameters(
     direct = _table_parameter_solutions(t)
     if direct:
         return (CASE_DIRECT, direct[0])
-    flipped = _table_parameter_solutions(dual_twist(t, 2))
+    flipped = _table_parameter_solutions(_flipped(t))
     if flipped:
         return (CASE_DUAL, flipped[0])
     raise ValueError("type does not fit any generic nine-weight table")
@@ -126,16 +133,28 @@ def _checked_membership(v: WeightClass, t: TameType) -> bool:
 
 @dataclass(frozen=True)
 class _Frame:
-    """The nine-weight table of a type and what every closure reads from it."""
+    """Everything a closure reads, in the orientation of the caller's type.
+
+    steps maps each table weight to its (operator, forced weights) pairs
+    in visiting order; order lists the table by the coordinates of the
+    direct orientation, which decides the reported stuck node.
+    """
 
     table: frozenset[WeightClass]
+    order: tuple[WeightClass, ...]
     predicted: PredictedSet
     families: tuple[tuple[WeightClass, str], ...]
-    duals: dict[WeightClass, WeightClass]
+    steps: dict[WeightClass, tuple[tuple[int, tuple[WeightClass, ...]], ...]]
+
+
+def _by_coords(ws) -> tuple[WeightClass, ...]:
+    return tuple(sorted(ws, key=lambda v: v.coords))
 
 
 @lru_cache(maxsize=_TYPE_MEMO)
-def _frame(t: TameType, params: tuple[int, int, int]) -> _Frame:
+def _frame(t: TameType, case: str, params: tuple[int, int, int]) -> _Frame:
+    if case == CASE_DUAL:
+        return _dual_frame(_frame(_flipped(t), CASE_DIRECT, params), t)
     fams = nine_weight_families(*params, t.p)
     table = frozenset(w for fam in fams.values() for w in fam)
     families = tuple(
@@ -145,57 +164,83 @@ def _frame(t: TameType, params: tuple[int, int, int]) -> _Frame:
             key=lambda pair: pair[0].coords,
         )
     )
-    return _Frame(
-        table, PredictedSet(t.p, table, t), families, {w: dual(w) for w in table}
-    )
-
-
-@lru_cache(maxsize=_STEP_MEMO)
-def _forced_step(t: TameType, w: WeightClass, j: int) -> tuple[WeightClass, ...]:
-    """Implied weights of (w, j) that are predicted for t, sorted by coordinates."""
-    return tuple(
-        sorted(
-            (v for v in implied_weights(w, j) if _checked_membership(v, t)),
-            key=lambda v: v.coords,
+    order = _by_coords(table)
+    member: dict[WeightClass, bool] = {}
+    steps = {}
+    for w in order:
+        pairs = []
+        for j in (1, 2):
+            implied = _by_coords(implied_weights(w, j))
+            for v in implied:
+                if v not in member:
+                    member[v] = _checked_membership(v, t)
+            pairs.append((j, tuple(v for v in implied if member[v])))
+        steps[w] = tuple(pairs)
+    stray = [v for v, m in member.items() if m and v not in table]
+    if stray:
+        raise ConsistencyError(
+            f"predicted weight {stray[0]} missing from the nine-weight table {params}"
         )
+    return _Frame(table, order, PredictedSet(t.p, table, t), families, steps)
+
+
+def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
+    """The frame of the type t whose dual case reads the direct frame inner.
+
+    Duality swaps the operators: the step (w, j) becomes (dual w, 3 - j),
+    and each node visits its operators in the order (2, 1), so one BFS
+    gives the dualized graph of the inner closure, edge for edge.
+    """
+    flip = {w: dual(w) for w in inner.table}
+    table = frozenset(flip.values())
+    return _Frame(
+        table,
+        tuple(flip[w] for w in inner.order),
+        PredictedSet(t.p, table, t),
+        tuple(sorted(((flip[w], name) for w, name in inner.families),
+                     key=lambda pair: pair[0].coords)),
+        {
+            flip[w]: tuple((3 - j, _by_coords(flip[v] for v in vs))
+                           for j, vs in pairs)
+            for w, pairs in inner.steps.items()
+        },
     )
 
 
-def _closure(
-    t: TameType, start: WeightClass, params: tuple[int, int, int]
-) -> CyclingGraph:
-    frame = _frame(t, params)
+def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
+    """Run the cycling closure from a strongly generic predicted weight."""
+    case, params = normalize_parameters(t, start)
+    frame = _frame(t, case, params)
     table = frame.table
     if start not in table:
         raise ConsistencyError(
             f"predicted start {start} missing from the nine-weight table {params}"
         )
+    steps = frame.steps
     nodes = {start}
     edges: list[tuple[WeightClass, WeightClass, int]] = []
     stalls: list[tuple[WeightClass, int, tuple[WeightClass, ...]]] = []
     queue = deque([start])
     while queue:
         w = queue.popleft()
-        for j in (1, 2):
-            filtered = _forced_step(t, w, j)
-            if len(filtered) == 1:
-                v = filtered[0]
+        for j, forced in steps[w]:
+            if len(forced) == 1:
+                v = forced[0]
                 edges.append((w, v, j))
                 if v not in nodes:
                     nodes.add(v)
                     queue.append(v)
-            elif filtered:
-                stalls.append((w, j, filtered))
+            elif forced:
+                stalls.append((w, j, forced))
     if nodes == table:
         status, stuck_node, reason = STATUS_COMPLETE, None, None
     else:
         status = STATUS_STUCK
-        missing = sorted(table - nodes, key=lambda v: v.coords)
-        stuck_node = missing[0]
+        stuck_node = next(v for v in frame.order if v not in nodes)
         reason = f"closure reached {len(nodes)} of {len(table)} predicted weights"
     return CyclingGraph(
         p=t.p,
-        case=CASE_DIRECT,
+        case=case,
         params=params,
         source=t,
         start=start,
@@ -208,53 +253,6 @@ def _closure(
         stuck_node=stuck_node,
         stuck_reason=reason,
     )
-
-
-def _dualize_graph(
-    g: CyclingGraph,
-    t: TameType,
-    start: WeightClass,
-    duals: dict[WeightClass, WeightClass],
-) -> CyclingGraph:
-    """The graph g, dualized; weights outside the duals map fall back to dual()."""
-    swap = {1: 2, 2: 1}
-
-    def flip(w: WeightClass) -> WeightClass:
-        v = duals.get(w)
-        return dual(w) if v is None else v
-
-    return CyclingGraph(
-        p=g.p,
-        case=CASE_DUAL,
-        params=g.params,
-        source=t,
-        start=start,
-        nodes=frozenset(flip(w) for w in g.nodes),
-        edges=tuple((flip(u), flip(v), swap[j]) for u, v, j in g.edges),
-        non_singletons=tuple(
-            (flip(w), swap[j], tuple(sorted((flip(v) for v in vs),
-                                            key=lambda v: v.coords)))
-            for w, j, vs in g.non_singletons
-        ),
-        families=tuple(
-            sorted(((flip(w), name) for w, name in g.families),
-                   key=lambda pair: pair[0].coords)
-        ),
-        predicted=PredictedSet(g.p, frozenset(flip(w) for w in g.predicted.weights), t),
-        status=g.status,
-        stuck_node=flip(g.stuck_node) if g.stuck_node is not None else None,
-        stuck_reason=g.stuck_reason,
-    )
-
-
-def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
-    """Run the cycling closure from a strongly generic predicted weight."""
-    case, params = normalize_parameters(t, start)
-    if case == CASE_DIRECT:
-        return _closure(t, start, params)
-    flipped = dual_twist(t, 2)
-    inner = _closure(flipped, dual(start), params)
-    return _dualize_graph(inner, t, start, _frame(flipped, params).duals)
 
 
 def emit_dot(g: CyclingGraph) -> str:

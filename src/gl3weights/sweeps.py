@@ -9,6 +9,7 @@ function of (suite, p, seed, count) however many processes share it.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -320,9 +321,12 @@ def run_suite_parallel(
 
     Each process takes a contiguous range of instance indices (sizes
     differ by at most one), and failures are joined in index order.
+    jobs must be at least 1; more processes than CPUs are not started.
     """
     _check, exhaustive = _suite(name)
-    jobs = min(jobs, count)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, count, os.cpu_count() or 1)
     if jobs <= 1 or exhaustive:
         return run_suite(name, p, seed, count)
     from concurrent.futures import ProcessPoolExecutor

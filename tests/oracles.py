@@ -7,9 +7,13 @@ an independent witness to agree with.
 
 from __future__ import annotations
 
-from gl3weights.predicted import PredictedSet
+from collections import deque
+
+from gl3weights.cycling import CASE_DIRECT, CASE_DUAL, STATUS_COMPLETE, STATUS_STUCK, CyclingGraph
+from gl3weights.induction import implied_weights
+from gl3weights.predicted import PredictedSet, is_predicted, nine_weight_families
 from gl3weights.tame_types import TameType
-from gl3weights.weights import WeightClass
+from gl3weights.weights import WeightClass, dual
 
 
 def split_solutions(n: int, p: int) -> list[tuple[str, int, int, int]]:
@@ -119,3 +123,83 @@ def table_parameter_scan(t: TameType) -> tuple[tuple[int, int, int], ...]:
             z = (n - a_val) % e // c2
             found.add((z + g1 + g2, z + g2, z))
     return tuple(sorted(found))
+
+
+# Two witnesses for the cycling engine (cycling.cycle), which reads every
+# step from a per-type frame built once, in the orientation of the caller.
+
+
+def _by_coords(ws) -> tuple[WeightClass, ...]:
+    return tuple(sorted(ws, key=lambda v: v.coords))
+
+
+def closure_bfs(
+    t: TameType, start: WeightClass, params: tuple[int, int, int],
+    implied=implied_weights,
+) -> CyclingGraph:
+    """The direct cycling closure by a plain BFS over the nine-weight table.
+
+    Every step filters implied(w, j) through is_predicted afresh; nothing
+    is memoized and no step is shared between starts.
+    """
+    fams = nine_weight_families(*params, t.p)
+    table = frozenset(w for fam in fams.values() for w in fam)
+    nodes = {start}
+    edges, stalls = [], []
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for j in (1, 2):
+            forced = _by_coords(v for v in implied(w, j) if is_predicted(v, t))
+            if len(forced) == 1:
+                edges.append((w, forced[0], j))
+                if forced[0] not in nodes:
+                    nodes.add(forced[0])
+                    queue.append(forced[0])
+            elif forced:
+                stalls.append((w, j, forced))
+    missing = _by_coords(table - nodes)
+    return CyclingGraph(
+        p=t.p,
+        case=CASE_DIRECT,
+        params=params,
+        source=t,
+        start=start,
+        nodes=frozenset(nodes),
+        edges=tuple(edges),
+        non_singletons=tuple(stalls),
+        families=tuple(sorted(((w, name) for name, fam in fams.items() for w in fam),
+                              key=lambda pair: pair[0].coords)),
+        predicted=PredictedSet(t.p, table, t),
+        status=STATUS_STUCK if missing else STATUS_COMPLETE,
+        stuck_node=missing[0] if missing else None,
+        stuck_reason=(f"closure reached {len(nodes)} of {len(table)} predicted weights"
+                      if missing else None),
+    )
+
+
+def dualized_closure(g: CyclingGraph, t: TameType, start: WeightClass) -> CyclingGraph:
+    """The dual-case graph of t from start, given the direct closure g of
+    dual_twist(t, 2) from dual(start): every weight dualized, T1 and T2
+    swapped, list order kept, stalls and families re-sorted by coordinates.
+    """
+    swap = {1: 2, 2: 1}
+    return CyclingGraph(
+        p=g.p,
+        case=CASE_DUAL,
+        params=g.params,
+        source=t,
+        start=start,
+        nodes=frozenset(dual(w) for w in g.nodes),
+        edges=tuple((dual(u), dual(v), swap[j]) for u, v, j in g.edges),
+        non_singletons=tuple(
+            (dual(w), swap[j], _by_coords(dual(v) for v in vs))
+            for w, j, vs in g.non_singletons
+        ),
+        families=tuple(sorted(((dual(w), name) for w, name in g.families),
+                              key=lambda pair: pair[0].coords)),
+        predicted=PredictedSet(g.p, frozenset(dual(w) for w in g.predicted.weights), t),
+        status=g.status,
+        stuck_node=None if g.stuck_node is None else dual(g.stuck_node),
+        stuck_reason=g.stuck_reason,
+    )

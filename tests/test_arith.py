@@ -17,6 +17,7 @@ from gl3weights.arith import (
     decompose_exponent,
     embed_niveau,
     exp_class,
+    is_prime,
     niveau_of,
     orbit,
     orbit_of,
@@ -52,6 +53,23 @@ def test_check_prime_bound():
             check_prime(p)
     with pytest.raises(ValueError, match="prime >= 5"):
         check_prime(65535)
+
+
+def test_check_prime_rejects_on_repeat():
+    # the primality verdict is memoized; a cached verdict must not let a
+    # rejected p through on a later call
+    for _ in range(3):
+        for p in (5, 7, 29, 65521):
+            check_prime(p)
+        for p in (-7, 0, 1, 2, 3, 4, 9, 25, 841, 65535):
+            with pytest.raises(ValueError, match="prime >= 5"):
+                check_prime(p)
+        for p in (P_LIMIT, 65537):
+            with pytest.raises(ValueError, match="below 65536"):
+                check_prime(p)
+    assert [n for n in range(200) if is_prime(n)] == [
+        n for n in range(200) if n > 1 and all(n % f for f in range(2, n))
+    ]
 
 
 def test_orbit_example():

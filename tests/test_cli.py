@@ -136,6 +136,20 @@ def test_sweep_deterministic(capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_rejects_jobs_below_one(capsys, jobs):
+    code, out, _ = invoke(capsys, "sweep", "--suite", "weights", "--p", "7",
+                          "--count", "4", "--jobs", jobs)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "ValueError"
+    assert f"jobs must be at least 1, got {jobs}" in doc["error"]["message"]
+    env = json.dumps({"version": 1, "command": "sweep",
+                      "params": {"suite": "decompose", "jobs": int(jobs)}})
+    code, out, _ = invoke(capsys, "query", stdin=env)
+    assert code == 1
+    assert "jobs must be at least 1" in json.loads(out)["error"]["message"]
+
 def test_domain_error_exit_code(capsys):
     code, out, _ = invoke(capsys, "dims", "--p", "7", "--F", "9,3,1")
     assert code == 1

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import pkgutil
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from gl3weights.cycling import (
     CASE_DIRECT,
     CASE_DUAL,
     STATUS_COMPLETE,
+    STATUS_STUCK,
     ConsistencyError,
     cycle,
     emit_dot,
@@ -28,7 +30,8 @@ from gl3weights.predicted import (
 from gl3weights.tame_types import XI_123, dual_twist, tau, type_from_exponent
 from gl3weights.weights import dual, weight
 
-from oracles import table_parameter_scan
+from oracles import closure_bfs, dualized_closure, table_parameter_scan
+from test_acceptance import _table_triples
 
 EXPECTED_DOT = """digraph weight_cycling {
   label="start F(15,8,0); status complete";
@@ -216,4 +219,84 @@ def test_cross_check_stays_on_the_path(monkeypatch):
     clear_cycling_memos()
     monkeypatch.setattr(cycling, "eliminate", lying_eliminate)
     with pytest.raises(ConsistencyError, match="disagree"):
+        cycle(table_type(), weight(29, 15, 8, 0))
+    # the dual case cross-checks the same decisions, on the inner type
+    clear_cycling_memos()
+    with pytest.raises(ConsistencyError, match=re.escape(f"disagree at {flip_at} ")):
+        cycle(dual_twist(table_type(), 2), dual(weight(29, 15, 8, 0)))
+
+
+def test_dual_form_matches_witness():
+    # every p=29 triple given in dual form, against the per-start dualization
+    # of the direct closure; the start rotates through the nine table weights
+    for k, (a, b, c) in enumerate(_table_triples(29)):
+        t = table_type(29, (a, b, c))
+        start = nine_weight_table(a, b, c, 29).sorted_weights()[k % 9]
+        td = dual_twist(t, 2)
+        want = dualized_closure(cycle(t, start), td, dual(start))
+        assert cycle(td, dual(start)) == want, (a, b, c)
+
+
+@pytest.fixture
+def cold_memos():
+    clear_cycling_memos()
+    yield
+    clear_cycling_memos()
+
+
+def test_stuck_path_matches_witness(monkeypatch, cold_memos):
+    # without one table weight among the implied weights the closure stalls;
+    # in the dual case the stuck node is the least missing weight by the
+    # coordinates of the inner (direct) orientation, not of its own
+    real = cycling.implied_weights
+    dropped = weight(29, 36, 27, 16)
+
+    def without_dropped(w, j):
+        return real(w, j) - {dropped}
+
+    monkeypatch.setattr(cycling, "implied_weights", without_dropped)
+    t, start, params = table_type(), weight(29, 15, 8, 0), (15, 8, 0)
+    want = closure_bfs(t, start, params, implied=without_dropped)
+    td = dual_twist(t, 2)
+    want_dual = dualized_closure(want, td, dual(start))
+    for got, witness in ((cycle(t, start), want), (cycle(td, dual(start)), want_dual)):
+        assert got.status == witness.status == STATUS_STUCK
+        assert got.stuck_node == witness.stuck_node
+        assert got.stuck_reason == witness.stuck_reason
+        assert got.non_singletons == witness.non_singletons
+        assert got == witness
+    assert want.stuck_node == dropped
+    assert len(want.nodes) == 6 and len(want.non_singletons) == 4
+    missing = want_dual.predicted.weights - want_dual.nodes
+    assert want_dual.stuck_node != min(missing, key=lambda v: v.coords)
+
+
+def test_cross_check_runs_once_per_distinct_implied_weight(monkeypatch, cold_memos):
+    t = table_type()
+    table = nine_weight_table(15, 8, 0, 29)
+    implied = {v for w in table.weights for j in (1, 2)
+               for v in cycling.implied_weights(w, j)}
+    seen = []
+    real = cycling.eliminate
+
+    def counting_eliminate(w, u):
+        seen.append(w)
+        return real(w, u)
+
+    monkeypatch.setattr(cycling, "eliminate", counting_eliminate)
+    for start in table.sorted_weights():
+        assert cycle(t, start).status == STATUS_COMPLETE
+    assert len(implied) == 24
+    assert sorted(seen, key=lambda v: v.coords) == sorted(implied, key=lambda v: v.coords)
+    # the dual case reads the same checked decisions
+    for start in table.sorted_weights():
+        cycle(dual_twist(t, 2), dual(start))
+    assert len(seen) == 24
+
+
+def test_forced_weight_outside_the_table_is_refused(monkeypatch, cold_memos):
+    # a membership verdict for a weight the nine-weight table lacks means the
+    # two encodings of the predicted set disagree
+    monkeypatch.setattr(cycling, "_checked_membership", lambda v, t: True)
+    with pytest.raises(ConsistencyError, match="missing from the nine-weight table"):
         cycle(table_type(), weight(29, 15, 8, 0))

@@ -1,6 +1,8 @@
 """Every randomized invariant suite runs clean at small sizes."""
 
+import concurrent.futures
 import multiprocessing
+import os
 
 import pytest
 
@@ -83,3 +85,40 @@ def test_parallel_runs_exactly_count_checks():
     checks, failures = run_suite_parallel("slopes", 7, 4, 5, jobs=2)
     assert failures == []
     assert checks == 5
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("cpus,jobs,workers", [
+    (2, 8, [2]), (4, 3, [3]), (3, 100, [3]), (1, 8, []), (None, 8, []),
+])
+def test_parallel_caps_jobs_at_cpu_count(monkeypatch, cpus, jobs, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "made", [])
+    serial = run_suite("slopes", 7, 4, 24)
+    assert run_suite_parallel("slopes", 7, 4, 24, jobs) == serial
+    assert _InlineExecutor.made == workers
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_parallel_rejects_jobs_below_one(jobs):
+    for name in ("slopes", "decompose"):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_suite_parallel(name, 7, 0, 10, jobs)
