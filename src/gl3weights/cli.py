@@ -4,11 +4,15 @@ Every invocation emits a single JSON document on stdout (except
 `cycle --dot`, which emits DOT text), with keys sorted and no incidental
 whitespace, so equal inputs produce byte-identical outputs.  Exit codes:
 0 success, 1 domain error or sweep failure (machine-readable error
-object on stdout), 2 usage error: a malformed envelope, a missing
-parameter or a value of the wrong JSON type (nothing on stdout).
+object on stdout), 2 usage error: a malformed envelope, a missing,
+unknown or conflicting parameter or a value of the wrong JSON type
+(nothing on stdout).
 
-Each handler imports the layers it needs when it runs, so a command
-loads only its own part of the package.
+Each command is one row of `COMMANDS`, from which the argparse flags,
+the flag-to-parameter mapping and `_check` are derived; `_check` runs on
+the flags and on the `query` envelope alike, before any handler.  Each
+handler imports the layers it needs when it runs, so a command loads
+only its own part of the package.
 """
 
 from __future__ import annotations
@@ -25,67 +29,22 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 # literal copies of tame_types.ORDER_THREE_CYCLES and sorted(sweeps.SUITES),
-# so that building the parser imports neither (a test keeps them equal)
+# so that building the parser imports neither (a test keeps them equal);
+# they restrict the flags only, and an envelope's bad value is a domain error
 XI_CHOICES = ("123", "132")
 SUITE_NAMES = (
     "breuil", "candidates", "cycling", "decompose", "elimination",
     "orbits", "predicted", "slopes", "tame", "weights",
 )
+FLAG_CHOICES = {"xi": XI_CHOICES, "suite": SUITE_NAMES}
 
 
 class UsageError(ValueError):
-    """A missing parameter or a value of the wrong type: exit 2."""
+    """A missing, unknown or conflicting parameter, or an ill-typed value: exit 2."""
 
 
 def _dump(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _ints(text: str, n: int, what: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"{what} must be comma-separated integers, got {text!r}")
-    if len(parts) != n:
-        raise UsageError(f"{what} must have {n} entries, got {len(parts)}")
-    return parts
-
-
-def _param(params: dict, key: str) -> Any:
-    if key not in params:
-        raise UsageError(f"missing parameter {key!r}")
-    return params[key]
-
-
-def _int(params: dict, key: str, default: int | None = None) -> int:
-    """params[key], which must be a JSON integer; a default makes it optional."""
-    value = _param(params, key) if default is None else params.get(key, default)
-    # type(), not isinstance(): True is an int, but not an integer input
-    if type(value) is not int:
-        raise UsageError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _int_list(params: dict, key: str, n: int) -> tuple[int, ...]:
-    value = _param(params, key)
-    if (not isinstance(value, list) or len(value) != n
-            or any(type(v) is not int for v in value)):
-        raise UsageError(f"{key} must be a list of {n} integers, got {value!r}")
-    return tuple(value)
-
-
-def _type_spec(params: dict) -> dict:
-    """The type description, checked for shape only."""
-    desc = _param(params, "type")
-    if not isinstance(desc, dict):
-        raise UsageError("type must be an object")
-    if "orbit_rep" in desc:
-        return {"orbit_rep": _int(desc, "orbit_rep")}
-    if "xi" in desc and "mu" in desc:
-        if not isinstance(desc["xi"], str):
-            raise UsageError(f"xi must be a string, got {desc['xi']!r}")
-        return {"xi": desc["xi"], "mu": _int_list(desc, "mu", 3)}
-    raise UsageError("type needs either orbit_rep or xi and mu")
 
 
 def _build_type(spec: dict, p: int) -> TameType:
@@ -109,13 +68,13 @@ def _type_doc(t: TameType) -> dict:
     return doc
 
 
-# Handlers check the shape of every parameter before calling the
-# library, so a usage error is reported ahead of any domain error.
+# Handlers receive parameters that `_check` has already validated and
+# completed with their defaults; they hold library calls and output only.
 
 def handle_decompose(params: dict) -> dict:
     from .arith import DIVISIBLE, decompose_exponent
 
-    d = decompose_exponent(_int(params, "n"), _int(params, "p"))
+    d = decompose_exponent(params["n"], params["p"])
     if d.kind == DIVISIBLE:
         return {"case": DIVISIBLE}
     return {"case": d.kind, "x": d.x, "y": d.y, "z": d.z}
@@ -124,16 +83,16 @@ def handle_decompose(params: dict) -> dict:
 def handle_dims(params: dict) -> dict:
     from .weights import alcove, canonicalize, dim_weight
 
-    p, coords = _int(params, "p"), _int_list(params, "weight", 3)
-    w = canonicalize(coords, p)
+    p = params["p"]
+    w = canonicalize(params["weight"], p)
     return {"p": p, "F": _weight_doc(w), "dim": dim_weight(w), "alcove": alcove(w)}
 
 
 def handle_predict(params: dict) -> dict:
     from .predicted import enumerate_predicted
 
-    p, spec = _int(params, "p"), _type_spec(params)
-    t = _build_type(spec, p)
+    p = params["p"]
+    t = _build_type(params["type"], p)
     pred = enumerate_predicted(t)
     return {
         "p": p,
@@ -146,9 +105,9 @@ def handle_eliminate(params: dict) -> dict:
     from .elimination import BRANCH_INTERSECTION, eliminate
     from .weights import canonicalize
 
-    p, coords, spec = _int(params, "p"), _int_list(params, "weight", 3), _type_spec(params)
-    w = canonicalize(coords, p)
-    t = _build_type(spec, p)
+    p = params["p"]
+    w = canonicalize(params["weight"], p)
+    t = _build_type(params["type"], p)
     report = eliminate(w, t)
     doc: dict[str, Any] = {
         "p": p,
@@ -197,12 +156,9 @@ def handle_cycle(params: dict) -> dict | str:
     from .cycling import cycle, emit_dot
     from .weights import canonicalize
 
-    p, coords, spec = _int(params, "p"), _int_list(params, "start", 3), _type_spec(params)
-    dot = params.get("dot", False)
-    if not isinstance(dot, bool):
-        raise UsageError(f"dot must be true or false, got {dot!r}")
-    g = cycle(_build_type(spec, p), canonicalize(coords, p))
-    if dot:
+    p = params["p"]
+    g = cycle(_build_type(params["type"], p), canonicalize(params["start"], p))
+    if params["dot"]:
         return emit_dot(g)
     return _graph_doc(g)
 
@@ -210,12 +166,10 @@ def handle_cycle(params: dict) -> dict | str:
 def handle_breuil(params: dict) -> dict:
     from .breuil import inertial_character, is_maximal, is_minimal, maximal_model, validate
 
-    p, d, r = _int(params, "p"), _int(params, "d"), _int(params, "r")
-    heights = _int_list(params, "heights", d)
-    if params.get("exponents") is not None:
-        exponents = _int_list(params, "exponents", d)
-    else:
-        k = [_int(params, "k0")]
+    p, d, r, heights = params["p"], params["d"], params["r"], params["heights"]
+    exponents = params.get("exponents")
+    if exponents is None:
+        k = [params["k0"]]
         for i in range(1, d):
             k.append(p * (k[-1] + heights[i - 1]) % (p**d - 1))
         exponents = tuple(k)
@@ -240,48 +194,109 @@ def handle_breuil(params: dict) -> dict:
 def handle_sweep(params: dict) -> dict:
     from .sweeps import run_suite_parallel
 
-    name = params.get("suite", "decompose")
-    if not isinstance(name, str):
-        raise UsageError(f"suite must be a string, got {name!r}")
-    p = _int(params, "p", 7)
-    seed = _int(params, "seed", 0)
-    count = _int(params, "count", 200)
-    jobs = _int(params, "jobs", 1)
-    checks, failures = run_suite_parallel(name, p, seed, count, jobs)
-    return {
-        "suite": name,
-        "p": p,
-        "seed": seed,
-        "count": count,
-        "checks": checks,
-        "failures": failures,
-    }
+    doc = {key: params[key] for key in ("suite", "p", "seed", "count")}
+    doc["checks"], doc["failures"] = run_suite_parallel(
+        params["suite"], params["p"], params["seed"], params["count"], params["jobs"])
+    return doc
 
 
-HANDLERS = {
-    "decompose": handle_decompose,
-    "dims": handle_dims,
-    "predict": handle_predict,
-    "eliminate": handle_eliminate,
-    "cycle": handle_cycle,
-    "breuil": handle_breuil,
-    "sweep": handle_sweep,
+# A parameter is (name, JSON kind, default, flag, help); the default is
+# REQUIRED, None (optional, no default) or the value of an absent one.
+# Kinds: "int", "str", "bool", "triple" (3 integers), "d-list" (d integers)
+# and "type": an object of TYPE_FIELDS, one flag per field.
+REQUIRED = "required"
+P = ("p", "int", REQUIRED, "--p", "the prime, 5 <= p < 2^16")
+WEIGHT = ("weight", "triple", REQUIRED, "--F", "comma-separated weight coordinates")
+TYPE = ("type", "type", REQUIRED, None, None)
+TYPE_FIELDS = (
+    ("xi", "str", None, "--xi", "order-3 cycle"),
+    ("mu", "triple", None, "--mu", "comma-separated coordinate triple"),
+    ("orbit_rep", "int", None, "--orbit-rep", "niveau-3 exponent orbit representative"),
+)
+TYPE_FORMS = ({"orbit_rep"}, {"xi", "mu"})
+
+# command -> (handler, help, parameters, names of which exactly one is given)
+COMMANDS = {
+    "decompose": (handle_decompose, "three-digit split of an exponent",
+                  (("n", "int", REQUIRED, "--n", "the exponent"), P), ()),
+    "dims": (handle_dims, "dimension and alcove of a weight", (P, WEIGHT), ()),
+    "predict": (handle_predict, "predicted weights of a type", (P, TYPE), ()),
+    "eliminate": (handle_eliminate, "test a weight against a type", (P, WEIGHT, TYPE), ()),
+    "cycle": (handle_cycle, "weight-cycling closure from a start weight", (
+        P,
+        ("start", "triple", REQUIRED, "--start", "comma-separated start weight"),
+        TYPE,
+        ("dot", "bool", False, "--dot", "emit DOT instead of JSON"),
+    ), ()),
+    "breuil": (handle_breuil, "rank-one module invariants", (
+        P,
+        ("d", "int", 3, "--d", "embedding components; e = p^d - 1"),
+        ("r", "int", 2, "--r", "heights lie in [0, e*r]"),
+        ("heights", "d-list", REQUIRED, "--heights", "comma-separated heights r_i"),
+        ("exponents", "d-list", None, "--exponents", "comma-separated descent exponents k_i"),
+        ("k0", "int", None, "--k0", "first exponent; the rest follow"),
+    ), ("exponents", "k0")),
+    "sweep": (handle_sweep, "run an invariant sweep", (
+        ("suite", "str", "decompose", "--suite", "the suite to run"),
+        ("p", "int", 7, "--p", "the prime"),
+        ("seed", "int", 0, "--seed", "instance i draws from (seed, i)"),
+        ("count", "int", 200, "--count", "number of instances"),
+        ("jobs", "int", 1, "--jobs", "worker processes, at most the CPU count"),
+    ), ()),
 }
 
-
-def _add_type_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--xi", choices=XI_CHOICES, help="order-3 cycle")
-    sub.add_argument("--mu", help="comma-separated coordinate triple")
-    sub.add_argument("--orbit-rep", type=int, dest="orbit_rep",
-                     help="niveau-3 exponent orbit representative")
+# JSON kind -> (Python type, what a value must be); type(), not
+# isinstance(), because True is an int but not an integer input
+SCALARS = {"int": (int, "an integer"), "str": (str, "a string"), "bool": (bool, "true or false")}
 
 
-def _type_params(args: argparse.Namespace) -> dict:
-    if args.orbit_rep is not None:
-        return {"orbit_rep": args.orbit_rep}
-    if args.xi is not None and args.mu is not None:
-        return {"xi": args.xi, "mu": list(_ints(args.mu, 3, "--mu"))}
-    raise UsageError("give a type via --orbit-rep or --xi with --mu")
+def _value(name: str, kind: str, value: Any, d: int | None) -> Any:
+    """value, checked against its JSON kind (a list becomes a tuple)."""
+    if kind == "type":
+        if not isinstance(value, dict) or set(value) not in TYPE_FORMS:
+            raise UsageError("type needs either orbit_rep alone or xi and mu")
+        return {f: _value(f, k, value[f], d) for f, k, *_ in TYPE_FIELDS if f in value}
+    if kind in SCALARS:
+        cls, want = SCALARS[kind]
+        ok = type(value) is cls
+    else:
+        n = 3 if kind == "triple" else d
+        want = f"a list of {n} integers"
+        ok = (isinstance(value, list) and len(value) == n
+              and all(type(v) is int for v in value))
+        value = tuple(value) if ok else value
+    if not ok:
+        raise UsageError(f"{name} must be {want}, got {value!r}")
+    return value
+
+
+def _check(command: str, params: dict) -> dict:
+    """The parameters of a command, checked and completed with defaults."""
+    _handler, _help, spec, one_of = COMMANDS[command]
+    unknown = sorted(set(params) - {name for name, *_ in spec})
+    if unknown:
+        raise UsageError(f"unknown parameter {unknown[0]!r} for {command}")
+    if one_of and sum(name in params for name in one_of) != 1:
+        raise UsageError(f"give exactly one of {' or '.join(one_of)}")
+    checked: dict[str, Any] = {}
+    for name, kind, default, _flag, _help in spec:
+        if name in params:
+            checked[name] = _value(name, kind, params[name], checked.get("d"))
+        elif default is REQUIRED:
+            raise UsageError(f"missing parameter {name!r}")
+        elif default is not None:
+            checked[name] = default
+    return checked
+
+
+def _comma_ints(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+
+
+FLAG_TYPES = {"int": int, "triple": _comma_ints, "d-list": _comma_ints}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,92 +305,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact weight combinatorics for rank-3 mod-p types",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("decompose", help="three-digit split of an exponent")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = subs.add_parser("dims", help="dimension and alcove of a weight")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--F", required=True, help="comma-separated weight coordinates")
-
-    sp = subs.add_parser("predict", help="predicted weights of a type")
-    sp.add_argument("--p", type=int, required=True)
-    _add_type_flags(sp)
-
-    sp = subs.add_parser("eliminate", help="test a weight against a type")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--F", required=True, help="comma-separated weight coordinates")
-    _add_type_flags(sp)
-
-    sp = subs.add_parser("cycle", help="weight-cycling closure from a start weight")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--start", required=True, help="comma-separated start weight")
-    sp.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    _add_type_flags(sp)
-
-    sp = subs.add_parser("breuil", help="rank-one module invariants")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, default=3)
-    sp.add_argument("--r", type=int, default=2)
-    sp.add_argument("--heights", required=True, help="comma-separated heights r_i")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--exponents", help="comma-separated descent exponents k_i")
-    group.add_argument("--k0", type=int, help="first exponent; the rest follow")
-
-    sp = subs.add_parser("sweep", help="run an invariant sweep")
-    sp.add_argument("--suite", default="decompose", choices=SUITE_NAMES)
-    sp.add_argument("--p", type=int, default=7)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=200)
-    sp.add_argument("--jobs", type=int, default=1)
-
+    for command, (_handler, help_text, spec, _one_of) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for param in spec:
+            for name, kind, default, flag, text in (
+                    TYPE_FIELDS if param[1] == "type" else [param]):
+                if kind == "bool":
+                    sub.add_argument(flag, dest=name, action="store_true", help=text)
+                else:
+                    sub.add_argument(flag, dest=name, type=FLAG_TYPES.get(kind),
+                                     choices=FLAG_CHOICES.get(name),
+                                     required=default is REQUIRED, help=text)
     subs.add_parser("query", help="read a JSON envelope from stdin")
     return parser
 
 
-def _params_from_args(args: argparse.Namespace) -> dict:
-    cmd = args.command
-    if cmd == "decompose":
-        return {"n": args.n, "p": args.p}
-    if cmd == "dims":
-        return {"p": args.p, "weight": list(_ints(args.F, 3, "--F"))}
-    if cmd == "predict":
-        return {"p": args.p, "type": _type_params(args)}
-    if cmd == "eliminate":
-        return {
-            "p": args.p,
-            "weight": list(_ints(args.F, 3, "--F")),
-            "type": _type_params(args),
-        }
-    if cmd == "cycle":
-        return {
-            "p": args.p,
-            "start": list(_ints(args.start, 3, "--start")),
-            "type": _type_params(args),
-            "dot": args.dot,
-        }
-    if cmd == "breuil":
-        params: dict[str, Any] = {
-            "p": args.p,
-            "d": args.d,
-            "r": args.r,
-            "heights": list(_ints(args.heights, args.d, "--heights")),
-        }
-        if args.exponents is not None:
-            params["exponents"] = list(_ints(args.exponents, args.d, "--exponents"))
-        else:
-            params["k0"] = args.k0
-        return params
-    if cmd == "sweep":
-        return {
-            "suite": args.suite,
-            "p": args.p,
-            "seed": args.seed,
-            "count": args.count,
-            "jobs": args.jobs,
-        }
-    raise UsageError(f"unknown command {cmd!r}")
+def _flag_params(args: argparse.Namespace) -> dict:
+    """The parameters the flags give; absent flags are left out."""
+    params = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
+    desc = {name: params.pop(name) for name, *_ in TYPE_FIELDS if name in params}
+    if desc:
+        params["type"] = desc
+    return params
 
 
 def _read_envelope(stream) -> tuple[str, dict]:
@@ -390,8 +341,11 @@ def _read_envelope(stream) -> tuple[str, dict]:
     # type(), not isinstance(): True == 1, but a boolean is not a version
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SystemExit(_usage_error(f"unsupported envelope version {version!r}"))
+    unknown = sorted(set(doc) - {"version", "command", "params"})
+    if unknown:
+        raise SystemExit(_usage_error(f"unknown envelope key {unknown[0]!r}"))
     command = doc.get("command")
-    if command not in HANDLERS:
+    if command not in COMMANDS:
         raise SystemExit(_usage_error(f"unknown command {command!r}"))
     params = doc.get("params")
     if not isinstance(params, dict):
@@ -410,8 +364,9 @@ def run(argv: list[str] | None = None, stdin=None) -> int:
         if args.command == "query":
             command, params = _read_envelope(stdin or sys.stdin)
         else:
-            command, params = args.command, _params_from_args(args)
-        result = HANDLERS[command](params)
+            command, params = args.command, _flag_params(args)
+        params = _check(command, params)
+        result = COMMANDS[command][0](params)
     except UsageError as exc:
         return _usage_error(str(exc))
     except (ValueError, KeyError, ArithmeticError, RuntimeError) as exc:

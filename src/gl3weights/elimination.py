@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, orbit_rep
+from .arith import MEMO_SIZE
 from .breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -26,13 +26,8 @@ from .breuil import (
     principal_series,
     reduction_candidates,
 )
-from .tame_types import (
-    ORDER_THREE_CYCLES,
-    XI_123,
-    XI_132,
-    TameType,
-    tau_exponent,
-)
+from .predicted import membership_reps
+from .tame_types import TameType
 from .weights import WeightClass
 
 BRANCH_CRYSTALLINE = "crystalline"
@@ -83,15 +78,6 @@ def lift_types_for(w: WeightClass) -> tuple[LiftType, LiftType, LiftType]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _crystalline_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
-    x, y, z = coords
-    return frozenset(
-        orbit_rep(p, tau_exponent(xi, (x + 2, y + 1, z), p))
-        for xi in ORDER_THREE_CYCLES
-    )
-
-
-@lru_cache(maxsize=MEMO_SIZE)
 def _intersection_data(
     w: WeightClass,
 ) -> tuple[tuple[tuple[str, frozenset[int]], ...], frozenset[int]]:
@@ -116,27 +102,6 @@ def intersection_sets(
     )
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def surviving_family_reps(w: WeightClass) -> frozenset[int]:
-    """Closed form of the large-span intersection: two short families.
-
-    tau((1 3 2), (y+b0, x-p+1+b1, z+b2)) for (b0, b1, b2) in
-    {(1,2,0), (2,1,0)} together with tau((1 2 3), same coordinates) for
-    (b0, b1, b2) in {(1,1,1), (2,1,0)}.
-    """
-    x, y, z = w.coords
-    p = w.p
-    reps = set()
-    for xi, triples in (
-        (XI_132, ((1, 2, 0), (2, 1, 0))),
-        (XI_123, ((1, 1, 1), (2, 1, 0))),
-    ):
-        for b0, b1, b2 in triples:
-            mu = (y + b0, x - p + 1 + b1, z + b2)
-            reps.add(orbit_rep(p, tau_exponent(xi, mu, p)))
-    return frozenset(reps)
-
-
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     """Decide whether modularity of w is consistent with the type t."""
     if w.n != 3:
@@ -148,7 +113,8 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     rep = t.orbit_rep()
     branch = _branch_of(w)
     if branch == BRANCH_CRYSTALLINE:
-        allowed = _crystalline_reps(w.p, w.coords)
+        # below the wall these are the types tau(xi, (x+2, y+1, z))
+        allowed = membership_reps(w.p, w.coords)
         verdict = CONSISTENT if rep in allowed else ELIMINATED
         return EliminationReport(
             w, t, branch, verdict, rep if rep in allowed else None, None, None

@@ -8,11 +8,13 @@ an independent witness to agree with.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
+from gl3weights.arith import MEMO_SIZE, orbit_rep
 from gl3weights.cycling import CASE_DIRECT, CASE_DUAL, STATUS_COMPLETE, STATUS_STUCK, CyclingGraph
 from gl3weights.induction import implied_weights
 from gl3weights.predicted import PredictedSet, is_predicted, nine_weight_families
-from gl3weights.tame_types import TameType
+from gl3weights.tame_types import XI_123, XI_132, TameType, tau_exponent
 from gl3weights.weights import WeightClass, dual
 
 
@@ -203,3 +205,24 @@ def dualized_closure(g: CyclingGraph, t: TameType, start: WeightClass) -> Cyclin
         stuck_node=None if g.stuck_node is None else dual(g.stuck_node),
         stuck_reason=g.stuck_reason,
     )
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def surviving_family_reps(w: WeightClass) -> frozenset[int]:
+    """Closed form of the large-span intersection: two short families.
+
+    tau((1 3 2), (y+b0, x-p+1+b1, z+b2)) for (b0, b1, b2) in
+    {(1,2,0), (2,1,0)} together with tau((1 2 3), same coordinates) for
+    (b0, b1, b2) in {(1,1,1), (2,1,0)}.
+    """
+    x, y, z = w.coords
+    p = w.p
+    reps = set()
+    for xi, triples in (
+        (XI_132, ((1, 2, 0), (2, 1, 0))),
+        (XI_123, ((1, 1, 1), (2, 1, 0))),
+    ):
+        for b0, b1, b2 in triples:
+            mu = (y + b0, x - p + 1 + b1, z + b2)
+            reps.add(orbit_rep(p, tau_exponent(xi, mu, p)))
+    return frozenset(reps)

@@ -55,9 +55,10 @@ from gl3weights import (
     validate,
     weight,
 )
-from gl3weights.elimination import surviving_family_reps
 from gl3weights.induction import constituents_long, constituents_short
 from gl3weights.slopes import ABOVE_BOUND, BELOW_BOUND, CRITICAL
+
+from oracles import surviving_family_reps
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:

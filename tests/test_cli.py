@@ -323,3 +323,100 @@ def test_literal_choices_match_the_library():
 
     assert cli.XI_CHOICES == tame_types.ORDER_THREE_CYCLES
     assert list(cli.SUITE_NAMES) == sorted(sweeps.SUITES)
+
+
+def outcome(capsys, argv, stdin=None):
+    """(exit code, stdout) of one invocation, an argparse or envelope exit included."""
+    try:
+        code = run(argv, stdin=io.StringIO(stdin) if stdin is not None else None)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def envelope(command, params):
+    return json.dumps({"version": 1, "command": command, "params": params})
+
+
+MU = {"xi": "123", "mu": [17, 9, 0]}
+# flags and the equivalent envelope params, over every command
+FLAG_FORMS = [
+    (["decompose", "--n", "10", "--p", "7"], "decompose", {"n": 10, "p": 7}),
+    (["decompose", "--n", "5", "--p", "8"], "decompose", {"n": 5, "p": 8}),
+    (["dims", "--p", "29", "--F", "8,-1,-12"], "dims", {"p": 29, "weight": [8, -1, -12]}),
+    (["predict", "--p", "29", "--xi", "123", "--mu", "17,9,0"], "predict",
+     {"p": 29, "type": MU}),
+    (["predict", "--p", "29", "--xi", "132", "--mu", "17,9,0"], "predict",
+     {"p": 29, "type": {"xi": "132", "mu": [17, 9, 0]}}),
+    (["eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"], "eliminate",
+     {"p": 29, "weight": [32, 16, 0], "type": {"orbit_rep": 163}}),
+    (["eliminate", "--p", "29", "--F", "54,27,0", "--orbit-rep", "278"], "eliminate",
+     {"p": 29, "weight": [54, 27, 0], "type": {"orbit_rep": 278}}),
+    (["cycle", "--p", "29", "--start", "15,8,0", "--xi", "123", "--mu", "17,9,0"],
+     "cycle", {"p": 29, "start": [15, 8, 0], "type": MU}),
+    (["cycle", "--p", "29", "--start", "15,8,0", "--xi", "123", "--mu", "17,9,0", "--dot"],
+     "cycle", {"p": 29, "start": [15, 8, 0], "type": MU, "dot": True}),
+    (["breuil", "--p", "7", "--heights", "684,684,684", "--k0", "100"], "breuil",
+     {"p": 7, "heights": [684, 684, 684], "k0": 100}),
+    (["breuil", "--p", "7", "--d", "3", "--r", "2", "--heights", "684,684,684",
+      "--exponents", "100,16,112"], "breuil",
+     {"p": 7, "d": 3, "r": 2, "heights": [684, 684, 684], "exponents": [100, 16, 112]}),
+    (["breuil", "--p", "29", "--heights", "3,1,2", "--k0", "100"], "breuil",
+     {"p": 29, "heights": [3, 1, 2], "k0": 100}),
+    (["sweep"], "sweep", {}),
+    (["sweep", "--suite", "weights", "--p", "11", "--seed", "1", "--count", "3"], "sweep",
+     {"suite": "weights", "p": 11, "seed": 1, "count": 3}),
+    (["sweep", "--suite", "cycling", "--p", "17", "--count", "2"], "sweep",
+     {"suite": "cycling", "p": 17, "count": 2}),
+]
+
+
+def test_flag_forms_cover_every_command():
+    from gl3weights.cli import COMMANDS
+
+    assert {command for _, command, _ in FLAG_FORMS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, command, params", FLAG_FORMS,
+                         ids=[" ".join(argv) for argv, _, _ in FLAG_FORMS])
+def test_flags_and_envelope_agree(capsys, argv, command, params):
+    by_flags = outcome(capsys, argv)
+    by_envelope = outcome(capsys, ["query"], envelope(command, params))
+    assert by_flags == by_envelope
+    assert by_flags[0] in (0, 1) and by_flags[1]
+
+
+@pytest.mark.parametrize("argv, command, params", [
+    (["sweep", "--jbos", "2"], "sweep", {"jbos": 2}),
+    (["breuil", "--p", "7", "--heights", "684,684,684", "--k0", "100",
+      "--exponents", "100,16,112"], "breuil",
+     {"p": 7, "heights": [684, 684, 684], "k0": 100, "exponents": [100, 16, 112]}),
+    (["predict", "--p", "29", "--orbit-rep", "278", "--xi", "123", "--mu", "17,9,0"],
+     "predict", {"p": 29, "type": {"orbit_rep": 278, "xi": "123", "mu": [17, 9, 0]}}),
+    (["predict", "--p", "29", "--orbit-rep", "278", "--xi", "123"],
+     "predict", {"p": 29, "type": {"orbit_rep": 278, "xi": "123"}}),
+    (["breuil", "--p", "7", "--heights", "684,684"], "breuil",
+     {"p": 7, "heights": [684, 684]}),
+])
+def test_conflicting_or_unknown_parameters_are_usage_errors(capsys, argv, command, params):
+    assert outcome(capsys, argv) == (2, "")
+    assert outcome(capsys, ["query"], envelope(command, params)) == (2, "")
+
+
+def test_unknown_envelope_key_is_usage_error(capsys):
+    doc = {"version": 1, "command": "decompose", "params": {"n": 10, "p": 7}, "parms": {}}
+    assert outcome(capsys, ["query"], json.dumps(doc)) == (2, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "slopes", "--p", "9"], "prime >= 5, got 9"),
+    (["--suite", "slopes", "--p", "100000"], "below 65536, got 100000"),
+    (["--count", "-5"], "count must be at least 0, got -5"),
+    (["--suite", "cycling", "--p", "17"], "suite 'cycling' needs p >= 19, got 17"),
+    (["--suite", "elimination", "--p", "13"], "needs p >= 17, got 13"),
+    (["--suite", "candidates", "--p", "7"], "needs p >= 11, got 7"),
+])
+def test_sweep_inputs_are_domain_errors(capsys, argv, message):
+    code, out = outcome(capsys, ["sweep", *argv])
+    assert code == 1
+    assert message in json.loads(out)["error"]["message"]

@@ -12,11 +12,12 @@ from gl3weights.elimination import (
     eliminate,
     intersection_sets,
     lift_types_for,
-    surviving_family_reps,
 )
 from gl3weights.predicted import is_predicted
 from gl3weights.tame_types import XI_123, XI_132, tau, type_from_exponent
 from gl3weights.weights import weight
+
+from oracles import surviving_family_reps
 
 
 def test_crystalline_branch_positive():

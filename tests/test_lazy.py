@@ -21,7 +21,7 @@ COMMAND_LAYERS = [
     (["dims", "--p", "29", "--F", "15,8,0"], {"arith", "weights"}),
     (["predict", "--p", "29", *TYPE], {"arith", "weights", "tame_types", "predicted"}),
     (["eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"],
-     {"arith", "weights", "tame_types", "breuil", "elimination"}),
+     {"arith", "weights", "tame_types", "breuil", "predicted", "elimination"}),
     (["breuil", "--p", "7", "--heights", "684,684,684", "--k0", "100"],
      {"arith", "tame_types", "breuil"}),
     (["cycle", "--p", "29", "--start", "15,8,0", *TYPE], CYCLE_LAYERS),
@@ -95,3 +95,9 @@ def test_unknown_name_raises_attribute_error():
         gl3weights.nope
     assert not hasattr(gl3weights, "_private")
     assert gl3weights.__version__ == "0.1.0"
+
+
+def test_every_command_has_a_layer_expectation():
+    from gl3weights.cli import COMMANDS
+
+    assert {argv[0] for argv, _ in COMMAND_LAYERS} == set(COMMANDS)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from gl3weights.sweeps import SUITES, run_suite, run_suite_parallel
+from gl3weights.sweeps import MIN_PRIMES, SUITES, run_suite, run_suite_parallel
 
 SUITE_PRIMES = {
     "decompose": 7,
@@ -122,3 +122,42 @@ def test_parallel_rejects_jobs_below_one(jobs):
     for name in ("slopes", "decompose"):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             run_suite_parallel(name, 7, 0, 10, jobs)
+
+
+def test_every_suite_has_a_floor():
+    assert set(MIN_PRIMES) == set(SUITES)
+
+
+def _prime_below(n):
+    return max(q for q in range(2, n) if all(q % d for d in range(2, q)))
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_floor(name):
+    floor = MIN_PRIMES[name]
+    below = _prime_below(floor)
+    with pytest.raises(ValueError, match=f">= {floor}, got {below}"):
+        run_suite(name, below, 0, 3)
+    checks, failures = run_suite(name, floor, 0, 3)
+    assert failures == [] and checks > 0
+
+
+@pytest.mark.parametrize("name", sorted(n for n, floor in MIN_PRIMES.items() if floor > 5))
+def test_suite_floor_is_the_smallest_prime(name, monkeypatch):
+    # without the floor, the prime below it fails inside the suite's draws
+    below = _prime_below(MIN_PRIMES[name])
+    monkeypatch.setitem(MIN_PRIMES, name, 5)
+    with pytest.raises(ValueError, match="empty range"):
+        run_suite(name, below, 0, 3)
+
+
+@pytest.mark.parametrize("p, count, message", [
+    (9, 3, "prime >= 5, got 9"),
+    (100000, 3, "below 65536, got 100000"),
+    (7, -5, "count must be at least 0, got -5"),
+])
+def test_sweeps_check_p_and_count_at_entry(p, count, message):
+    for run in (lambda: run_suite("slopes", p, 0, count),
+                lambda: run_suite_parallel("slopes", p, 0, count, 1)):
+        with pytest.raises(ValueError, match=message):
+            run()
