@@ -52,6 +52,12 @@ def check_prime(p: int) -> None:
         raise ValueError(f"characteristic must be a prime >= 5, got {p}")
 
 
+def check_niveau(d: int) -> None:
+    """Reject niveaux outside SUPPORTED_NIVEAUX, before any work modulo p^d - 1."""
+    if d not in SUPPORTED_NIVEAUX:
+        raise ValueError(f"niveau must be one of {SUPPORTED_NIVEAUX}, got {d}")
+
+
 @dataclass(frozen=True)
 class ExpClass:
     """Exponent class of a tame character: a residue modulo p^d - 1."""
@@ -62,8 +68,7 @@ class ExpClass:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        if self.d not in SUPPORTED_NIVEAUX:
-            raise ValueError(f"niveau must be one of {SUPPORTED_NIVEAUX}, got {self.d}")
+        check_niveau(self.d)
         if not 0 <= self.value < self.modulus:
             raise ValueError(
                 f"exponent {self.value} out of range for modulus {self.modulus}"

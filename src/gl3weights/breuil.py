@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arith import ExpClass, check_prime, exp_class, orbit_rep
+from .arith import ExpClass, check_niveau, check_prime, exp_class, orbit_rep
 from .tame_types import TameType, type_from_exponent
 
 PRINCIPAL_SERIES = "principal_series"
@@ -55,8 +55,7 @@ def validate(
 ) -> BreuilModule:
     """Check the defining inequalities and congruences; raise on failure."""
     check_prime(p)
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    check_niveau(d)
     if not 0 <= r <= p - 2:
         raise ValueError(f"weight bound r={r} must lie in [0, {p - 2}]")
     if len(heights) != d or len(exponents) != d:

@@ -31,6 +31,7 @@ from .predicted import (
     PredictedSet,
     SHADOW_FAMILY,
     UPPER_FAMILY,
+    in_table_range,
     is_predicted,
     membership_solution,
     nine_weight_families,
@@ -73,13 +74,13 @@ _TYPE_MEMO = 512
 
 @lru_cache(maxsize=_TYPE_MEMO)
 def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
-    """All (a, b, c) with a-b > 5, b-c > 4, a-c < p-7, last coordinate
-    in [0, p-2], whose attached type tau((1 2 3), (a+2, b+1, c)) is t."""
+    """All (a, b, c) in the table range, last coordinate in [0, p-2],
+    whose attached type tau((1 2 3), (a+2, b+1, c)) is t."""
     p = t.p
     found = set()
     for n in t.chars[0].elements():
         a, b, c = membership_solution(p, n, XI_123, False)
-        if a - b > 5 and b - c > 4 and a - c < p - 7:
+        if in_table_range(a, b, c, p):
             found.add((a, b, c))
     return tuple(sorted(found))
 

@@ -1,11 +1,12 @@
-"""Parabolic induction of Levi weights and the implied-weight tables.
+"""Parabolic induction of Levi weights and the implied weights.
 
 The two maximal parabolics of GL_3 correspond to the antidominant
 cocharacters (0,0,1) and (0,1,1): the first cuts a weight into a
 GL_2 x GL_1 pair, the second into GL_1 x GL_2.  Inducing a generic
 Levi weight to GL_3(F_p) yields three constituents in one block shape
-and six in the other; the implied-weight tables record which of these
-must be modular when a normalised Hecke operator acts invertibly.
+and six in the other.  When a normalised Hecke operator fails to act
+invertibly at a modular weight, the other constituents of the
+induction of its Levi restriction are forced: the implied weights.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import MEMO_SIZE
-from .weights import WeightClass, canonicalize, dual
+from .weights import WeightClass, canonicalize
 
 SHAPE_2_1 = "2+1"
 SHAPE_1_2 = "1+2"
@@ -82,6 +83,21 @@ def levi_restriction(w: WeightClass, mu: AntidominantCochar) -> LeviWeight:
     return LeviWeight(shape, blocks)
 
 
+def _short(a: int, b: int, c: int, p: int) -> tuple[tuple[int, int, int], ...]:
+    return ((b, c, a - p + 1), (b + p - 1, a, c), (a, b, c))
+
+
+def _long(a: int, b: int, c: int, p: int) -> tuple[tuple[int, int, int], ...]:
+    return (
+        (c + p - 1, b, a - p + 1),
+        (c + p - 1, a, b),
+        (c + p - 2, a, b + 1),
+        (a - 1, b, c + 1),
+        (b - 1, c, a - p + 2),
+        (a, c, b - p + 1),
+    )
+
+
 def constituents_short(a: int, b: int, c: int, p: int) -> tuple[WeightClass, ...]:
     """The three constituents of the induction of F(a) x F(b, c).
 
@@ -89,11 +105,7 @@ def constituents_short(a: int, b: int, c: int, p: int) -> tuple[WeightClass, ...
     of the list is the upper-alcove constituent.
     """
     _check_generic_triple(a, b, c, p)
-    return (
-        canonicalize((b, c, a - p + 1), p),
-        canonicalize((b + p - 1, a, c), p),
-        canonicalize((a, b, c), p),
-    )
+    return tuple(canonicalize(v, p) for v in _short(a, b, c, p))
 
 
 def constituents_long(a: int, b: int, c: int, p: int) -> tuple[WeightClass, ...]:
@@ -103,14 +115,7 @@ def constituents_long(a: int, b: int, c: int, p: int) -> tuple[WeightClass, ...]
     the upper-alcove constituents.
     """
     _check_generic_triple(a, b, c, p)
-    return (
-        canonicalize((c + p - 1, b, a - p + 1), p),
-        canonicalize((c + p - 1, a, b), p),
-        canonicalize((c + p - 2, a, b + 1), p),
-        canonicalize((a - 1, b, c + 1), p),
-        canonicalize((b - 1, c, a - p + 2), p),
-        canonicalize((a, c, b - p + 1), p),
-    )
+    return tuple(canonicalize(v, p) for v in _long(a, b, c, p))
 
 
 def _check_generic_triple(a: int, b: int, c: int, p: int) -> None:
@@ -120,51 +125,54 @@ def _check_generic_triple(a: int, b: int, c: int, p: int) -> None:
         )
 
 
-def induction_constituents(levi: LeviWeight) -> tuple[WeightClass, ...]:
-    """Constituents of the parabolic induction of the Levi weight.
+def _induced(
+    shape: str, coords: tuple[int, ...], p: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Coordinate triples of the constituents of inducing the Levi weight
+    whose blocks, read left to right, have coordinates coords.
 
     For shape 1+2 the GL_1 exponent is lifted to the unique integer
     window matching one of the two list shapes; a boundary exponent
     (congruent to either GL_2 coordinate) admits neither and is
     rejected.  Shape 2+1 reduces to shape 1+2 through the outer duality
-    of GL_3, which reverses blocks and dualises constituents.
+    of GL_3, which reverses blocks and negates and reverses each
+    constituent.  Only the classes of the blocks matter, and the last
+    triple is always coords up to a shift of all three by a multiple
+    of p - 1.
     """
-    p = levi.p
-    if levi.shape == SHAPE_2_1:
-        two, one = levi.blocks
-        flipped = LeviWeight(
-            SHAPE_1_2,
-            (
-                canonicalize((-one.coords[0],), p, 1),
-                canonicalize((-two.coords[1], -two.coords[0]), p, 2),
-            ),
-        )
-        return tuple(dual(v) for v in induction_constituents(flipped))
-    one, two = levi.blocks
-    alpha = one.coords[0]
-    beta, gamma = two.coords
-    if beta - gamma > 0:
-        a = beta + 1 + (alpha - beta - 1) % (p - 1)
-        if a < gamma + p - 1:
-            return constituents_short(a, beta, gamma, p)
-    if beta - gamma < p - 1:
-        a = gamma + p + (alpha - gamma - p) % (p - 1)
-        if a < beta + p - 1:
-            return constituents_long(a, gamma + p - 1, beta, p)
+    x, y, z = coords
+    if shape == SHAPE_2_1:
+        return tuple((-w, -v, -u) for u, v, w in _induced(SHAPE_1_2, (-z, -y, -x), p))
+    if y - z > 0:
+        a = y + 1 + (x - y - 1) % (p - 1)
+        if a < z + p - 1:
+            return _short(a, y, z, p)
+    if y - z < p - 1:
+        a = z + p + (x - z - p) % (p - 1)
+        if a < y + p - 1:
+            return _long(a, z + p - 1, y, p)
     raise ValueError(
-        f"induction of F({alpha}) x F({beta},{gamma}) at p={p} has no generic shape"
+        f"induction of F({x}) x F({y},{z}) at p={p} has no generic shape"
     )
+
+
+def induction_constituents(levi: LeviWeight) -> tuple[WeightClass, ...]:
+    """Constituents of the parabolic induction of the Levi weight."""
+    coords = levi.blocks[0].coords + levi.blocks[1].coords
+    return tuple(canonicalize(v, levi.p) for v in _induced(levi.shape, coords, levi.p))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
     """Weights forced to be modular when the level-j operator is not
-    invertible at w.
+    invertible at w: the constituents of the induction of the Levi
+    restriction of w along MU_j (MU_ONE for j = 1, MU_TWO for j = 2),
+    other than w itself, which is the last constituent.
 
     Defined for w strictly inside the closure of the lower alcove
     (x - y > 0, y - z > 0, x - z < p - 1) or strictly in the upper
     range (x - z > p - 1 with both differences below p - 1); the wall
-    x - z = p - 1 is outside both tables.
+    x - z = p - 1 is outside both ranges.
     """
     if w.n != 3:
         raise ValueError("implied weights are defined for rank 3 only")
@@ -172,28 +180,8 @@ def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
         raise ValueError(f"operator level must be 1 or 2, got {j}")
     p = w.p
     x, y, z = w.coords
-    if x - y > 0 and y - z > 0 and x - z < p - 1:
-        if j == 1:
-            raw = ((z + p - 1, x, y), (x, z, y - p + 1))
-        else:
-            raw = ((y, z, x - p + 1), (y + p - 1, x, z))
-    elif x - y < p - 1 and y - z < p - 1 and x - z > p - 1:
-        if j == 1:
-            raw = (
-                (x, z + p - 1, y),
-                (x - 1, z + p - 1, y + 1),
-                (y - 1, x - p + 1, z + 1),
-                (z + p - 2, y, x - p + 2),
-                (z + 2 * p - 2, x, y),
-            )
-        else:
-            raw = (
-                (y, x - p + 1, z),
-                (y - 1, x - p + 1, z + 1),
-                (x - 1, z + p - 1, y + 1),
-                (z + p - 2, y, x - p + 2),
-                (y, z, x - 2 * p + 2),
-            )
-    else:
+    if not (x - y > 0 and y - z > 0 and x - z < p - 1
+            or x - y < p - 1 and y - z < p - 1 and x - z > p - 1):
         raise ValueError(f"{w} lies outside both implied-weight ranges")
-    return frozenset(canonicalize(t, p) for t in raw)
+    shape = SHAPE_2_1 if j == 1 else SHAPE_1_2
+    return frozenset(canonicalize(v, p) for v in _induced(shape, w.coords, p)[:-1])

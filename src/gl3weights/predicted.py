@@ -122,25 +122,9 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
     return PredictedSet(p, frozenset(found), t)
 
 
-def enumerate_predicted_bruteforce(t: TameType) -> PredictedSet:
-    """Quadratic-in-p scan of the whole validity strip; slow oracle."""
-    p = t.p
-    _require_irreducible(t)
-    found = set()
-    for g1 in range(p - 2):
-        for g2 in range(p - 2):
-            for z in range(p - 1):
-                w = WeightClass(p, 3, (z + g1 + g2, z + g2, z))
-                if is_predicted(w, t):
-                    found.add(w)
-    return PredictedSet(p, frozenset(found), t)
-
-
-def check_table_range(a: int, b: int, c: int, p: int) -> None:
-    if not (a - b > 5 and b - c > 4 and a - c < p - 7):
-        raise ValueError(
-            f"({a},{b},{c}) violates a-b > 5, b-c > 4, a-c < p-7 at p={p}"
-        )
+def in_table_range(a: int, b: int, c: int, p: int) -> bool:
+    """Whether (a, b, c) parametrizes a nine-weight table."""
+    return a - b > 5 and b - c > 4 and a - c < p - 7
 
 
 def theta(a: int, b: int, c: int, p: int) -> tuple[int, int, int]:
@@ -157,7 +141,10 @@ def nine_weight_families(
     Lower-alcove members, their upper-alcove reflection partners
     ("shadow"), and the remaining upper-alcove members.
     """
-    check_table_range(a, b, c, p)
+    if not in_table_range(a, b, c, p):
+        raise ValueError(
+            f"({a},{b},{c}) violates a-b > 5, b-c > 4, a-c < p-7 at p={p}"
+        )
     lower = (
         canonicalize((a, b, c), p),
         canonicalize((c + p - 2, a, b + 1), p),

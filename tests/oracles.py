@@ -15,7 +15,7 @@ from gl3weights.cycling import CASE_DIRECT, CASE_DUAL, STATUS_COMPLETE, STATUS_S
 from gl3weights.induction import implied_weights
 from gl3weights.predicted import PredictedSet, is_predicted, nine_weight_families
 from gl3weights.tame_types import XI_123, XI_132, TameType, tau_exponent
-from gl3weights.weights import WeightClass, dual
+from gl3weights.weights import WeightClass, canonicalize, dual
 
 
 def split_solutions(n: int, p: int) -> list[tuple[str, int, int, int]]:
@@ -125,6 +125,54 @@ def table_parameter_scan(t: TameType) -> tuple[tuple[int, int, int], ...]:
             z = (n - a_val) % e // c2
             found.add((z + g1 + g2, z + g2, z))
     return tuple(sorted(found))
+
+
+def enumerate_predicted_bruteforce(t: TameType) -> PredictedSet:
+    """Quadratic-in-p scan of the whole validity strip; slow oracle."""
+    p = t.p
+    if not t.is_irreducible():
+        raise ValueError("predicted sets are computed for irreducible niveau-3 types")
+    found = set()
+    for g1 in range(p - 2):
+        for g2 in range(p - 2):
+            for z in range(p - 1):
+                w = WeightClass(p, 3, (z + g1 + g2, z + g2, z))
+                if is_predicted(w, t):
+                    found.add(w)
+    return PredictedSet(p, frozenset(found), t)
+
+
+def implied_weight_tables(w: WeightClass, j: int) -> frozenset[WeightClass]:
+    """The implied weights of the library (induction.implied_weights)
+    typed out by hand: a 2-row table for the lower range and a 5-row
+    table for the upper range, with no reference to the induction lists."""
+    p = w.p
+    x, y, z = w.coords
+    if x - y > 0 and y - z > 0 and x - z < p - 1:
+        if j == 1:
+            raw = ((z + p - 1, x, y), (x, z, y - p + 1))
+        else:
+            raw = ((y, z, x - p + 1), (y + p - 1, x, z))
+    elif x - y < p - 1 and y - z < p - 1 and x - z > p - 1:
+        if j == 1:
+            raw = (
+                (x, z + p - 1, y),
+                (x - 1, z + p - 1, y + 1),
+                (y - 1, x - p + 1, z + 1),
+                (z + p - 2, y, x - p + 2),
+                (z + 2 * p - 2, x, y),
+            )
+        else:
+            raw = (
+                (y, x - p + 1, z),
+                (y - 1, x - p + 1, z + 1),
+                (x - 1, z + p - 1, y + 1),
+                (z + p - 2, y, x - p + 2),
+                (y, z, x - 2 * p + 2),
+            )
+    else:
+        raise ValueError(f"{w} lies outside both implied-weight ranges")
+    return frozenset(canonicalize(t, p) for t in raw)
 
 
 # Two witnesses for the cycling engine (cycling.cycle), which reads every

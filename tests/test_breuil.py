@@ -38,6 +38,12 @@ def test_validate_rejects_bad_congruence():
         validate(7, 3, 6, (0, 0, 0), (5, 35, 245))
 
 
+@pytest.mark.parametrize("d", [0, 4])
+def test_validate_rejects_unsupported_niveau(d):
+    with pytest.raises(ValueError, match=rf"^niveau must be one of \(1, 2, 3\), got {d}$"):
+        validate(7, d, 2, (0,) * d, (0,) * d)
+
+
 def test_kappa_example():
     m = validate(7, 3, 2, (684, 684, 684), (100, 16, 112))
     assert fractional_shift(m, 0) == 798

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -316,6 +317,17 @@ def test_huge_prime_is_refused_quickly():
     doc = json.loads(proc.stdout)
     assert doc["error"]["type"] == "ValueError"
     assert "65536" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("given", [{"k0": 0}, {"exponents": [0] * 16000}])
+def test_huge_niveau_is_refused_quickly(capsys, given):
+    # refused before any integer of size p**d is built, on both paths
+    env = envelope("breuil", {"p": 7, "d": 16000, "r": 0, "heights": [0] * 16000, **given})
+    start = time.perf_counter()
+    code, out = outcome(capsys, ["query"], stdin=env)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "niveau must be one of (1, 2, 3), got 16000"
 
 
 def test_literal_choices_match_the_library():

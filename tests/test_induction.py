@@ -1,7 +1,8 @@
-"""Levi restriction, induced constituents, and the implied-weight tables."""
+"""Levi restriction, induced constituents, and the implied weights."""
 
 import pytest
 
+from gl3weights import induction
 from gl3weights.induction import (
     MU_ONE,
     MU_TWO,
@@ -15,7 +16,9 @@ from gl3weights.induction import (
     induction_constituents,
     levi_restriction,
 )
-from gl3weights.weights import alcove, dim_weight, dual, weight
+from gl3weights.weights import alcove, canonicalize, dim_weight, dual, weight
+
+from oracles import implied_weight_tables
 
 
 def test_cochar_validation():
@@ -155,3 +158,37 @@ def test_implied_wall_rejected():
             implied_weights(w, j)
     with pytest.raises(ValueError):
         implied_weights(weight(7, 5, 3, 1), 3)
+
+
+def range_weights(p):
+    """Every weight in the lower or the upper implied-weight range."""
+    for g1 in range(1, p - 1):
+        for g2 in range(1, p - 1):
+            if g1 + g2 != p - 1:
+                for z in range(p - 1):
+                    yield canonicalize((z + g1 + g2, z + g2, z), p)
+
+
+RANGE_PRIMES = (5, 7, 11, 13, 29, 31)
+
+
+def test_implied_weights_match_the_tables():
+    # 92,400 (weight, j) pairs; the memo is bypassed so every pair is computed
+    derive = implied_weights.__wrapped__
+    pairs = 0
+    for p in RANGE_PRIMES:
+        for w in range_weights(p):
+            for j in (1, 2):
+                assert derive(w, j) == implied_weight_tables(w, j), (w, j)
+                pairs += 1
+    assert pairs == 92400
+
+
+def test_last_constituent_is_the_weight():
+    # implied_weights drops the last constituent as w itself
+    for p in RANGE_PRIMES:
+        for w in range_weights(p):
+            x, y, z = w.coords
+            for shape in (SHAPE_2_1, SHAPE_1_2):
+                u, v, t = induction._induced(shape, w.coords, p)[-1]
+                assert u - x == v - y == t - z and (u - x) % (p - 1) == 0, (w, shape)

@@ -10,7 +10,6 @@ from gl3weights.predicted import (
     SHADOW_FAMILY,
     UPPER_FAMILY,
     enumerate_predicted,
-    enumerate_predicted_bruteforce,
     is_predicted,
     nine_weight_families,
     nine_weight_table,
@@ -19,7 +18,7 @@ from gl3weights.predicted import (
 from gl3weights.tame_types import XI_123, XI_132, dual_twist, iso, tau, type_from_exponent
 from gl3weights.weights import WeightClass, alcove, dual, is_generic, shadow_inverse, weight
 
-from oracles import enumerate_predicted_rowscan
+from oracles import enumerate_predicted_bruteforce, enumerate_predicted_rowscan
 
 
 def the_table_type(p=29, abc=(15, 8, 0)):
