@@ -28,15 +28,6 @@ if TYPE_CHECKING:
     from .weights import WeightClass
 
 SCHEMA_VERSION = 1
-# literal copies of tame_types.ORDER_THREE_CYCLES and sorted(sweeps.SUITES),
-# so that building the parser imports neither (a test keeps them equal);
-# they restrict the flags only, and an envelope's bad value is a domain error
-XI_CHOICES = ("123", "132")
-SUITE_NAMES = (
-    "breuil", "candidates", "cycling", "decompose", "elimination",
-    "orbits", "predicted", "slopes", "tame", "weights",
-)
-FLAG_CHOICES = {"xi": XI_CHOICES, "suite": SUITE_NAMES}
 
 
 class UsageError(ValueError):
@@ -194,10 +185,10 @@ def handle_breuil(params: dict) -> dict:
 
 
 def handle_sweep(params: dict) -> dict:
-    from .sweeps import run_suite_parallel
+    from .sweeps import run_suite
 
     doc = {key: params[key] for key in ("suite", "p", "seed", "count")}
-    doc["checks"], doc["failures"] = run_suite_parallel(
+    doc["checks"], doc["failures"] = run_suite(
         params["suite"], params["p"], params["seed"], params["count"], params["jobs"])
     return doc
 
@@ -316,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                     sub.add_argument(flag, dest=name, action="store_true", help=text)
                 else:
                     sub.add_argument(flag, dest=name, type=FLAG_TYPES.get(kind),
-                                     choices=FLAG_CHOICES.get(name),
                                      required=default is REQUIRED, help=text)
     subs.add_parser("query", help="read a JSON envelope from stdin")
     return parser

@@ -12,9 +12,7 @@ induction of its Levi restriction are forced: the implied weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .arith import MEMO_SIZE
 from .weights import WeightClass, canonicalize
 
 SHAPE_2_1 = "2+1"
@@ -162,7 +160,6 @@ def induction_constituents(levi: LeviWeight) -> tuple[WeightClass, ...]:
     return tuple(canonicalize(v, levi.p) for v in _induced(levi.shape, coords, levi.p))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
     """Weights forced to be modular when the level-j operator is not
     invertible at w: the constituents of the induction of the Levi

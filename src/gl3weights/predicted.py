@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import MEMO_SIZE, orbit_rep, solve_digit_pair
-from .tame_types import (
-    ORDER_THREE_CYCLES,
-    TameType,
-    tau_exponent,
-    type_from_exponent,
-)
+from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
 from .weights import WeightClass, canonicalize
 
 LOWER_FAMILY = "lower"
@@ -166,5 +161,5 @@ def nine_weight_families(
 def nine_weight_table(a: int, b: int, c: int, p: int) -> PredictedSet:
     fams = nine_weight_families(a, b, c, p)
     weights = frozenset(w for fam in fams.values() for w in fam)
-    source = type_from_exponent(p, tau_exponent("123", (a + 2, b + 1, c), p))
+    source = tau(XI_123, (a + 2, b + 1, c), p)
     return PredictedSet(p, weights, source)

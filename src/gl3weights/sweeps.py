@@ -274,48 +274,29 @@ def sweep_slopes(rng: random.Random, p: int, failures: list[dict]) -> None:
         _fail(failures, reason="criticality tag mismatch")
 
 
-# name -> (check, exhaustive): an exhaustive check takes p and returns
-# (checks, failures); a randomized one checks the instance its rng draws
+# name -> (check, exhaustive, smallest prime): an exhaustive check takes
+# p and returns (checks, failures); a randomized one checks the instance
+# its rng draws.  Below the smallest prime, a randomized suite's draws
+# (such as the table triples of `cycling`) have empty ranges.
 SUITES = {
-    "decompose": (sweep_decompose, True),
-    "orbits": (sweep_orbits, False),
-    "weights": (sweep_weights, False),
-    "tame": (sweep_tame, False),
-    "breuil": (sweep_breuil, False),
-    "candidates": (sweep_candidates, False),
-    "predicted": (sweep_predicted, False),
-    "elimination": (sweep_elimination, False),
-    "cycling": (sweep_cycling, False),
-    "slopes": (sweep_slopes, False),
+    "decompose": (sweep_decompose, True, 5),
+    "orbits": (sweep_orbits, False, 5),
+    "weights": (sweep_weights, False, 5),
+    "tame": (sweep_tame, False, 5),
+    "breuil": (sweep_breuil, False, 5),
+    "candidates": (sweep_candidates, False, 11),
+    "predicted": (sweep_predicted, False, 5),
+    "elimination": (sweep_elimination, False, 17),
+    "cycling": (sweep_cycling, False, 19),
+    "slopes": (sweep_slopes, False, 5),
 }
-
-
-# name -> the smallest prime the suite runs at; below it, a randomized
-# suite's draws (such as the table triples of `cycling`) have empty ranges
-MIN_PRIMES = {
-    "decompose": 5, "orbits": 5, "weights": 5, "tame": 5, "breuil": 5,
-    "candidates": 11, "predicted": 5, "elimination": 17, "cycling": 19, "slopes": 5,
-}
-
-
-def _checked_suite(name: str, p: int, count: int):
-    """The suite's entry, once name, p and count are known to be valid."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    arith.check_prime(p)
-    floor = MIN_PRIMES[name]
-    if p < floor:
-        raise ValueError(f"suite {name!r} needs p >= {floor}, got {p}")
-    if count < 0:
-        raise ValueError(f"count must be at least 0, got {count}")
-    return SUITES[name]
 
 
 def _run_instances(
     name: str, p: int, seed: int, start: int, stop: int
 ) -> tuple[int, list[dict]]:
     """Instances start..stop-1 of a suite; an exhaustive suite runs whole."""
-    check, exhaustive = SUITES[name]
+    check, exhaustive, _floor = SUITES[name]
     if exhaustive:
         return check(p)
     failures: list[dict] = []
@@ -324,21 +305,24 @@ def _run_instances(
     return stop - start, failures
 
 
-def run_suite(name: str, p: int, seed: int, count: int) -> tuple[int, list[dict]]:
-    _checked_suite(name, p, count)
-    return _run_instances(name, p, seed, 0, count)
-
-
-def run_suite_parallel(
-    name: str, p: int, seed: int, count: int, jobs: int
+def run_suite(
+    name: str, p: int, seed: int, count: int, jobs: int = 1
 ) -> tuple[int, list[dict]]:
-    """run_suite split across processes, with the same result for any jobs.
+    """Instances 0..count-1 of a suite, with the same result for any jobs.
 
-    Each process takes a contiguous range of instance indices (sizes
-    differ by at most one), and failures are joined in index order.
-    jobs must be at least 1; more processes than CPUs are not started.
+    Each of up to `jobs` processes takes a contiguous range of instance
+    indices (sizes differ by at most one), and failures are joined in
+    index order.  jobs must be at least 1; more processes than CPUs are
+    not started, and an exhaustive suite runs whole in this process.
     """
-    _check, exhaustive = _checked_suite(name, p, count)
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    _check, exhaustive, floor = SUITES[name]
+    arith.check_prime(p)
+    if p < floor:
+        raise ValueError(f"suite {name!r} needs p >= {floor}, got {p}")
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, count, os.cpu_count() or 1)

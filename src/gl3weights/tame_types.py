@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import FrobOrbit, check_prime, exp_class, orbit
+from .arith import FrobOrbit, check_niveau, check_prime, exp_class, orbit
 
 XI_123 = "123"  # cycle sending 1 -> 2 -> 3 -> 1
 XI_132 = "132"  # cycle sending 1 -> 3 -> 2 -> 1
@@ -152,8 +152,7 @@ def gap_interval_condition(
     interval is nonempty.
     """
     check_prime(p)
-    if d not in (1, 2, 3):
-        raise ValueError(f"unsupported niveau {d}")
+    check_niveau(d)
     if not 0 <= 2 * r < p - 1:
         raise ValueError(f"weight bound r={r} must satisfy 0 <= r < (p-1)/2")
     e = p**d - 1

@@ -9,9 +9,8 @@ which pins a unique representative with last coordinate in [0, p-2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .arith import MEMO_SIZE, check_prime
+from .arith import check_prime
 
 ALCOVE_LOWER = "lower"
 ALCOVE_WALL = "wall"
@@ -45,6 +44,8 @@ class WeightClass:
 def canonicalize(coords: tuple[int, ...] | list[int], p: int, n: int = 3) -> WeightClass:
     """Canonical representative: shift all coordinates by the unique
     multiple of p - 1 placing the last one in [0, p-2]."""
+    if n not in (1, 2, 3):
+        raise ValueError(f"rank must be 1, 2 or 3, got {n}")
     coords = tuple(coords)
     if len(coords) != n:
         raise ValueError(f"expected {n} coordinates, got {len(coords)}")
@@ -112,7 +113,6 @@ def weyl_dim(x: int, y: int, z: int) -> int:
     return (x - y + 1) * (y - z + 1) * (x - z + 2) // 2
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def dim_weight(w: WeightClass) -> int:
     """Dimension of the irreducible weight.
 

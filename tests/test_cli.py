@@ -330,13 +330,6 @@ def test_huge_niveau_is_refused_quickly(capsys, given):
     assert json.loads(out)["error"]["message"] == "niveau must be one of (1, 2, 3), got 16000"
 
 
-def test_literal_choices_match_the_library():
-    from gl3weights import cli, sweeps, tame_types
-
-    assert cli.XI_CHOICES == tame_types.ORDER_THREE_CYCLES
-    assert list(cli.SUITE_NAMES) == sorted(sweeps.SUITES)
-
-
 def outcome(capsys, argv, stdin=None):
     """(exit code, stdout) of one invocation, an argparse or envelope exit included."""
     try:
@@ -360,6 +353,8 @@ FLAG_FORMS = [
      {"p": 29, "type": MU}),
     (["predict", "--p", "29", "--xi", "132", "--mu", "17,9,0"], "predict",
      {"p": 29, "type": {"xi": "132", "mu": [17, 9, 0]}}),
+    (["predict", "--p", "29", "--xi", "321", "--mu", "17,9,0"], "predict",
+     {"p": 29, "type": {"xi": "321", "mu": [17, 9, 0]}}),
     (["eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"], "eliminate",
      {"p": 29, "weight": [32, 16, 0], "type": {"orbit_rep": 163}}),
     (["eliminate", "--p", "29", "--F", "54,27,0", "--orbit-rep", "278"], "eliminate",
@@ -380,6 +375,7 @@ FLAG_FORMS = [
      {"suite": "weights", "p": 11, "seed": 1, "count": 3}),
     (["sweep", "--suite", "cycling", "--p", "17", "--count", "2"], "sweep",
      {"suite": "cycling", "p": 17, "count": 2}),
+    (["sweep", "--suite", "nope"], "sweep", {"suite": "nope"}),
 ]
 
 

@@ -173,13 +173,11 @@ RANGE_PRIMES = (5, 7, 11, 13, 29, 31)
 
 
 def test_implied_weights_match_the_tables():
-    # 92,400 (weight, j) pairs; the memo is bypassed so every pair is computed
-    derive = implied_weights.__wrapped__
     pairs = 0
     for p in RANGE_PRIMES:
         for w in range_weights(p):
             for j in (1, 2):
-                assert derive(w, j) == implied_weight_tables(w, j), (w, j)
+                assert implied_weights(w, j) == implied_weight_tables(w, j), (w, j)
                 pairs += 1
     assert pairs == 92400
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from gl3weights.sweeps import MIN_PRIMES, SUITES, run_suite, run_suite_parallel
+from gl3weights.sweeps import SUITES, run_suite
 
 SUITE_PRIMES = {
     "decompose": 7,
@@ -40,17 +40,17 @@ def test_suites_are_seed_deterministic():
 
 
 def test_parallel_matches_serial_totals():
-    checks1, fails1 = run_suite_parallel("slopes", 7, 4, 24, jobs=1)
-    checks2, fails2 = run_suite_parallel("slopes", 7, 4, 24, jobs=3)
+    checks1, fails1 = run_suite("slopes", 7, 4, 24, jobs=1)
+    checks2, fails2 = run_suite("slopes", 7, 4, 24, jobs=3)
     assert fails1 == fails2 == []
     assert checks1 == checks2 == 24
 
 
-@pytest.mark.parametrize("name", sorted(n for n, (_, exh) in SUITES.items() if not exh))
+@pytest.mark.parametrize("name", sorted(n for n, (_, exh, _) in SUITES.items() if not exh))
 def test_parallel_equals_serial(name):
     # instance i draws from (seed, i), so the split across processes is invisible
     serial = run_suite(name, SUITE_PRIMES[name], 5, 5)
-    assert run_suite_parallel(name, SUITE_PRIMES[name], 5, 5, jobs=2) == serial
+    assert run_suite(name, SUITE_PRIMES[name], 5, 5, jobs=2) == serial
     assert serial[0] == 5
 
 
@@ -61,28 +61,28 @@ def _record_draw(rng, p, failures):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched suite reaches the workers only through fork")
 def test_instance_draws_do_not_depend_on_jobs_or_count(monkeypatch):
-    monkeypatch.setitem(SUITES, "weights", (_record_draw, False))
+    monkeypatch.setitem(SUITES, "weights", (_record_draw, False, 5))
     checks, draws = run_suite("weights", 11, 3, 5)
     assert checks == 5 and len({d["draw"] for d in draws}) == 5
     for jobs in (2, 3):
-        assert run_suite_parallel("weights", 11, 3, 5, jobs) == (checks, draws)
+        assert run_suite("weights", 11, 3, 5, jobs=jobs) == (checks, draws)
     assert run_suite("weights", 11, 3, 2)[1] == draws[:2]
 
 
 def test_exhaustive_suite_ignores_jobs():
-    a = run_suite_parallel("decompose", 7, 0, 10, jobs=1)
-    b = run_suite_parallel("decompose", 7, 0, 10, jobs=4)
+    a = run_suite("decompose", 7, 0, 10, jobs=1)
+    b = run_suite("decompose", 7, 0, 10, jobs=4)
     assert a == b
 
 
 def test_parallel_rejects_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
-        run_suite_parallel("nope", 7, 0, 10, jobs=2)
+        run_suite("nope", 7, 0, 10, jobs=2)
 
 
 def test_parallel_runs_exactly_count_checks():
     # two processes; the odd count splits into chunks of 3 and 2
-    checks, failures = run_suite_parallel("slopes", 7, 4, 5, jobs=2)
+    checks, failures = run_suite("slopes", 7, 4, 5, jobs=2)
     assert failures == []
     assert checks == 5
 
@@ -113,7 +113,7 @@ def test_parallel_caps_jobs_at_cpu_count(monkeypatch, cpus, jobs, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(_InlineExecutor, "made", [])
     serial = run_suite("slopes", 7, 4, 24)
-    assert run_suite_parallel("slopes", 7, 4, 24, jobs) == serial
+    assert run_suite("slopes", 7, 4, 24, jobs=jobs) == serial
     assert _InlineExecutor.made == workers
 
 
@@ -121,11 +121,7 @@ def test_parallel_caps_jobs_at_cpu_count(monkeypatch, cpus, jobs, workers):
 def test_parallel_rejects_jobs_below_one(jobs):
     for name in ("slopes", "decompose"):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
-            run_suite_parallel(name, 7, 0, 10, jobs)
-
-
-def test_every_suite_has_a_floor():
-    assert set(MIN_PRIMES) == set(SUITES)
+            run_suite(name, 7, 0, 10, jobs=jobs)
 
 
 def _prime_below(n):
@@ -134,7 +130,7 @@ def _prime_below(n):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_floor(name):
-    floor = MIN_PRIMES[name]
+    floor = SUITES[name][2]
     below = _prime_below(floor)
     with pytest.raises(ValueError, match=f">= {floor}, got {below}"):
         run_suite(name, below, 0, 3)
@@ -142,11 +138,12 @@ def test_suite_floor(name):
     assert failures == [] and checks > 0
 
 
-@pytest.mark.parametrize("name", sorted(n for n, floor in MIN_PRIMES.items() if floor > 5))
+@pytest.mark.parametrize("name", sorted(n for n, (*_, floor) in SUITES.items() if floor > 5))
 def test_suite_floor_is_the_smallest_prime(name, monkeypatch):
     # without the floor, the prime below it fails inside the suite's draws
-    below = _prime_below(MIN_PRIMES[name])
-    monkeypatch.setitem(MIN_PRIMES, name, 5)
+    check, exhaustive, floor = SUITES[name]
+    below = _prime_below(floor)
+    monkeypatch.setitem(SUITES, name, (check, exhaustive, 5))
     with pytest.raises(ValueError, match="empty range"):
         run_suite(name, below, 0, 3)
 
@@ -157,7 +154,5 @@ def test_suite_floor_is_the_smallest_prime(name, monkeypatch):
     (7, -5, "count must be at least 0, got -5"),
 ])
 def test_sweeps_check_p_and_count_at_entry(p, count, message):
-    for run in (lambda: run_suite("slopes", p, 0, count),
-                lambda: run_suite_parallel("slopes", p, 0, count, 1)):
-        with pytest.raises(ValueError, match=message):
-            run()
+    with pytest.raises(ValueError, match=message):
+        run_suite("slopes", p, 0, count)

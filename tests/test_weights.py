@@ -61,6 +61,17 @@ def test_rejects_non_restricted():
         canonicalize((9, 1, 0), 7)
 
 
+@pytest.mark.parametrize("make, rank", [
+    (lambda: weight(7), 0),
+    (lambda: canonicalize((), 7, 0), 0),
+    (lambda: weight(7, 4, 3, 2, 1), 4),
+], ids=["weight(7)", "canonicalize((), 7, 0)", "weight(7, 4, 3, 2, 1)"])
+def test_rank_outside_one_to_three_is_refused(make, rank):
+    # refused before the last coordinate is read, so no IndexError
+    with pytest.raises(ValueError, match=f"rank must be 1, 2 or 3, got {rank}"):
+        make()
+
+
 def test_alcove_examples():
     assert alcove(weight(7, 5, 3, 1)) == ALCOVE_LOWER
     assert alcove(weight(7, 9, 5, 1)) == ALCOVE_UPPER
