@@ -9,7 +9,6 @@ Python ints, so all results are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 SUPPORTED_NIVEAUX = (1, 2, 3)
@@ -23,7 +22,7 @@ CASE_I = "I"
 CASE_II = "II"
 
 
-# memoized: check_prime runs on every ExpClass, WeightClass and type construction
+# memoized: every public factory and every checked record construction calls check_prime
 @lru_cache(maxsize=MEMO_SIZE)
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -58,38 +57,82 @@ def check_niveau(d: int) -> None:
         raise ValueError(f"niveau must be one of {SUPPORTED_NIVEAUX}, got {d}")
 
 
-@dataclass(frozen=True)
-class ExpClass:
+class Record:
+    """Immutable value record: its fields are its `__slots__` less those
+    with a leading underscore (caches such as a precomputed hash).  It
+    equals only a record of its own class with equal fields, pickles as
+    a call of its class and prints as a dataclass does.  A record built
+    on a hot path has a `__new__` that stores its fields unchecked, the
+    trusted path `Cls.__new__(Cls, ...)`, and an `__init__` that checks."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *values, **named) -> None:
+        if named:
+            values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
+        if named or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ExpClass(Record):
     """Exponent class of a tame character: a residue modulo p^d - 1."""
 
-    p: int
-    d: int
-    value: int
+    __slots__ = ("p", "d", "value")
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        check_niveau(self.d)
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"exponent {self.value} out of range for modulus {self.modulus}"
-            )
+    def __init__(self, p: int, d: int, value: int) -> None:
+        check_prime(p)
+        check_niveau(d)
+        if not 0 <= value < p**d - 1:
+            raise ValueError(f"exponent {value} out of range for modulus {p**d - 1}")
+        Record.__init__(self, p, d, value)
 
     @property
     def modulus(self) -> int:
         return self.p**self.d - 1
 
 
-@dataclass(frozen=True)
-class FrobOrbit:
+class FrobOrbit(Record):
     """Orbit of an exponent class under multiplication by p.
 
     The representative is the least member; the orbit size divides d.
     """
 
-    p: int
-    d: int
-    rep: int
-    size: int
+    __slots__ = ("p", "d", "rep", "size")
+
+    def __init__(self, p: int, d: int, rep: int, size: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "size", size)
 
     def elements(self) -> tuple[int, ...]:
         e = self.p**self.d - 1
@@ -103,6 +146,8 @@ class FrobOrbit:
 
 def exp_class(p: int, d: int, value: int) -> ExpClass:
     """Build an ExpClass, reducing the exponent modulo p^d - 1."""
+    check_prime(p)
+    check_niveau(d)
     return ExpClass(p, d, value % (p**d - 1))
 
 
@@ -152,8 +197,7 @@ def embed_niveau(c: ExpClass, target_d: int) -> ExpClass:
     return exp_class(c.p, target_d, c.value * scale)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Result of the three-digit split of an exponent.
 
     kind is "divisible" when p^2+p+1 divides n (coords are None), and
@@ -161,10 +205,11 @@ class Decomposition:
     or "II" for n = p^2*x + p*y + z with x >= y > z, x - z <= p.
     """
 
-    kind: str
-    x: int | None = None
-    y: int | None = None
-    z: int | None = None
+    __slots__ = ("kind", "x", "y", "z")
+
+    def __init__(self, kind: str, x: int | None = None, y: int | None = None,
+                 z: int | None = None) -> None:
+        Record.__init__(self, kind, x, y, z)
 
     @property
     def coords(self) -> tuple[int, int, int]:

@@ -14,9 +14,8 @@ characters can appear in mod-p reductions of the lift's inertial type.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .arith import ExpClass, check_niveau, check_prime, exp_class, orbit_rep
+from .arith import ExpClass, Record, check_niveau, check_prime, exp_class, orbit_rep
 from .tame_types import TameType, type_from_exponent
 
 PRINCIPAL_SERIES = "principal_series"
@@ -35,15 +34,10 @@ TRIPLES_SUM3 = tuple(
 )
 
 
-@dataclass(frozen=True)
-class BreuilModule:
+class BreuilModule(Record):
     """Rank-one module datum (p, d, r, heights r_i, descent exponents k_i)."""
 
-    p: int
-    d: int
-    r: int
-    heights: tuple[int, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ("p", "d", "r", "heights", "exponents")
 
     @property
     def e(self) -> int:
@@ -138,8 +132,7 @@ def random_module(rng: random.Random, p: int, d: int, r: int) -> BreuilModule:
     return validate(p, d, r, tuple(heights), tuple(ks))
 
 
-@dataclass(frozen=True)
-class LiftType:
+class LiftType(Record):
     """Inertial type of a potentially crystalline rank-3 lift.
 
     kind selects the digit layout of the characteristic-zero type:
@@ -148,16 +141,21 @@ class LiftType:
     reversed (c, b, a).
     """
 
-    kind: str
-    p: int
-    a: int
-    b: int
-    c: int
+    __slots__ = ("kind", "p", "a", "b", "c")
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        if self.kind not in (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL):
-            raise ValueError(f"unknown lift kind {self.kind!r}")
+    def __new__(cls, kind: str, p: int, a: int, b: int, c: int) -> LiftType:
+        t = object.__new__(cls)
+        object.__setattr__(t, "kind", kind)
+        object.__setattr__(t, "p", p)
+        object.__setattr__(t, "a", a)
+        object.__setattr__(t, "b", b)
+        object.__setattr__(t, "c", c)
+        return t
+
+    def __init__(self, kind: str, p: int, a: int, b: int, c: int) -> None:
+        check_prime(p)
+        if kind not in (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL):
+            raise ValueError(f"unknown lift kind {kind!r}")
 
     @property
     def params(self) -> tuple[int, int, int]:
@@ -185,12 +183,10 @@ def check_gaps(t: LiftType) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ReductionCandidates:
+class ReductionCandidates(Record):
     """Set of niveau-3 Frobenius orbits arising in mod-p reductions."""
 
-    p: int
-    orbit_reps: frozenset[int]
+    __slots__ = ("p", "orbit_reps")
 
     def types(self) -> tuple[TameType, ...]:
         return tuple(type_from_exponent(self.p, rep) for rep in sorted(self.orbit_reps))

@@ -155,12 +155,13 @@ def handle_cycle(params: dict) -> dict | str:
 
 
 def handle_breuil(params: dict) -> dict:
-    from .arith import check_niveau
+    from .arith import check_niveau, check_prime
     from .breuil import inertial_character, is_maximal, is_minimal, maximal_model, validate
 
     p, d, r, heights = params["p"], params["d"], params["r"], params["heights"]
     exponents = params.get("exponents")
     if exponents is None:
+        check_prime(p)
         check_niveau(d)
         k = [params["k0"]]
         for i in range(1, d):

@@ -21,9 +21,9 @@ double-twisted dual, flipped once: duality swaps T1 and T2.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import Record
 from .elimination import CONSISTENT, eliminate
 from .induction import implied_weights
 from .predicted import (
@@ -50,21 +50,14 @@ class ConsistencyError(RuntimeError):
     """Internal cross-check failure: membership and elimination disagree."""
 
 
-@dataclass(frozen=True)
-class CyclingGraph:
-    p: int
-    case: str
-    params: tuple[int, int, int]
-    source: TameType
-    start: WeightClass
-    nodes: frozenset[WeightClass]
-    edges: tuple[tuple[WeightClass, WeightClass, int], ...]
-    non_singletons: tuple[tuple[WeightClass, int, tuple[WeightClass, ...]], ...]
-    families: tuple[tuple[WeightClass, str], ...]
-    predicted: PredictedSet
-    status: str
-    stuck_node: WeightClass | None = None
-    stuck_reason: str | None = None
+class CyclingGraph(Record):
+    """A closure: edges are (from, to, operator level), non_singletons are
+    (at, level, forced weights) where more than one is forced; stuck_node
+    is the first unreached table weight of a stuck closure, else None."""
+
+    __slots__ = ("p", "case", "params", "source", "start", "nodes", "edges",
+                 "non_singletons", "families", "predicted", "status", "stuck_node",
+                 "stuck_reason")
 
 
 # Memo bounds: callers that reuse a type run its starts close together,
@@ -132,20 +125,15 @@ def _checked_membership(v: WeightClass, t: TameType) -> bool:
     return member
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(Record):
     """Everything a closure reads, in the orientation of the caller's type.
 
-    steps maps each table weight to its (operator, forced weights) pairs
-    in visiting order; order lists the table by the coordinates of the
-    direct orientation, which decides the reported stuck node.
+    table: the nine weights; order: the table by the coordinates of the
+    direct orientation, which decides the reported stuck node; steps:
+    each table weight's (operator, forced weights) pairs in visiting order.
     """
 
-    table: frozenset[WeightClass]
-    order: tuple[WeightClass, ...]
-    predicted: PredictedSet
-    families: tuple[tuple[WeightClass, str], ...]
-    steps: dict[WeightClass, tuple[tuple[int, tuple[WeightClass, ...]], ...]]
+    __slots__ = ("table", "order", "predicted", "families", "steps")
 
 
 def _by_coords(ws) -> tuple[WeightClass, ...]:
@@ -239,21 +227,9 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
         status = STATUS_STUCK
         stuck_node = next(v for v in frame.order if v not in nodes)
         reason = f"closure reached {len(nodes)} of {len(table)} predicted weights"
-    return CyclingGraph(
-        p=t.p,
-        case=case,
-        params=params,
-        source=t,
-        start=start,
-        nodes=frozenset(nodes),
-        edges=tuple(edges),
-        non_singletons=tuple(stalls),
-        families=frame.families,
-        predicted=frame.predicted,
-        status=status,
-        stuck_node=stuck_node,
-        stuck_reason=reason,
-    )
+    return CyclingGraph(t.p, case, params, t, start, frozenset(nodes), tuple(edges),
+                        tuple(stalls), frame.families, frame.predicted, status, stuck_node,
+                        reason)
 
 
 def emit_dot(g: CyclingGraph) -> str:

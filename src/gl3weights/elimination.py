@@ -12,20 +12,10 @@ rejected rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import MEMO_SIZE
-from .breuil import (
-    CUSPIDAL,
-    CUSPIDAL_DUAL,
-    PRINCIPAL_SERIES,
-    LiftType,
-    cuspidal,
-    cuspidal_dual,
-    principal_series,
-    reduction_candidates,
-)
+from .arith import MEMO_SIZE, Record
+from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, LiftType, reduction_candidates
 from .predicted import membership_reps
 from .tame_types import TameType
 from .weights import WeightClass
@@ -41,15 +31,21 @@ class UnsupportedWeight(ValueError):
     """Raised for weights where neither elimination regime applies."""
 
 
-@dataclass(frozen=True)
-class EliminationReport:
-    weight: WeightClass
-    source: TameType
-    branch: str
-    verdict: str
-    matched_orbit: int | None
-    lift_sets: tuple[tuple[str, frozenset[int]], ...] | None
-    intersection: frozenset[int] | None
+class EliminationReport(Record):
+    __slots__ = ("weight", "source", "branch", "verdict", "matched_orbit", "lift_sets",
+                 "intersection")
+
+    def __init__(self, weight: WeightClass, source: TameType, branch: str, verdict: str,
+                 matched_orbit: int | None,
+                 lift_sets: tuple[tuple[str, frozenset[int]], ...] | None,
+                 intersection: frozenset[int] | None) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "matched_orbit", matched_orbit)
+        object.__setattr__(self, "lift_sets", lift_sets)
+        object.__setattr__(self, "intersection", intersection)
 
 
 def _branch_of(w: WeightClass) -> str:
@@ -70,10 +66,11 @@ def lift_types_for(w: WeightClass) -> tuple[LiftType, LiftType, LiftType]:
         raise UnsupportedWeight(f"{w} is not in the large-span regime")
     x, y, z = w.coords
     p = w.p
+    # y > x - p + 1 > z here, so the principal series digits are already sorted
     return (
-        principal_series(p, (y, x - p + 1, z)),
-        cuspidal(p, (y + 1, x - p + 1, z - 1)),
-        cuspidal_dual(p, (x + 1, z + p - 1, y - 1)),
+        LiftType.__new__(LiftType, PRINCIPAL_SERIES, p, y, x - p + 1, z),
+        LiftType.__new__(LiftType, CUSPIDAL, p, y + 1, x - p + 1, z - 1),
+        LiftType.__new__(LiftType, CUSPIDAL_DUAL, p, x + 1, z + p - 1, y - 1),
     )
 
 

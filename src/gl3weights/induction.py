@@ -11,27 +11,26 @@ induction of its Levi restriction are forced: the implied weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .weights import WeightClass, canonicalize
+from .arith import Record
+from .weights import WeightClass, canonical, canonicalize
 
 SHAPE_2_1 = "2+1"
 SHAPE_1_2 = "1+2"
 
 
-@dataclass(frozen=True)
-class AntidominantCochar:
+class AntidominantCochar(Record):
     """Cocharacter with non-decreasing 0/1 entries, e.g. (0, 0, 1)."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if any(v not in (0, 1) for v in self.entries):
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        if any(v not in (0, 1) for v in entries):
             raise ValueError("entries must be 0 or 1")
-        if list(self.entries) != sorted(self.entries):
+        if list(entries) != sorted(entries):
             raise ValueError("entries must be non-decreasing")
-        if not 0 < sum(self.entries) < len(self.entries):
+        if not 0 < sum(entries) < len(entries):
             raise ValueError("cocharacter must be proper and nontrivial")
+        Record.__init__(self, entries)
 
     @property
     def level(self) -> int:
@@ -43,22 +42,21 @@ MU_ONE = AntidominantCochar((0, 0, 1))
 MU_TWO = AntidominantCochar((0, 1, 1))
 
 
-@dataclass(frozen=True)
-class LeviWeight:
+class LeviWeight(Record):
     """Weight of a maximal Levi of GL_3, blocks in canonical form."""
 
-    shape: str
-    blocks: tuple[WeightClass, WeightClass]
+    __slots__ = ("shape", "blocks")
 
-    def __post_init__(self) -> None:
-        if self.shape not in (SHAPE_2_1, SHAPE_1_2):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        ranks = tuple(b.n for b in self.blocks)
-        want = (2, 1) if self.shape == SHAPE_2_1 else (1, 2)
+    def __init__(self, shape: str, blocks: tuple[WeightClass, WeightClass]) -> None:
+        if shape not in (SHAPE_2_1, SHAPE_1_2):
+            raise ValueError(f"unknown shape {shape!r}")
+        ranks = tuple(b.n for b in blocks)
+        want = (2, 1) if shape == SHAPE_2_1 else (1, 2)
         if ranks != want:
-            raise ValueError(f"blocks of shape {self.shape} must have ranks {want}")
-        if self.blocks[0].p != self.blocks[1].p:
+            raise ValueError(f"blocks of shape {shape} must have ranks {want}")
+        if blocks[0].p != blocks[1].p:
             raise ValueError("blocks live over different characteristics")
+        Record.__init__(self, shape, blocks)
 
     @property
     def p(self) -> int:
@@ -181,4 +179,4 @@ def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
             or x - y < p - 1 and y - z < p - 1 and x - z > p - 1):
         raise ValueError(f"{w} lies outside both implied-weight ranges")
     shape = SHAPE_2_1 if j == 1 else SHAPE_1_2
-    return frozenset(canonicalize(v, p) for v in _induced(shape, w.coords, p)[:-1])
+    return frozenset(canonical(v, p) for v in _induced(shape, w.coords, p)[:-1])

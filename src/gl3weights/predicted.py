@@ -9,25 +9,21 @@ exactly nine classes, organised in three cyclically related families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, orbit_rep, solve_digit_pair
+from .arith import MEMO_SIZE, Record, check_prime, orbit_rep, solve_digit_pair
 from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
-from .weights import WeightClass, canonicalize
+from .weights import WeightClass, canonical
 
 LOWER_FAMILY = "lower"
 UPPER_FAMILY = "upper"
 SHADOW_FAMILY = "shadow"
 
 
-@dataclass(frozen=True)
-class PredictedSet:
+class PredictedSet(Record):
     """Predicted weights of a type, as a set of canonical classes."""
 
-    p: int
-    weights: frozenset[WeightClass]
-    source: TameType
+    __slots__ = ("p", "weights", "source")
 
     def sorted_weights(self) -> tuple[WeightClass, ...]:
         return tuple(sorted(self.weights, key=lambda w: w.coords))
@@ -113,7 +109,7 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
         for xi, high in MEMBERSHIP_ROWS:
             x, y, z = membership_solution(p, n, xi, high)
             if x - y <= p - 3 and y - z <= p - 3 and (x - z > p - 2 or not high):
-                found.add(WeightClass(p, 3, (x, y, z)))
+                found.add(canonical((x, y, z), p))
     return PredictedSet(p, frozenset(found), t)
 
 
@@ -140,20 +136,21 @@ def nine_weight_families(
         raise ValueError(
             f"({a},{b},{c}) violates a-b > 5, b-c > 4, a-c < p-7 at p={p}"
         )
+    check_prime(p)
     lower = (
-        canonicalize((a, b, c), p),
-        canonicalize((c + p - 2, a, b + 1), p),
-        canonicalize((b, c - 1, a - p + 2), p),
+        canonical((a, b, c), p),
+        canonical((c + p - 2, a, b + 1), p),
+        canonical((b, c - 1, a - p + 2), p),
     )
     upper = (
-        canonicalize((c + p - 2, b + 1, a - p + 1), p),
-        canonicalize((b + p - 1, a + 1, c - 1), p),
-        canonicalize((a, c, b - p + 1), p),
+        canonical((c + p - 2, b + 1, a - p + 1), p),
+        canonical((b + p - 1, a + 1, c - 1), p),
+        canonical((a, c, b - p + 1), p),
     )
     shadow = (
-        canonicalize((c + p - 2, b, a - p + 2), p),
-        canonicalize((b + p - 1, a, c), p),
-        canonicalize((a, c - 1, b - p + 2), p),
+        canonical((c + p - 2, b, a - p + 2), p),
+        canonical((b + p - 1, a, c), p),
+        canonical((a, c - 1, b - p + 2), p),
     )
     return {LOWER_FAMILY: lower, UPPER_FAMILY: upper, SHADOW_FAMILY: shadow}
 

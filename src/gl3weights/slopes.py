@@ -10,10 +10,10 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .arith import Record
 from .induction import AntidominantCochar
 
 BELOW_BOUND = "below_bound"
@@ -21,8 +21,7 @@ CRITICAL = "critical"
 ABOVE_BOUND = "above_bound"
 
 
-@dataclass(frozen=True)
-class HodgeData:
+class HodgeData(Record):
     """Hodge and eigenvalue data at one place.
 
     n: rank; f: unramified degree; e_ram: ramification degree; hodge:
@@ -30,29 +29,26 @@ class HodgeData:
     t_vals: valuations of the normalised eigenvalues t_1, ..., t_n.
     """
 
-    n: int
-    f: int
-    e_ram: int
-    hodge: tuple[tuple[int, ...], ...]
-    t_vals: tuple[Fraction, ...]
+    __slots__ = ("n", "f", "e_ram", "hodge", "t_vals")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, f: int, e_ram: int, hodge: tuple[tuple[int, ...], ...],
+                 t_vals: tuple[Fraction, ...]) -> None:
+        if n < 2:
             raise ValueError("rank must be at least 2")
-        if self.f < 1 or self.e_ram < 1:
+        if f < 1 or e_ram < 1:
             raise ValueError("field degrees must be positive")
-        if len(self.hodge) != self.f * self.e_ram:
+        if len(hodge) != f * e_ram:
             raise ValueError(
-                f"need one tuple per embedding: {self.f * self.e_ram}, "
-                f"got {len(self.hodge)}"
+                f"need one tuple per embedding: {f * e_ram}, got {len(hodge)}"
             )
-        for lam in self.hodge:
-            if len(lam) != self.n:
+        for lam in hodge:
+            if len(lam) != n:
                 raise ValueError("each Hodge tuple must have length n")
             if any(a < b for a, b in zip(lam, lam[1:])):
                 raise ValueError(f"Hodge tuple {lam} is not non-increasing")
-        if len(self.t_vals) != self.n:
+        if len(t_vals) != n:
             raise ValueError("need one valuation per eigenvalue")
+        Record.__init__(self, n, f, e_ram, hodge, t_vals)
 
 
 def hodge_data(

@@ -9,9 +9,7 @@ triple mu collect the orbit of the exponent sum_i mu_{xi^i(1)} p^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import FrobOrbit, check_niveau, check_prime, exp_class, orbit
+from .arith import FrobOrbit, Record, check_niveau, check_prime, exp_class, orbit
 
 XI_123 = "123"  # cycle sending 1 -> 2 -> 3 -> 1
 XI_132 = "132"  # cycle sending 1 -> 3 -> 2 -> 1
@@ -22,22 +20,30 @@ NOT_ISOMORPHIC = "not_isomorphic"
 HYPOTHESIS_VIOLATED = "hypothesis_violated"
 
 
-@dataclass(frozen=True)
-class TameType:
+class TameType(Record):
     """Multiset of Frobenius orbits at niveau 3 with total size 3."""
 
-    p: int
-    chars: tuple[FrobOrbit, ...]
+    __slots__ = ("p", "chars", "_hash")
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        if sum(o.size for o in self.chars) != 3:
+    def __new__(cls, p: int, chars: tuple[FrobOrbit, ...]) -> TameType:
+        t = object.__new__(cls)
+        object.__setattr__(t, "p", p)
+        object.__setattr__(t, "chars", chars)
+        object.__setattr__(t, "_hash", hash((p, chars)))
+        return t
+
+    def __init__(self, p: int, chars: tuple[FrobOrbit, ...]) -> None:
+        check_prime(p)
+        if sum(o.size for o in chars) != 3:
             raise ValueError("orbit sizes must add up to 3")
-        for o in self.chars:
-            if o.p != self.p or o.d != 3:
+        for o in chars:
+            if o.p != p or o.d != 3:
                 raise ValueError("all orbits must live at niveau 3 over the same p")
-        if tuple(sorted(self.chars, key=lambda o: o.rep)) != self.chars:
+        if tuple(sorted(chars, key=lambda o: o.rep)) != chars:
             raise ValueError("orbits must be listed sorted by representative")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def niveau(self) -> int:
@@ -58,10 +64,8 @@ class TameType:
 def type_from_exponent(p: int, value: int) -> TameType:
     """Type psi + psi^p + psi^(p^2) for the character with this exponent."""
     o = orbit(exp_class(p, 3, value))
-    if o.size == 3:
-        return TameType(p, (o,))
     # degenerate: psi has niveau 1, the sum is three copies
-    return TameType(p, (o, o, o))
+    return TameType.__new__(TameType, p, (o,) if o.size == 3 else (o, o, o))
 
 
 def sum_of_characters(p: int, values: tuple[int, int, int]) -> TameType:
@@ -84,6 +88,7 @@ def tau_exponent(xi: str, mu: tuple[int, int, int], p: int) -> int:
 
 
 def tau(xi: str, mu: tuple[int, int, int], p: int) -> TameType:
+    check_prime(p)
     return type_from_exponent(p, tau_exponent(xi, mu, p))
 
 
@@ -99,22 +104,22 @@ def dual_twist(t: TameType, cyclotomic_power: int) -> TameType:
     On exponents this negates and then adds cyclotomic_power*(1+p+p^2);
     for niveau-1 summands the same shift realises a niveau-1 twist.
     """
-    e = t.p**3 - 1
     shift = cyclotomic_power * (t.p * t.p + t.p + 1)
-    orbits = [orbit(exp_class(t.p, 3, (-o.rep + shift) % e)) for o in t.chars]
-    return TameType(t.p, tuple(sorted(orbits, key=lambda o: o.rep)))
+    orbits = [orbit(exp_class(t.p, 3, shift - o.rep)) for o in t.chars]
+    return TameType.__new__(TameType, t.p, tuple(sorted(orbits, key=lambda o: o.rep)))
 
 
-@dataclass(frozen=True)
-class DistinguishResult:
+class DistinguishResult(Record):
     """Outcome of comparing tau(xi, (a,b,c)) against tau(xi', (x,y,z)).
 
     For strictly decreasing triples with span at most p and equal sums,
     an isomorphism can only be the identity: same cycle, same triple.
     """
 
-    tag: str
-    matches: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("tag", "matches")
+
+    def __init__(self, tag: str, matches: tuple[tuple[str, str], ...] = ()) -> None:
+        Record.__init__(self, tag, matches)
 
 
 def distinguish(

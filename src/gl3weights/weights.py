@@ -8,34 +8,45 @@ which pins a unique representative with last coordinate in [0, p-2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import check_prime
+from .arith import Record, check_prime
 
 ALCOVE_LOWER = "lower"
 ALCOVE_WALL = "wall"
 ALCOVE_UPPER = "upper"
 
 
-@dataclass(frozen=True)
-class WeightClass:
+class WeightClass(Record):
     """Isomorphism class of an irreducible F_p-weight, in canonical form."""
 
-    p: int
-    n: int
-    coords: tuple[int, ...]
+    __slots__ = ("p", "n", "coords", "_hash")
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"rank must be 1, 2 or 3, got {self.n}")
-        if len(self.coords) != self.n:
+    def __new__(cls, p: int, n: int, coords: tuple[int, ...]) -> WeightClass:
+        w = object.__new__(cls)
+        object.__setattr__(w, "p", p)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "coords", coords)
+        object.__setattr__(w, "_hash", hash((p, n, coords)))
+        return w
+
+    def __init__(self, p: int, n: int, coords: tuple[int, ...]) -> None:
+        check_prime(p)
+        if n not in (1, 2, 3):
+            raise ValueError(f"rank must be 1, 2 or 3, got {n}")
+        if len(coords) != n:
             raise ValueError("coordinate count does not match rank")
-        for a, b in zip(self.coords, self.coords[1:]):
-            if not 0 <= a - b <= self.p - 1:
-                raise ValueError(f"coordinates {self.coords} are not p-restricted")
-        if not 0 <= self.coords[-1] <= self.p - 2:
-            raise ValueError(f"coordinates {self.coords} are not in canonical form")
+        for a, b in zip(coords, coords[1:]):
+            if not 0 <= a - b <= p - 1:
+                raise ValueError(f"coordinates {coords} are not p-restricted")
+        if not 0 <= coords[-1] <= p - 2:
+            raise ValueError(f"coordinates {coords} are not in canonical form")
+
+    def __eq__(self, other):
+        if other.__class__ is WeightClass:
+            return self.coords == other.coords and self.p == other.p and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return "F(" + ",".join(str(c) for c in self.coords) + ")"
@@ -44,13 +55,24 @@ class WeightClass:
 def canonicalize(coords: tuple[int, ...] | list[int], p: int, n: int = 3) -> WeightClass:
     """Canonical representative: shift all coordinates by the unique
     multiple of p - 1 placing the last one in [0, p-2]."""
+    check_prime(p)
     if n not in (1, 2, 3):
         raise ValueError(f"rank must be 1, 2 or 3, got {n}")
     coords = tuple(coords)
     if len(coords) != n:
         raise ValueError(f"expected {n} coordinates, got {len(coords)}")
-    shift = -(coords[-1] % (p - 1)) + coords[-1]
-    return WeightClass(p, n, tuple(c - shift for c in coords))
+    w = canonical(coords, p, n)
+    w.__init__(p, n, w.coords)  # the checks of a direct WeightClass(p, n, coords)
+    return w
+
+
+def canonical(coords: tuple[int, ...], p: int, n: int = 3) -> WeightClass:
+    """`canonicalize` without checks: the trusted path, for p-restricted
+    coordinates over a prime that a record or a factory has already checked."""
+    shift = coords[-1] - coords[-1] % (p - 1)
+    if shift:
+        coords = tuple(c - shift for c in coords)
+    return WeightClass.__new__(WeightClass, p, n, coords)
 
 
 def weight(p: int, *coords: int) -> WeightClass:
@@ -59,7 +81,7 @@ def weight(p: int, *coords: int) -> WeightClass:
 
 def dual(w: WeightClass) -> WeightClass:
     """Contragredient twisted back to a weight: reverse and negate."""
-    return canonicalize(tuple(-c for c in reversed(w.coords)), w.p, w.n)
+    return canonical(tuple(-c for c in reversed(w.coords)), w.p, w.n)
 
 
 def alcove(w: WeightClass) -> str:

@@ -428,3 +428,17 @@ def test_sweep_inputs_are_domain_errors(capsys, argv, message):
     code, out = outcome(capsys, ["sweep", *argv])
     assert code == 1
     assert message in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--p", "1", "--F", "1,2,3"],
+    ["predict", "--p", "1", "--orbit-rep", "5"],
+    ["breuil", "--p", "1", "--heights", "1,1,1", "--k0", "0"],
+    ["eliminate", "--p", "1", "--F", "3,2,1", "--orbit-rep", "5"],
+    ["cycle", "--p", "1", "--start", "3,2,1", "--xi", "123", "--mu", "5,3,1"],
+], ids=lambda argv: argv[0])
+def test_characteristic_one_is_refused_before_any_modulo(capsys, argv):
+    code, out = outcome(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError", "message":
+                                         "characteristic must be a prime >= 5, got 1"}}

@@ -1,6 +1,5 @@
 """Weight cycling: parameter normalization, closure, DOT emission."""
 
-import dataclasses
 import importlib
 import pkgutil
 import re
@@ -20,7 +19,7 @@ from gl3weights.cycling import (
     emit_dot,
     normalize_parameters,
 )
-from gl3weights.elimination import CONSISTENT, ELIMINATED
+from gl3weights.elimination import CONSISTENT, ELIMINATED, EliminationReport
 from gl3weights.predicted import (
     LOWER_FAMILY,
     SHADOW_FAMILY,
@@ -215,7 +214,8 @@ def test_cross_check_stays_on_the_path(monkeypatch):
         if w != flip_at:
             return report
         verdict = ELIMINATED if report.verdict == CONSISTENT else CONSISTENT
-        return dataclasses.replace(report, verdict=verdict)
+        return EliminationReport(report.weight, report.source, report.branch, verdict,
+                                 report.matched_orbit, report.lift_sets, report.intersection)
 
     clear_cycling_memos()
     monkeypatch.setattr(cycling, "eliminate", lying_eliminate)

@@ -39,6 +39,7 @@ print(json.dumps({
     "layers": sorted(m.split(".", 1)[1] for m in sys.modules
                      if m.startswith("gl3weights.") and m != "gl3weights.cli"),
     "fractions": "fractions" in sys.modules,
+    "record machinery": sorted({"dataclasses", "inspect"} & set(sys.modules)),
 }), file=sys.stderr)
 """
 
@@ -57,6 +58,7 @@ def test_command_loads_only_its_layers(argv, layers):
     assert seen["code"] == 0
     assert set(seen["layers"]) == layers
     assert seen["fractions"] == (argv[0] == "sweep")
+    assert seen["record machinery"] == []
 
 
 def test_bare_import_loads_no_layer():

@@ -1,0 +1,130 @@
+"""Value records: equality, hashing, immutability, pickling and repr of
+every record class, and the checks of every public factory."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from gl3weights import cycling
+from gl3weights.arith import decompose_exponent, exp_class, orbit_of
+from gl3weights.breuil import (
+    cuspidal,
+    cuspidal_dual,
+    principal_series,
+    reduction_candidates,
+    validate,
+)
+from gl3weights.cycling import CASE_DIRECT, cycle
+from gl3weights.elimination import eliminate
+from gl3weights.induction import MU_ONE, AntidominantCochar, levi_restriction
+from gl3weights.predicted import enumerate_predicted
+from gl3weights.slopes import hodge_data
+from gl3weights.tame_types import distinguish, tau, type_from_exponent
+from gl3weights.weights import canonicalize, weight
+
+P = 29
+
+
+def T():
+    return tau("123", (17, 9, 0), P)
+
+
+def W():
+    return weight(P, 15, 8, 0)
+
+
+# record class name -> a function building one instance afresh
+RECORDS = {
+    "ExpClass": lambda: exp_class(7, 3, 5),
+    "FrobOrbit": lambda: orbit_of(P, 3, 278),
+    "Decomposition": lambda: decompose_exponent(10, 7),
+    "WeightClass": W,
+    "TameType": T,
+    "DistinguishResult": lambda: distinguish((5, 3, 1), (5, 3, 1), 7),
+    "BreuilModule": lambda: validate(7, 3, 2, (0, 0, 0), (1, 7, 49)),
+    "LiftType": lambda: principal_series(P, (20, 10, 2)),
+    "ReductionCandidates": lambda: reduction_candidates(cuspidal(P, (20, 10, 2))),
+    "PredictedSet": lambda: enumerate_predicted(T()),
+    "AntidominantCochar": lambda: AntidominantCochar((0, 1, 1)),
+    "LeviWeight": lambda: levi_restriction(W(), MU_ONE),
+    "EliminationReport": lambda: eliminate(weight(P, 32, 16, 0), T()),
+    "CyclingGraph": lambda: cycle(T(), W()),
+    "_Frame": lambda: cycling._frame.__wrapped__(T(), CASE_DIRECT, (15, 8, 0)),
+    "HodgeData": lambda: hodge_data(3, 1, 1, [(2, 1, 0)], [0, 1, 2]),
+}
+UNHASHABLE = {"_Frame"}  # its steps field is a dict
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_semantics(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b
+    if name not in UNHASHABLE:
+        assert hash(a) == hash(b)
+    fields = a.__reduce__()[1]
+    assert a != fields and a != tuple(fields)
+    first = type(a).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, first, None)
+    with pytest.raises(AttributeError):
+        delattr(a, first)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a and copy.copy(a) == a
+
+
+def test_record_field_count_is_checked():
+    with pytest.raises(TypeError):
+        type(RECORDS["PredictedSet"]())(P, frozenset())
+    with pytest.raises(TypeError):
+        type(RECORDS["PredictedSet"]())(P, frozenset(), T(), extra=1)
+
+
+def test_records_repr_as_before():
+    assert repr(W()) == "WeightClass(p=29, n=3, coords=(15, 8, 0))"
+    assert repr(T()) == "TameType(p=29, chars=(FrobOrbit(p=29, d=3, rep=278, size=3),))"
+    assert repr(T().chars[0]) == "FrobOrbit(p=29, d=3, rep=278, size=3)"
+    assert repr(eliminate(W(), T())) == (
+        "EliminationReport(weight=WeightClass(p=29, n=3, coords=(15, 8, 0)), "
+        "source=TameType(p=29, chars=(FrobOrbit(p=29, d=3, rep=278, size=3),)), "
+        "branch='crystalline', verdict='consistent', matched_orbit=278, "
+        "lift_sets=None, intersection=None)"
+    )
+
+
+def test_weight_hash_equals_field_hash():
+    # the cached hash is the hash a dataclass would compute, so set order is unchanged
+    assert hash(W()) == hash((P, 3, (15, 8, 0)))
+    assert hash(T()) == hash((P, T().chars))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: weight(7, 9, 1, 0), "coordinates (9, 1, 0) are not p-restricted"),
+    (lambda: weight(9, 3, 2, 0), "characteristic must be a prime >= 5, got 9"),
+    (lambda: canonicalize((3, 2), 7), "expected 3 coordinates, got 2"),
+    (lambda: canonicalize((3, 2, 1), 1), "characteristic must be a prime >= 5, got 1"),
+    (lambda: exp_class(7, 4, 1), "niveau must be one of (1, 2, 3), got 4"),
+    (lambda: exp_class(1, 3, 5), "characteristic must be a prime >= 5, got 1"),
+    (lambda: tau("123", (5, 3, 1), 9), "characteristic must be a prime >= 5, got 9"),
+    (lambda: type_from_exponent(65537, 5),
+     "characteristic must be a prime below 65536, got 65537"),
+    (lambda: principal_series(4, (1, 2, 3)), "characteristic must be a prime >= 5, got 4"),
+    (lambda: cuspidal(9, (20, 10, 2)), "characteristic must be a prime >= 5, got 9"),
+    (lambda: cuspidal_dual(15, (20, 10, 2)), "characteristic must be a prime >= 5, got 15"),
+    (lambda: validate(7, 3, 6, (0, 0, 0), (0, 0, 0)), "weight bound r=6 must lie in [0, 5]"),
+    (lambda: hodge_data(3, 1, 1, [(2, 1, 0), (2, 1, 0)], [0, 0, 0]),
+     "need one tuple per embedding: 1, got 2"),
+    (lambda: hodge_data(3, 1, 1, [(0, 1, 2)], [Fraction(1, 2), 0, 0]),
+     "Hodge tuple (0, 1, 2) is not non-increasing"),
+], ids=["weight", "weight-p", "canonicalize", "canonicalize-p1", "exp_class", "exp_class-p1",
+        "tau", "type_from_exponent", "principal_series", "cuspidal", "cuspidal_dual",
+        "validate", "hodge_data", "hodge_data-order"])
+def test_factory_refuses_invalid_input(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
