@@ -71,10 +71,8 @@ class Record:
         cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
-    def __init__(self, *values, **named) -> None:
-        if named:
-            values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
-        if named or len(values) != len(self._fields):
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
         for put, value in zip(self._setters, values):
             put(self, value)

@@ -69,6 +69,17 @@ def validate(
     return BreuilModule(p, d, r, tuple(heights), ks)
 
 
+def descent_exponents(p: int, d: int, k0: int, heights: tuple[int, ...]) -> tuple[int, ...]:
+    """The descent exponents k_i = p (k_{i-1} + r_{i-1}) mod p^d - 1 from k_0."""
+    check_prime(p)
+    check_niveau(d)
+    e = p**d - 1
+    ks = [k0]
+    for i in range(1, d):
+        ks.append(p * (ks[-1] + heights[i - 1]) % e)
+    return tuple(ks)
+
+
 def _height_sum(m: BreuilModule, start: int) -> int:
     """sum_j r_{start+j} p^(d-1-j), indices mod d."""
     total = 0
@@ -99,9 +110,9 @@ def maximal_model(m: BreuilModule) -> BreuilModule:
     e = m.e
     kappa = inertial_character(m).value
     unit = e // (m.p - 1)
-    s = (kappa - m.r * unit) % e
-    ks = tuple(pow(m.p, i, e) * s % e for i in range(m.d))
-    return BreuilModule(m.p, m.d, m.r, (e * m.r,) * m.d, ks)
+    heights = (e * m.r,) * m.d
+    ks = descent_exponents(m.p, m.d, (kappa - m.r * unit) % e, heights)
+    return BreuilModule(m.p, m.d, m.r, heights, ks)
 
 
 def is_maximal(m: BreuilModule) -> bool:
@@ -118,6 +129,8 @@ def random_module(rng: random.Random, p: int, d: int, r: int) -> BreuilModule:
     All but the last height are free; the last is chosen among the
     residues in [0, e*r] making the cyclic divisibility hold.
     """
+    check_prime(p)
+    check_niveau(d)
     e = p**d - 1
     heights = [rng.randrange(0, e * r + 1) for _ in range(d - 1)]
     partial = sum(h * p ** (d - 1 - j) for j, h in enumerate(heights))
@@ -125,11 +138,8 @@ def random_module(rng: random.Random, p: int, d: int, r: int) -> BreuilModule:
     residue = (-partial) % e
     choices = range(residue, e * r + 1, e)
     heights.append(rng.choice(list(choices)) if choices else 0)
-    k0 = rng.randrange(0, e)
-    ks = [k0]
-    for i in range(1, d):
-        ks.append(p * (ks[-1] + heights[i - 1]) % e)
-    return validate(p, d, r, tuple(heights), tuple(ks))
+    ks = descent_exponents(p, d, rng.randrange(0, e), heights)
+    return validate(p, d, r, tuple(heights), ks)
 
 
 class LiftType(Record):
@@ -193,24 +203,25 @@ class ReductionCandidates(Record):
 
 
 def candidate_exponents(t: LiftType) -> list[int]:
-    """Candidate niveau-3 exponents of a lift, before reduction to orbit representatives."""
+    """Candidate niveau-3 exponents of a lift, before reduction to orbit representatives.
+
+    Those of the reversed digits at (a, b, c) are the twisted duals,
+    2(p^2+p+1) - n, of those n of the ascending digits at (-c, -b, -a)."""
     p = t.p
     a, b, c = t.params
+    if t.kind == CUSPIDAL_DUAL:
+        lift = LiftType.__new__(LiftType, CUSPIDAL, p, -c, -b, -a)
+        return [2 * (p * p + p + 1) - n for n in candidate_exponents(lift)]
     out: list[int] = []
     if t.kind == PRINCIPAL_SERIES:
         for a0, a1, a2 in TRIPLES_SHORT_PS:
             out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
             out.append((a + 2 - a2) + p * (b + 2 - a1) + p * p * (c + 2 - a0))
-    elif t.kind == CUSPIDAL:
+    else:
         for a0, a1, a2 in TRIPLES_SHORT_CUSP:
             out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
         for a0, a1, a2 in TRIPLES_SUM3:
             out.append((a + a0) + p * (b + a2) + p * p * (c + a1))
-    else:
-        for a0, a1, a2 in TRIPLES_SHORT_CUSP:
-            out.append((c + 2 - a0) + p * (a + 2 - a2) + p * p * (b + 2 - a1))
-        for a0, a1, a2 in TRIPLES_SUM3:
-            out.append((c + 2 - a0) + p * (b + 2 - a2) + p * p * (a + 2 - a1))
     return out
 
 
@@ -223,7 +234,11 @@ def reduction_candidates(t: LiftType) -> ReductionCandidates:
     digit patterns of the descent data contribute a family.
     """
     check_gaps(t)
+    return ReductionCandidates(t.p, candidate_orbits(t))
+
+
+def candidate_orbits(t: LiftType) -> frozenset[int]:
+    """The orbit representatives of `reduction_candidates(t)`, gaps unchecked."""
     # copied from a set, the frozenset gets a table sized to its members;
     # built straight from a generator it keeps the over-allocated one
-    reps = {orbit_rep(t.p, value) for value in candidate_exponents(t)}
-    return ReductionCandidates(t.p, frozenset(reps))
+    return frozenset({orbit_rep(t.p, value) for value in candidate_exponents(t)})

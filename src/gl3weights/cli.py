@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any
 
@@ -155,18 +156,13 @@ def handle_cycle(params: dict) -> dict | str:
 
 
 def handle_breuil(params: dict) -> dict:
-    from .arith import check_niveau, check_prime
-    from .breuil import inertial_character, is_maximal, is_minimal, maximal_model, validate
+    from .breuil import (descent_exponents, inertial_character, is_maximal, is_minimal,
+                         maximal_model, validate)
 
     p, d, r, heights = params["p"], params["d"], params["r"], params["heights"]
     exponents = params.get("exponents")
     if exponents is None:
-        check_prime(p)
-        check_niveau(d)
-        k = [params["k0"]]
-        for i in range(1, d):
-            k.append(p * (k[-1] + heights[i - 1]) % (p**d - 1))
-        exponents = tuple(k)
+        exponents = descent_exponents(p, d, params["k0"], heights)
     m = validate(p, d, r, heights, exponents)
     mx = maximal_model(m)
     return {
@@ -375,7 +371,14 @@ def run(argv: list[str] | None = None, stdin=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: no traceback, and no failed flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

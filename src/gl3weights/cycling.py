@@ -7,10 +7,14 @@ predicted set in exactly one class, that class is deduced and explored
 in turn.  For generic parameters this closure reaches all nine
 predicted weights.  The engine re-checks every membership decision
 against the elimination branch and refuses to continue on any
-disagreement, so a completed graph certifies both computations.
+disagreement.  Only at large-span weights are these two independent
+computations (membership rows against the intersection of the three
+lifts' reduction candidates), so only there does a completed graph
+certify both; at small-span weights, 15 of the 24 checks of each frame
+at p=29 and p=31, both read `predicted.membership_reps`.
 
 Everything that depends only on the type is computed once per type and
-memoized in bounded caches: the table parameters and a frame holding the
+kept in one bounded memo: a frame holding the table parameters, the
 nine-weight table and all 18 forced steps, in the orientation of the
 caller's type.  So each membership decision is cross-checked once per
 (type, weight), and the closure from each start is one BFS over the
@@ -27,10 +31,7 @@ from .arith import Record
 from .elimination import CONSISTENT, eliminate
 from .induction import implied_weights
 from .predicted import (
-    LOWER_FAMILY,
     PredictedSet,
-    SHADOW_FAMILY,
-    UPPER_FAMILY,
     in_table_range,
     is_predicted,
     membership_solution,
@@ -65,23 +66,11 @@ class CyclingGraph(Record):
 _TYPE_MEMO = 512
 
 
-@lru_cache(maxsize=_TYPE_MEMO)
 def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
     """All (a, b, c) in the table range, last coordinate in [0, p-2],
     whose attached type tau((1 2 3), (a+2, b+1, c)) is t."""
-    p = t.p
-    found = set()
-    for n in t.chars[0].elements():
-        a, b, c = membership_solution(p, n, XI_123, False)
-        if in_table_range(a, b, c, p):
-            found.add((a, b, c))
-    return tuple(sorted(found))
-
-
-@lru_cache(maxsize=_TYPE_MEMO)
-def _flipped(t: TameType) -> TameType:
-    """The type whose direct table the dual case of t reads."""
-    return dual_twist(t, 2)
+    found = {membership_solution(t.p, n, XI_123, False) for n in t.chars[0].elements()}
+    return tuple(sorted(abc for abc in found if in_table_range(*abc, t.p)))
 
 
 def normalize_parameters(
@@ -105,13 +94,8 @@ def normalize_parameters(
         raise ValueError(f"start weight {start} is not 4-generic")
     if not is_predicted(start, t):
         raise ValueError(f"start weight {start} is not predicted for the type")
-    direct = _table_parameter_solutions(t)
-    if direct:
-        return (CASE_DIRECT, direct[0])
-    flipped = _table_parameter_solutions(_flipped(t))
-    if flipped:
-        return (CASE_DUAL, flipped[0])
-    raise ValueError("type does not fit any generic nine-weight table")
+    frame = _frame(t)
+    return frame.case, frame.params
 
 
 def _checked_membership(v: WeightClass, t: TameType) -> bool:
@@ -128,12 +112,13 @@ def _checked_membership(v: WeightClass, t: TameType) -> bool:
 class _Frame(Record):
     """Everything a closure reads, in the orientation of the caller's type.
 
-    table: the nine weights; order: the table by the coordinates of the
-    direct orientation, which decides the reported stuck node; steps:
-    each table weight's (operator, forced weights) pairs in visiting order.
+    case and params: as `normalize_parameters` returns them; table: the
+    nine weights; order: the table by the coordinates of the direct
+    orientation, which decides the reported stuck node; steps: each table
+    weight's (operator, forced weights) pairs in visiting order.
     """
 
-    __slots__ = ("table", "order", "predicted", "families", "steps")
+    __slots__ = ("case", "params", "table", "order", "predicted", "families", "steps")
 
 
 def _by_coords(ws) -> tuple[WeightClass, ...]:
@@ -141,18 +126,18 @@ def _by_coords(ws) -> tuple[WeightClass, ...]:
 
 
 @lru_cache(maxsize=_TYPE_MEMO)
-def _frame(t: TameType, case: str, params: tuple[int, int, int]) -> _Frame:
-    if case == CASE_DUAL:
-        return _dual_frame(_frame(_flipped(t), CASE_DIRECT, params), t)
+def _frame(t: TameType) -> _Frame:
+    direct = _table_parameter_solutions(t)
+    if not direct:
+        flipped = dual_twist(t, 2)
+        if not _table_parameter_solutions(flipped):
+            raise ValueError("type does not fit any generic nine-weight table")
+        return _dual_frame(_frame(flipped), t)
+    params = direct[0]
     fams = nine_weight_families(*params, t.p)
     table = frozenset(w for fam in fams.values() for w in fam)
-    families = tuple(
-        sorted(
-            ((w, name) for name in (LOWER_FAMILY, UPPER_FAMILY, SHADOW_FAMILY)
-             for w in fams[name]),
-            key=lambda pair: pair[0].coords,
-        )
-    )
+    families = tuple(sorted(((w, name) for name, fam in fams.items() for w in fam),
+                            key=lambda pair: pair[0].coords))
     order = _by_coords(table)
     member: dict[WeightClass, bool] = {}
     steps = {}
@@ -170,7 +155,8 @@ def _frame(t: TameType, case: str, params: tuple[int, int, int]) -> _Frame:
         raise ConsistencyError(
             f"predicted weight {stray[0]} missing from the nine-weight table {params}"
         )
-    return _Frame(table, order, PredictedSet(t.p, table, t), families, steps)
+    return _Frame(CASE_DIRECT, params, table, order, PredictedSet(t.p, table, t), families,
+                  steps)
 
 
 def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
@@ -183,6 +169,8 @@ def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
     flip = {w: dual(w) for w in inner.table}
     table = frozenset(flip.values())
     return _Frame(
+        CASE_DUAL,
+        inner.params,
         table,
         tuple(flip[w] for w in inner.order),
         PredictedSet(t.p, table, t),
@@ -198,12 +186,12 @@ def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
 
 def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
     """Run the cycling closure from a strongly generic predicted weight."""
-    case, params = normalize_parameters(t, start)
-    frame = _frame(t, case, params)
+    normalize_parameters(t, start)
+    frame = _frame(t)
     table = frame.table
     if start not in table:
         raise ConsistencyError(
-            f"predicted start {start} missing from the nine-weight table {params}"
+            f"predicted start {start} missing from the nine-weight table {frame.params}"
         )
     steps = frame.steps
     nodes = {start}
@@ -227,9 +215,9 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
         status = STATUS_STUCK
         stuck_node = next(v for v in frame.order if v not in nodes)
         reason = f"closure reached {len(nodes)} of {len(table)} predicted weights"
-    return CyclingGraph(t.p, case, params, t, start, frozenset(nodes), tuple(edges),
-                        tuple(stalls), frame.families, frame.predicted, status, stuck_node,
-                        reason)
+    return CyclingGraph(t.p, frame.case, frame.params, t, start, frozenset(nodes),
+                        tuple(edges), tuple(stalls), frame.families, frame.predicted, status,
+                        stuck_node, reason)
 
 
 def emit_dot(g: CyclingGraph) -> str:
@@ -245,12 +233,7 @@ def emit_dot(g: CyclingGraph) -> str:
         if w == g.start:
             attrs.append("peripheries=2")
         lines.append(f'  "{w}" [{", ".join(attrs)}];')
-    seen = set()
     for u, v, j in sorted(g.edges, key=lambda e: (e[0].coords, e[1].coords, e[2])):
-        key = (u, v, j)
-        if key in seen:
-            continue
-        seen.add(key)
         lines.append(f'  "{u}" -> "{v}" [label="T{j}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

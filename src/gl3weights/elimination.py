@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arith import MEMO_SIZE, Record
-from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, LiftType, reduction_candidates
+from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, LiftType, candidate_orbits
 from .predicted import membership_reps
 from .tame_types import TameType
 from .weights import WeightClass
@@ -32,20 +32,11 @@ class UnsupportedWeight(ValueError):
 
 
 class EliminationReport(Record):
+    """A verdict and its evidence: lift_sets ((kind, candidate orbit set) per
+    lift) and intersection are None on the crystalline branch."""
+
     __slots__ = ("weight", "source", "branch", "verdict", "matched_orbit", "lift_sets",
                  "intersection")
-
-    def __init__(self, weight: WeightClass, source: TameType, branch: str, verdict: str,
-                 matched_orbit: int | None,
-                 lift_sets: tuple[tuple[str, frozenset[int]], ...] | None,
-                 intersection: frozenset[int] | None) -> None:
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "matched_orbit", matched_orbit)
-        object.__setattr__(self, "lift_sets", lift_sets)
-        object.__setattr__(self, "intersection", intersection)
 
 
 def _branch_of(w: WeightClass) -> str:
@@ -74,29 +65,19 @@ def lift_types_for(w: WeightClass) -> tuple[LiftType, LiftType, LiftType]:
     )
 
 
+# one memo for both readers: (kind, orbit set) per lift for the report,
+# and the tuple intersection_sets returns; lift_types_for satisfies the gaps
 @lru_cache(maxsize=MEMO_SIZE)
-def _intersection_data(
-    w: WeightClass,
-) -> tuple[tuple[tuple[str, frozenset[int]], ...], frozenset[int]]:
-    sets = []
-    for lift in lift_types_for(w):
-        sets.append((lift.kind, reduction_candidates(lift).orbit_reps))
-    inter = sets[0][1] & sets[1][1] & sets[2][1]
-    return tuple(sets), inter
+def _intersection_data(w: WeightClass) -> tuple[tuple, tuple[frozenset[int], ...]]:
+    lift_sets = tuple((lift.kind, candidate_orbits(lift)) for lift in lift_types_for(w))
+    sets = tuple(reps for _, reps in lift_sets)
+    return lift_sets, (*sets, sets[0] & sets[1] & sets[2])
 
 
-def intersection_sets(
-    w: WeightClass,
-) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
-    """Candidate orbit sets of the three lifts and their intersection."""
-    sets, inter = _intersection_data(w)
-    by_kind = dict(sets)
-    return (
-        by_kind[PRINCIPAL_SERIES],
-        by_kind[CUSPIDAL],
-        by_kind[CUSPIDAL_DUAL],
-        inter,
-    )
+def intersection_sets(w: WeightClass) -> tuple[frozenset[int], ...]:
+    """Candidate orbit sets of the three lifts, in the order of
+    `lift_types_for`, and their intersection."""
+    return _intersection_data(w)[1]
 
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
@@ -116,8 +97,9 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
         return EliminationReport(
             w, t, branch, verdict, rep if rep in allowed else None, None, None
         )
-    sets, inter = _intersection_data(w)
+    lift_sets, sets = _intersection_data(w)
+    inter = sets[3]
     verdict = CONSISTENT if rep in inter else ELIMINATED
     return EliminationReport(
-        w, t, branch, verdict, rep if rep in inter else None, sets, inter
+        w, t, branch, verdict, rep if rep in inter else None, lift_sets, inter
     )

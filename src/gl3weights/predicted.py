@@ -130,29 +130,21 @@ def nine_weight_families(
     """The predicted set of tau((1 2 3), (a+2, b+1, c)), by family.
 
     Lower-alcove members, their upper-alcove reflection partners
-    ("shadow"), and the remaining upper-alcove members.
+    ("shadow"), and the remaining upper-alcove members.  Each family is
+    one form of the parameters, taken over their theta-orbit.
     """
     if not in_table_range(a, b, c, p):
         raise ValueError(
             f"({a},{b},{c}) violates a-b > 5, b-c > 4, a-c < p-7 at p={p}"
         )
     check_prime(p)
-    lower = (
-        canonical((a, b, c), p),
-        canonical((c + p - 2, a, b + 1), p),
-        canonical((b, c - 1, a - p + 2), p),
-    )
-    upper = (
-        canonical((c + p - 2, b + 1, a - p + 1), p),
-        canonical((b + p - 1, a + 1, c - 1), p),
-        canonical((a, c, b - p + 1), p),
-    )
-    shadow = (
-        canonical((c + p - 2, b, a - p + 2), p),
-        canonical((b + p - 1, a, c), p),
-        canonical((a, c - 1, b - p + 2), p),
-    )
-    return {LOWER_FAMILY: lower, UPPER_FAMILY: upper, SHADOW_FAMILY: shadow}
+    turned = theta(a, b, c, p)
+    orbit = ((a, b, c), turned, theta(*turned, p))
+    return {
+        LOWER_FAMILY: tuple(canonical((x, y, z), p) for x, y, z in orbit),
+        UPPER_FAMILY: tuple(canonical((z + p - 2, y + 1, x - p + 1), p) for x, y, z in orbit),
+        SHADOW_FAMILY: tuple(canonical((z + p - 2, y, x - p + 2), p) for x, y, z in orbit),
+    }
 
 
 def nine_weight_table(a: int, b: int, c: int, p: int) -> PredictedSet:

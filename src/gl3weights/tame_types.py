@@ -77,6 +77,7 @@ def sum_of_characters(p: int, values: tuple[int, int, int]) -> TameType:
 
 def tau_exponent(xi: str, mu: tuple[int, int, int], p: int) -> int:
     """Niveau-3 exponent attached to (xi, mu): mu_{xi^0(1)} + p mu_{xi(1)} + p^2 mu_{xi^2(1)}."""
+    check_prime(p)
     m1, m2, m3 = mu
     if xi == XI_123:
         raw = m1 + p * m2 + p * p * m3
@@ -88,7 +89,6 @@ def tau_exponent(xi: str, mu: tuple[int, int, int], p: int) -> int:
 
 
 def tau(xi: str, mu: tuple[int, int, int], p: int) -> TameType:
-    check_prime(p)
     return type_from_exponent(p, tau_exponent(xi, mu, p))
 
 

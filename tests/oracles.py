@@ -17,6 +17,33 @@ from gl3weights.predicted import PredictedSet, is_predicted, nine_weight_familie
 from gl3weights.tame_types import XI_123, XI_132, TameType, tau_exponent
 from gl3weights.weights import WeightClass, canonicalize, dual
 
+# The library derives two tables from smaller data: the nine-weight
+# families as three forms rotated by theta (predicted.nine_weight_families)
+# and the cuspidal-dual candidates as the twisted dual of the cuspidal ones
+# (breuil.candidate_exponents).  These are the tables typed out by hand.
+
+
+def nine_weight_triples(a: int, b: int, c: int, p: int) -> dict[str, tuple]:
+    """The nine-weight families of tau((1 2 3), (a+2, b+1, c)), listed triple
+    by triple: lower-alcove members, remaining upper-alcove members, and the
+    upper-alcove reflection partners of the lower ones."""
+    return {
+        "lower": ((a, b, c), (c + p - 2, a, b + 1), (b, c - 1, a - p + 2)),
+        "upper": ((c + p - 2, b + 1, a - p + 1), (b + p - 1, a + 1, c - 1),
+                  (a, c, b - p + 1)),
+        "shadow": ((c + p - 2, b, a - p + 2), (b + p - 1, a, c), (a, c - 1, b - p + 2)),
+    }
+
+
+def cuspidal_dual_exponents(p: int, a: int, b: int, c: int) -> list[int]:
+    """The candidate exponents of the cuspidal-dual lift at (a, b, c): the
+    digits of the cuspidal table reversed and reflected, term by term."""
+    short = ((0, 2, 1), (1, 1, 1), (1, 2, 0))
+    sum3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    out = [(c + 2 - a0) + p * (a + 2 - a2) + p * p * (b + 2 - a1) for a0, a1, a2 in short]
+    out += [(c + 2 - a0) + p * (b + 2 - a2) + p * p * (a + 2 - a1) for a0, a1, a2 in sum3]
+    return out
+
 
 def split_solutions(n: int, p: int) -> list[tuple[str, int, int, int]]:
     """All (case, x, y, z) solving the three-digit split of n, by search.
@@ -183,6 +210,12 @@ def _by_coords(ws) -> tuple[WeightClass, ...]:
     return tuple(sorted(ws, key=lambda v: v.coords))
 
 
+def _graph(**fields) -> CyclingGraph:
+    """A CyclingGraph from named fields (records take positional fields only)."""
+    assert set(fields) == set(CyclingGraph._fields)
+    return CyclingGraph(*(fields[f] for f in CyclingGraph._fields))
+
+
 def closure_bfs(
     t: TameType, start: WeightClass, params: tuple[int, int, int],
     implied=implied_weights,
@@ -209,7 +242,7 @@ def closure_bfs(
             elif forced:
                 stalls.append((w, j, forced))
     missing = _by_coords(table - nodes)
-    return CyclingGraph(
+    return _graph(
         p=t.p,
         case=CASE_DIRECT,
         params=params,
@@ -234,7 +267,7 @@ def dualized_closure(g: CyclingGraph, t: TameType, start: WeightClass) -> Cyclin
     swapped, list order kept, stalls and families re-sorted by coordinates.
     """
     swap = {1: 2, 2: 1}
-    return CyclingGraph(
+    return _graph(
         p=g.p,
         case=CASE_DUAL,
         params=g.params,

@@ -186,6 +186,7 @@ def test_criterion_03_cycling_completeness(capsys):
                 stalled = {(u, j) for (u, j, _) in g.non_singletons}
                 assert not traversed & stalled, (p, (a, b, c), start)
                 assert len(g.edges) == 12 and len(g.non_singletons) == 6
+                assert len(set(g.edges)) == len(g.edges), (p, (a, b, c), start)
             n += 1
         totals[p] = n
     dt = time.monotonic() - t0

@@ -6,6 +6,7 @@ import pytest
 
 from gl3weights.breuil import (
     BreuilModule,
+    candidate_exponents,
     cuspidal,
     cuspidal_dual,
     fractional_shift,
@@ -19,6 +20,8 @@ from gl3weights.breuil import (
     validate,
 )
 from gl3weights.tame_types import dual_twist, type_from_exponent
+
+from oracles import cuspidal_dual_exponents
 
 
 def test_validate_examples():
@@ -111,6 +114,17 @@ def test_cuspidal_dual_is_twisted_dual_of_cuspidal():
         }
         bwd = reduction_candidates(cuspidal_dual(p, (a, b, c)))
         assert twisted == set(bwd.orbit_reps)
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 29])
+def test_cuspidal_dual_matches_the_hand_written_table(p):
+    # every gap triple a-b > 2, b-c > 2, a-c < p-3 over two periods of c
+    for g1 in range(3, p):
+        for g2 in range(3, p - 3 - g1):
+            for c in range(-p, p):
+                a, b = c + g1 + g2, c + g2
+                got = candidate_exponents(cuspidal_dual(p, (a, b, c)))
+                assert got == cuspidal_dual_exponents(p, a, b, c), (p, a, b, c)
 
 
 def test_candidate_digit_sum_rule():

@@ -305,6 +305,22 @@ def test_query_domain_error_keeps_exit_1(capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    # the reader closes its end before any output; buffered, the document
+    # fails in the final flush, unbuffered in print
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    args = ["cycle", "--p", "29", "--xi", "123", "--mu", "17,9,0", "--start", "15,8,0"]
+    proc = subprocess.Popen([sys.executable, "-m", "gl3weights", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 def test_huge_prime_is_refused_quickly():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)

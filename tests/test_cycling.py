@@ -179,6 +179,10 @@ def test_every_memo_is_bounded():
         assert memo.cache_info().maxsize is not None, memo
 
 
+def test_one_memo_per_type():
+    assert cycling_memos() == [cycling._frame]
+
+
 @pytest.mark.parametrize("p", [29, 31])
 def test_table_parameters_match_scan(p):
     c2 = p * p + p + 1
@@ -235,7 +239,9 @@ def test_dual_form_matches_witness():
         start = nine_weight_table(a, b, c, 29).sorted_weights()[k % 9]
         td = dual_twist(t, 2)
         want = dualized_closure(cycle(t, start), td, dual(start))
-        assert cycle(td, dual(start)) == want, (a, b, c)
+        got = cycle(td, dual(start))
+        assert got == want, (a, b, c)
+        assert len(set(got.edges)) == len(got.edges), (a, b, c)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gl3weights.breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES
+from gl3weights.breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, reduction_candidates
 from gl3weights.elimination import (
     BRANCH_CRYSTALLINE,
     BRANCH_INTERSECTION,
@@ -60,6 +60,18 @@ def test_intersection_matches_closed_form():
         w = weight(29, *coords)
         _, _, _, inter = intersection_sets(w)
         assert inter == surviving_family_reps(w)
+
+
+@pytest.mark.parametrize("p", [17, 29, 53])
+def test_large_span_lifts_pass_the_gap_check(p):
+    # the intersection reads the candidates without the gap check of
+    # reduction_candidates; the gaps depend on the differences only
+    for g1 in range(1, p - 5):
+        for g2 in range(max(1, p + 2 - g1), p - 5):
+            w = weight(p, g1 + g2, g2, 0)
+            sets = intersection_sets(w)
+            assert sets[:3] == tuple(reduction_candidates(lift).orbit_reps
+                                     for lift in lift_types_for(w)), w.coords
 
 
 def test_closed_form_families():

@@ -18,7 +18,12 @@ from gl3weights.predicted import (
 from gl3weights.tame_types import XI_123, XI_132, dual_twist, iso, tau, type_from_exponent
 from gl3weights.weights import WeightClass, alcove, dual, is_generic, shadow_inverse, weight
 
-from oracles import enumerate_predicted_bruteforce, enumerate_predicted_rowscan
+from oracles import (
+    enumerate_predicted_bruteforce,
+    enumerate_predicted_rowscan,
+    nine_weight_triples,
+)
+from test_acceptance import _table_triples
 
 
 def the_table_type(p=29, abc=(15, 8, 0)):
@@ -132,6 +137,15 @@ def test_theta_example():
     a, b, c = 15, 8, 0
     t3 = theta(*theta(*theta(a, b, c, 29), 29), 29)
     assert t3 == (a + 28, b + 28, c + 28)
+
+
+@pytest.mark.parametrize("p", [29, 31])
+def test_families_match_the_hand_written_triples(p):
+    # the theta-rotated forms, family by family and in listed order
+    for a, b, c in _table_triples(p):
+        want = {name: tuple(weight(p, *v) for v in vs)
+                for name, vs in nine_weight_triples(a, b, c, p).items()}
+        assert nine_weight_families(a, b, c, p) == want, (a, b, c)
 
 
 def test_theta_preserves_type_and_permutes_families():

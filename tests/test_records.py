@@ -3,6 +3,7 @@ every record class, and the checks of every public factory."""
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,15 +14,16 @@ from gl3weights.breuil import (
     cuspidal,
     cuspidal_dual,
     principal_series,
+    random_module,
     reduction_candidates,
     validate,
 )
-from gl3weights.cycling import CASE_DIRECT, cycle
+from gl3weights.cycling import cycle
 from gl3weights.elimination import eliminate
 from gl3weights.induction import MU_ONE, AntidominantCochar, levi_restriction
 from gl3weights.predicted import enumerate_predicted
 from gl3weights.slopes import hodge_data
-from gl3weights.tame_types import distinguish, tau, type_from_exponent
+from gl3weights.tame_types import distinguish, tau, tau_exponent, type_from_exponent
 from gl3weights.weights import canonicalize, weight
 
 P = 29
@@ -51,7 +53,7 @@ RECORDS = {
     "LeviWeight": lambda: levi_restriction(W(), MU_ONE),
     "EliminationReport": lambda: eliminate(weight(P, 32, 16, 0), T()),
     "CyclingGraph": lambda: cycle(T(), W()),
-    "_Frame": lambda: cycling._frame.__wrapped__(T(), CASE_DIRECT, (15, 8, 0)),
+    "_Frame": lambda: cycling._frame.__wrapped__(T()),
     "HodgeData": lambda: hodge_data(3, 1, 1, [(2, 1, 0)], [0, 1, 2]),
 }
 UNHASHABLE = {"_Frame"}  # its steps field is a dict
@@ -110,19 +112,22 @@ def test_weight_hash_equals_field_hash():
     (lambda: exp_class(7, 4, 1), "niveau must be one of (1, 2, 3), got 4"),
     (lambda: exp_class(1, 3, 5), "characteristic must be a prime >= 5, got 1"),
     (lambda: tau("123", (5, 3, 1), 9), "characteristic must be a prime >= 5, got 9"),
+    (lambda: tau_exponent("123", (1, 2, 3), 1), "characteristic must be a prime >= 5, got 1"),
     (lambda: type_from_exponent(65537, 5),
      "characteristic must be a prime below 65536, got 65537"),
     (lambda: principal_series(4, (1, 2, 3)), "characteristic must be a prime >= 5, got 4"),
     (lambda: cuspidal(9, (20, 10, 2)), "characteristic must be a prime >= 5, got 9"),
     (lambda: cuspidal_dual(15, (20, 10, 2)), "characteristic must be a prime >= 5, got 15"),
     (lambda: validate(7, 3, 6, (0, 0, 0), (0, 0, 0)), "weight bound r=6 must lie in [0, 5]"),
+    (lambda: random_module(random.Random(0), 1, 3, 2),
+     "characteristic must be a prime >= 5, got 1"),
     (lambda: hodge_data(3, 1, 1, [(2, 1, 0), (2, 1, 0)], [0, 0, 0]),
      "need one tuple per embedding: 1, got 2"),
     (lambda: hodge_data(3, 1, 1, [(0, 1, 2)], [Fraction(1, 2), 0, 0]),
      "Hodge tuple (0, 1, 2) is not non-increasing"),
 ], ids=["weight", "weight-p", "canonicalize", "canonicalize-p1", "exp_class", "exp_class-p1",
-        "tau", "type_from_exponent", "principal_series", "cuspidal", "cuspidal_dual",
-        "validate", "hodge_data", "hodge_data-order"])
+        "tau", "tau_exponent-p1", "type_from_exponent", "principal_series", "cuspidal",
+        "cuspidal_dual", "validate", "random_module-p1", "hodge_data", "hodge_data-order"])
 def test_factory_refuses_invalid_input(make, message):
     with pytest.raises(ValueError) as info:
         make()
