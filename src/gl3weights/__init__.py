@@ -21,17 +21,15 @@ _EXPORTS = {
     "arith": "CASE_I CASE_II DIVISIBLE Decomposition ExpClass FrobOrbit decompose_exponent"
              " embed_niveau exp_class niveau_of orbit orbit_of orbit_rep",
     "weights": "WeightClass alcove canonicalize dim_weight dual is_delta_generic is_generic"
-               " is_strongly_generic shadow shadow_inverse weight weyl_dim",
+               " shadow shadow_inverse weight weyl_dim",
     "tame_types": "FORCED HYPOTHESIS_VIOLATED NOT_ISOMORPHIC TameType distinguish dual_twist"
-                  " gap_interval_condition iso sum_of_characters tau tau_exponent"
-                  " type_from_exponent",
-    "breuil": "BreuilModule LiftType ReductionCandidates cuspidal cuspidal_dual"
-              " fractional_shift inertial_character is_maximal is_minimal maximal_model"
-              " principal_series random_module reduction_candidates validate",
+                  " iso tau tau_exponent type_from_exponent",
+    "breuil": "BreuilModule LiftType cuspidal cuspidal_dual fractional_shift"
+              " inertial_character is_maximal is_minimal maximal_model principal_series"
+              " random_module validate",
     "predicted": "PredictedSet enumerate_predicted is_predicted nine_weight_families"
                  " nine_weight_table theta",
-    "induction": "AntidominantCochar LeviWeight MU_ONE MU_TWO implied_weights"
-                 " induction_constituents levi_restriction",
+    "induction": "AntidominantCochar implied_weights",
     "elimination": "CONSISTENT ELIMINATED EliminationReport UnsupportedWeight eliminate"
                    " intersection_sets lift_types_for",
     "cycling": "ConsistencyError CyclingGraph cycle emit_dot normalize_parameters",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 
 from .arith import ExpClass, Record, check_niveau, check_prime, exp_class, orbit_rep
-from .tame_types import TameType, type_from_exponent
 
 PRINCIPAL_SERIES = "principal_series"
 CUSPIDAL = "cuspidal"
@@ -148,7 +147,8 @@ class LiftType(Record):
     kind selects the digit layout of the characteristic-zero type:
     a sum of three tame characters (principal series), a niveau-3
     character with ascending digits (a, b, c), or one with the digits
-    reversed (c, b, a).
+    reversed (c, b, a).  The checked constructor, which every factory
+    calls, also requires the gaps a-b > 2, b-c > 2 and a-c < p-3.
     """
 
     __slots__ = ("kind", "p", "a", "b", "c")
@@ -166,6 +166,10 @@ class LiftType(Record):
         check_prime(p)
         if kind not in (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL):
             raise ValueError(f"unknown lift kind {kind!r}")
+        if not (a - b > 2 and b - c > 2 and a - c < p - 3):
+            raise ValueError(
+                f"parameters {(a, b, c)} violate a-b > 2, b-c > 2, a-c < p-3 at p={p}"
+            )
 
     @property
     def params(self) -> tuple[int, int, int]:
@@ -183,23 +187,6 @@ def cuspidal(p: int, params: tuple[int, int, int]) -> LiftType:
 
 def cuspidal_dual(p: int, params: tuple[int, int, int]) -> LiftType:
     return LiftType(CUSPIDAL_DUAL, p, *params)
-
-
-def check_gaps(t: LiftType) -> None:
-    a, b, c = t.params
-    if not (a - b > 2 and b - c > 2 and a - c < t.p - 3):
-        raise ValueError(
-            f"parameters {t.params} violate a-b > 2, b-c > 2, a-c < p-3 at p={t.p}"
-        )
-
-
-class ReductionCandidates(Record):
-    """Set of niveau-3 Frobenius orbits arising in mod-p reductions."""
-
-    __slots__ = ("p", "orbit_reps")
-
-    def types(self) -> tuple[TameType, ...]:
-        return tuple(type_from_exponent(self.p, rep) for rep in sorted(self.orbit_reps))
 
 
 def candidate_exponents(t: LiftType) -> list[int]:
@@ -225,7 +212,7 @@ def candidate_exponents(t: LiftType) -> list[int]:
     return out
 
 
-def reduction_candidates(t: LiftType) -> ReductionCandidates:
+def candidate_orbits(t: LiftType) -> frozenset[int]:
     """All inertial exponents of rank-one subquotients of reductions.
 
     Each candidate is the niveau-3 exponent of a character that can
@@ -233,12 +220,6 @@ def reduction_candidates(t: LiftType) -> ReductionCandidates:
     collected as Frobenius orbit representatives.  Both admissible
     digit patterns of the descent data contribute a family.
     """
-    check_gaps(t)
-    return ReductionCandidates(t.p, candidate_orbits(t))
-
-
-def candidate_orbits(t: LiftType) -> frozenset[int]:
-    """The orbit representatives of `reduction_candidates(t)`, gaps unchecked."""
     # copied from a set, the frozenset gets a table sized to its members;
     # built straight from a generator it keeps the over-allocated one
     return frozenset({orbit_rep(t.p, value) for value in candidate_exponents(t)})

@@ -38,47 +38,6 @@ class AntidominantCochar(Record):
         return sum(self.entries)
 
 
-MU_ONE = AntidominantCochar((0, 0, 1))
-MU_TWO = AntidominantCochar((0, 1, 1))
-
-
-class LeviWeight(Record):
-    """Weight of a maximal Levi of GL_3, blocks in canonical form."""
-
-    __slots__ = ("shape", "blocks")
-
-    def __init__(self, shape: str, blocks: tuple[WeightClass, WeightClass]) -> None:
-        if shape not in (SHAPE_2_1, SHAPE_1_2):
-            raise ValueError(f"unknown shape {shape!r}")
-        ranks = tuple(b.n for b in blocks)
-        want = (2, 1) if shape == SHAPE_2_1 else (1, 2)
-        if ranks != want:
-            raise ValueError(f"blocks of shape {shape} must have ranks {want}")
-        if blocks[0].p != blocks[1].p:
-            raise ValueError("blocks live over different characteristics")
-        Record.__init__(self, shape, blocks)
-
-    @property
-    def p(self) -> int:
-        return self.blocks[0].p
-
-
-def levi_restriction(w: WeightClass, mu: AntidominantCochar) -> LeviWeight:
-    """Split a rank-3 weight into the Levi blocks cut out by mu."""
-    if w.n != 3:
-        raise ValueError("Levi restriction is defined for rank 3 only")
-    if len(mu.entries) != 3:
-        raise ValueError("cocharacter rank must be 3")
-    cut = 3 - mu.level
-    left, right = w.coords[:cut], w.coords[cut:]
-    blocks = (
-        canonicalize(left, w.p, len(left)),
-        canonicalize(right, w.p, len(right)),
-    )
-    shape = SHAPE_2_1 if cut == 2 else SHAPE_1_2
-    return LeviWeight(shape, blocks)
-
-
 def _short(a: int, b: int, c: int, p: int) -> tuple[tuple[int, int, int], ...]:
     return ((b, c, a - p + 1), (b + p - 1, a, c), (a, b, c))
 
@@ -152,17 +111,12 @@ def _induced(
     )
 
 
-def induction_constituents(levi: LeviWeight) -> tuple[WeightClass, ...]:
-    """Constituents of the parabolic induction of the Levi weight."""
-    coords = levi.blocks[0].coords + levi.blocks[1].coords
-    return tuple(canonicalize(v, levi.p) for v in _induced(levi.shape, coords, levi.p))
-
-
 def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
     """Weights forced to be modular when the level-j operator is not
     invertible at w: the constituents of the induction of the Levi
-    restriction of w along MU_j (MU_ONE for j = 1, MU_TWO for j = 2),
-    other than w itself, which is the last constituent.
+    restriction of w along the cocharacter (0,0,1) for j = 1, or
+    (0,1,1) for j = 2, other than w itself, which is the last
+    constituent.
 
     Defined for w strictly inside the closure of the lower alcove
     (x - y > 0, y - z > 0, x - z < p - 1) or strictly in the upper

@@ -173,13 +173,11 @@ def sweep_candidates(rng: random.Random, p: int, failures: list[dict]) -> None:
             if (value - (a + b + c + 3)) % (p - 1):
                 _fail(failures, params=list(params), kind=lift.kind,
                       value=value, reason="determinant digit sum")
-    fwd = breuil.reduction_candidates(breuil.cuspidal(p, (-c, -b, -a)))
+    fwd = breuil.candidate_orbits(breuil.cuspidal(p, (-c, -b, -a)))
     twisted = frozenset(
-        tt.dual_twist(tt.type_from_exponent(p, rep), 2).chars[0].rep
-        for rep in fwd.orbit_reps
+        tt.dual_twist(tt.type_from_exponent(p, rep), 2).chars[0].rep for rep in fwd
     )
-    bwd = breuil.reduction_candidates(breuil.cuspidal_dual(p, params))
-    if twisted != bwd.orbit_reps:
+    if twisted != breuil.candidate_orbits(breuil.cuspidal_dual(p, params)):
         _fail(failures, params=list(params), reason="cuspidal duality broken")
 
 
@@ -274,30 +272,34 @@ def sweep_slopes(rng: random.Random, p: int, failures: list[dict]) -> None:
         _fail(failures, reason="criticality tag mismatch")
 
 
-# name -> (check, exhaustive, smallest prime): an exhaustive check takes
-# p and returns (checks, failures); a randomized one checks the instance
-# its rng draws.  Below the smallest prime, a randomized suite's draws
-# (such as the table triples of `cycling`) have empty ranges.
+# name -> (check, largest prime, smallest prime).  An exhaustive check
+# takes p and returns (checks, failures); its work grows like p^2, so its
+# row names the largest prime it accepts (decompose: about 10 s at 1021).
+# A randomized check (None there) checks the instance its rng draws, and at
+# most COUNT_LIMIT run (cycling, the slowest: about 65 s at p = 29, 4 min
+# at p = 1009).  Below the smallest prime, a randomized suite's draws (such
+# as the table triples of `cycling`) have empty ranges.
 SUITES = {
-    "decompose": (sweep_decompose, True, 5),
-    "orbits": (sweep_orbits, False, 5),
-    "weights": (sweep_weights, False, 5),
-    "tame": (sweep_tame, False, 5),
-    "breuil": (sweep_breuil, False, 5),
-    "candidates": (sweep_candidates, False, 11),
-    "predicted": (sweep_predicted, False, 5),
-    "elimination": (sweep_elimination, False, 17),
-    "cycling": (sweep_cycling, False, 19),
-    "slopes": (sweep_slopes, False, 5),
+    "decompose": (sweep_decompose, 1021, 5),
+    "orbits": (sweep_orbits, None, 5),
+    "weights": (sweep_weights, None, 5),
+    "tame": (sweep_tame, None, 5),
+    "breuil": (sweep_breuil, None, 5),
+    "candidates": (sweep_candidates, None, 11),
+    "predicted": (sweep_predicted, None, 5),
+    "elimination": (sweep_elimination, None, 17),
+    "cycling": (sweep_cycling, None, 19),
+    "slopes": (sweep_slopes, None, 5),
 }
+COUNT_LIMIT = 100_000
 
 
 def _run_instances(
     name: str, p: int, seed: int, start: int, stop: int
 ) -> tuple[int, list[dict]]:
     """Instances start..stop-1 of a suite; an exhaustive suite runs whole."""
-    check, exhaustive, _floor = SUITES[name]
-    if exhaustive:
+    check, largest, _floor = SUITES[name]
+    if largest:
         return check(p)
     failures: list[dict] = []
     for i in range(start, stop):
@@ -317,16 +319,20 @@ def run_suite(
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    _check, exhaustive, floor = SUITES[name]
+    _check, largest, floor = SUITES[name]
     arith.check_prime(p)
     if p < floor:
         raise ValueError(f"suite {name!r} needs p >= {floor}, got {p}")
+    if largest and p > largest:
+        raise ValueError(f"suite {name!r} needs p <= {largest}, got {p}")
     if count < 0:
         raise ValueError(f"count must be at least 0, got {count}")
+    if count > COUNT_LIMIT:
+        raise ValueError(f"count must be at most {COUNT_LIMIT}, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, count, os.cpu_count() or 1)
-    if jobs <= 1 or exhaustive:
+    if jobs <= 1 or largest:
         return _run_instances(name, p, seed, 0, count)
     from concurrent.futures import ProcessPoolExecutor
 

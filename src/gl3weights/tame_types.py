@@ -9,7 +9,7 @@ triple mu collect the orbit of the exponent sum_i mu_{xi^i(1)} p^i.
 
 from __future__ import annotations
 
-from .arith import FrobOrbit, Record, check_niveau, check_prime, exp_class, orbit
+from .arith import FrobOrbit, Record, check_prime, exp_class, orbit
 
 XI_123 = "123"  # cycle sending 1 -> 2 -> 3 -> 1
 XI_132 = "132"  # cycle sending 1 -> 3 -> 2 -> 1
@@ -66,13 +66,6 @@ def type_from_exponent(p: int, value: int) -> TameType:
     o = orbit(exp_class(p, 3, value))
     # degenerate: psi has niveau 1, the sum is three copies
     return TameType.__new__(TameType, p, (o,) if o.size == 3 else (o, o, o))
-
-
-def sum_of_characters(p: int, values: tuple[int, int, int]) -> TameType:
-    """Type given by three niveau-1 exponents, embedded at niveau 3."""
-    scale = p * p + p + 1
-    orbits = [orbit(exp_class(p, 3, v * scale)) for v in values]
-    return TameType(p, tuple(sorted(orbits, key=lambda o: o.rep)))
 
 
 def tau_exponent(xi: str, mu: tuple[int, int, int], p: int) -> int:
@@ -144,31 +137,3 @@ def distinguish(
                 f"rigidity failure: tau({xi1},{abc}) = tau({xi2},{xyz}) at p={p}"
             )
     return DistinguishResult(FORCED, tuple(matches))
-
-
-def gap_interval_condition(
-    exponents: tuple[int, ...], p: int, d: int, r: int
-) -> bool:
-    """Pairwise-difference test for irreducible mod-p reduction.
-
-    With e = p^d - 1 the test asks that (a_j - a_l)/p mod e land in the
-    open interval (e r/(p-1), e (p-1-r)/(p-1)) for every pair j != l.
-    Division by p is exact modulo e.  Requires r < (p-1)/2 so that the
-    interval is nonempty.
-    """
-    check_prime(p)
-    check_niveau(d)
-    if not 0 <= 2 * r < p - 1:
-        raise ValueError(f"weight bound r={r} must satisfy 0 <= r < (p-1)/2")
-    e = p**d - 1
-    unit = e // (p - 1)
-    lo, hi = r * unit, (p - 1 - r) * unit
-    inv_p = pow(p, d - 1, e)
-    for j, aj in enumerate(exponents):
-        for l, al in enumerate(exponents):
-            if j == l:
-                continue
-            v = (aj - al) * inv_p % e
-            if not lo < v < hi:
-                return False
-    return True

@@ -126,10 +126,6 @@ def is_generic(w: WeightClass) -> bool:
     return is_delta_generic(w, 4)
 
 
-def is_strongly_generic(w: WeightClass) -> bool:
-    return is_delta_generic(w, 6)
-
-
 def weyl_dim(x: int, y: int, z: int) -> int:
     """Dimension of the rank-3 dual Weyl module of (x, y, z)."""
     return (x - y + 1) * (y - z + 1) * (x - z + 2) // 2

@@ -47,7 +47,6 @@ from gl3weights import (
     ordinarity_threshold,
     principal_series,
     random_module,
-    reduction_candidates,
     slope_criticality,
     tau,
     theta,
@@ -55,6 +54,7 @@ from gl3weights import (
     validate,
     weight,
 )
+from gl3weights.breuil import candidate_orbits
 from gl3weights.induction import constituents_long, constituents_short
 from gl3weights.slopes import ABOVE_BOUND, BELOW_BOUND, CRITICAL
 
@@ -321,7 +321,7 @@ def test_criterion_07_candidate_digit_sums(capsys):
                     cuspidal(p, (a, b, c)),
                     cuspidal_dual(p, (a, b, c)),
                 ):
-                    for rep in reduction_candidates(t).orbit_reps:
+                    for rep in candidate_orbits(t):
                         d0, rest = rep % p, rep // p
                         d1, d2 = rest % p, rest // p
                         assert rep < e and (d0 + d1 + d2) % (p - 1) == want

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from gl3weights.breuil import (
+    CUSPIDAL,
     BreuilModule,
+    LiftType,
     candidate_exponents,
+    candidate_orbits,
     cuspidal,
     cuspidal_dual,
     fractional_shift,
@@ -16,7 +19,6 @@ from gl3weights.breuil import (
     maximal_model,
     principal_series,
     random_module,
-    reduction_candidates,
     validate,
 )
 from gl3weights.tame_types import dual_twist, type_from_exponent
@@ -93,27 +95,23 @@ def test_kappa_invariance_random():
 
 def test_principal_series_candidates_example():
     t = principal_series(17, (8, 4, 0))
-    cand = reduction_candidates(t)
-    assert len(cand.orbit_reps) == 6
+    cand = candidate_orbits(t)
+    assert len(cand) == 6
     member = 9 + 17 * 1 + 289 * 5
-    assert type_from_exponent(17, member).chars[0].rep in cand.orbit_reps
+    assert type_from_exponent(17, member).chars[0].rep in cand
 
 
 def test_cuspidal_candidates_example():
-    cand = reduction_candidates(cuspidal(17, (8, 4, 0)))
-    assert len(cand.orbit_reps) == 10
-    assert all(t.is_irreducible() for t in cand.types())
+    cand = candidate_orbits(cuspidal(17, (8, 4, 0)))
+    assert len(cand) == 10
+    assert all(type_from_exponent(17, rep).is_irreducible() for rep in cand)
 
 
 def test_cuspidal_dual_is_twisted_dual_of_cuspidal():
     for p, (a, b, c) in ((17, (8, 4, 0)), (29, (14, 7, 0)), (29, (20, 12, 5))):
-        fwd = reduction_candidates(cuspidal(p, (-c, -b, -a)))
-        twisted = {
-            dual_twist(type_from_exponent(p, rep), 2).orbit_rep()
-            for rep in fwd.orbit_reps
-        }
-        bwd = reduction_candidates(cuspidal_dual(p, (a, b, c)))
-        assert twisted == set(bwd.orbit_reps)
+        fwd = candidate_orbits(cuspidal(p, (-c, -b, -a)))
+        twisted = {dual_twist(type_from_exponent(p, rep), 2).orbit_rep() for rep in fwd}
+        assert twisted == candidate_orbits(cuspidal_dual(p, (a, b, c)))
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 29])
@@ -134,16 +132,26 @@ def test_candidate_digit_sum_rule():
     for p, params in ((17, (8, 4, 0)), (29, (15, 8, 0))):
         a, b, c = params
         for maker in (principal_series, cuspidal, cuspidal_dual):
-            for rep in reduction_candidates(maker(p, params)).orbit_reps:
+            for rep in candidate_orbits(maker(p, params)):
                 d = decompose_exponent(rep, p)
                 assert sum(d.coords) % (p - 1) == (a + b + c + 3) % (p - 1)
 
 
 def test_gap_hypothesis_enforced():
+    # every factory goes through the checked constructor
     with pytest.raises(ValueError, match="violate"):
-        reduction_candidates(principal_series(17, (8, 6, 0)))
+        principal_series(17, (8, 6, 0))
     with pytest.raises(ValueError, match="violate"):
-        reduction_candidates(cuspidal(17, (15, 8, 0)))  # a-c = 15 > p-3
+        cuspidal(17, (15, 8, 0))  # a-c = 15 > p-3
+    with pytest.raises(ValueError, match="violate"):
+        cuspidal_dual(17, (8, 4, 2))
+    # the prime and the kind are checked first
+    with pytest.raises(ValueError, match="prime"):
+        cuspidal(9, (15, 8, 0))
+    with pytest.raises(ValueError, match="unknown lift kind"):
+        LiftType("nope", 17, 15, 8, 0)
+    # the trusted path runs no check
+    assert LiftType.__new__(LiftType, CUSPIDAL, 17, 15, 8, 0).params == (15, 8, 0)
 
 
 def test_random_module_is_valid():

@@ -392,6 +392,8 @@ FLAG_FORMS = [
     (["sweep", "--suite", "cycling", "--p", "17", "--count", "2"], "sweep",
      {"suite": "cycling", "p": 17, "count": 2}),
     (["sweep", "--suite", "nope"], "sweep", {"suite": "nope"}),
+    (["sweep", "--suite", "decompose", "--p", "1031"], "sweep", {"suite": "decompose", "p": 1031}),
+    (["sweep", "--count", "100001"], "sweep", {"count": 100001}),
 ]
 
 
@@ -439,6 +441,9 @@ def test_unknown_envelope_key_is_usage_error(capsys):
     (["--suite", "cycling", "--p", "17"], "suite 'cycling' needs p >= 19, got 17"),
     (["--suite", "elimination", "--p", "13"], "needs p >= 17, got 13"),
     (["--suite", "candidates", "--p", "7"], "needs p >= 11, got 7"),
+    (["--suite", "decompose", "--p", "1031"], "suite 'decompose' needs p <= 1021, got 1031"),
+    (["--suite", "cycling", "--p", "29", "--count", "100001"],
+     "count must be at most 100000, got 100001"),
 ])
 def test_sweep_inputs_are_domain_errors(capsys, argv, message):
     code, out = outcome(capsys, ["sweep", *argv])

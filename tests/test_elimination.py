@@ -2,7 +2,13 @@
 
 import pytest
 
-from gl3weights.breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, reduction_candidates
+from gl3weights.breuil import (
+    CUSPIDAL,
+    CUSPIDAL_DUAL,
+    PRINCIPAL_SERIES,
+    LiftType,
+    candidate_orbits,
+)
 from gl3weights.elimination import (
     BRANCH_CRYSTALLINE,
     BRANCH_INTERSECTION,
@@ -64,14 +70,14 @@ def test_intersection_matches_closed_form():
 
 @pytest.mark.parametrize("p", [17, 29, 53])
 def test_large_span_lifts_pass_the_gap_check(p):
-    # the intersection reads the candidates without the gap check of
-    # reduction_candidates; the gaps depend on the differences only
+    # lift_types_for takes the trusted path, which skips the gap check of
+    # the checked constructor; the gaps depend on the differences only
     for g1 in range(1, p - 5):
         for g2 in range(max(1, p + 2 - g1), p - 5):
             w = weight(p, g1 + g2, g2, 0)
             sets = intersection_sets(w)
-            assert sets[:3] == tuple(reduction_candidates(lift).orbit_reps
-                                     for lift in lift_types_for(w)), w.coords
+            checked = tuple(LiftType(lift.kind, p, *lift.params) for lift in lift_types_for(w))
+            assert sets[:3] == tuple(candidate_orbits(lift) for lift in checked), w.coords
 
 
 def test_closed_form_families():

@@ -1,49 +1,37 @@
-"""Levi restriction, induced constituents, and the implied weights."""
+"""Induced constituents and the implied weights."""
 
 import pytest
 
 from gl3weights import induction
 from gl3weights.induction import (
-    MU_ONE,
-    MU_TWO,
     AntidominantCochar,
-    LeviWeight,
     SHAPE_1_2,
     SHAPE_2_1,
     constituents_long,
     constituents_short,
     implied_weights,
-    induction_constituents,
-    levi_restriction,
 )
 from gl3weights.weights import alcove, canonicalize, dim_weight, dual, weight
 
 from oracles import implied_weight_tables
 
 
+def constituents(shape, left, right):
+    """The induction constituents of the Levi weight with these blocks."""
+    p = left.p
+    coords = left.coords + right.coords
+    return tuple(canonicalize(v, p) for v in induction._induced(shape, coords, p))
+
+
 def test_cochar_validation():
-    assert MU_ONE.level == 1
-    assert MU_TWO.level == 2
+    assert AntidominantCochar((0, 0, 1)).level == 1
+    assert AntidominantCochar((0, 1, 1)).level == 2
     with pytest.raises(ValueError):
         AntidominantCochar((1, 0, 0))
     with pytest.raises(ValueError):
         AntidominantCochar((0, 0, 0))
     with pytest.raises(ValueError):
         AntidominantCochar((1, 1, 1))
-
-
-def test_levi_restriction_examples():
-    w = weight(7, 5, 3, 1)
-    l1 = levi_restriction(w, MU_ONE)
-    assert l1.shape == SHAPE_2_1
-    assert l1.blocks[0].coords == (5, 3)
-    assert l1.blocks[1].coords == (1,)
-    l2 = levi_restriction(w, MU_TWO)
-    assert l2.shape == SHAPE_1_2
-    assert l2.blocks[0].coords == (5,)
-    assert l2.blocks[1].coords == (3, 1)
-    l0 = levi_restriction(weight(7, 0, 0, 0), MU_ONE)
-    assert l0.blocks[0].coords == (0, 0)
 
 
 def test_short_list_example():
@@ -78,38 +66,32 @@ def test_dimension_identities_small():
 
 def test_induction_shape_matching():
     # F(5) x F(3,1) at p=7 lifts into the short window with a=5
-    levi = LeviWeight(SHAPE_1_2, (weight(7, 5), weight(7, 3, 1)))
-    got = induction_constituents(levi)
+    got = constituents(SHAPE_1_2, weight(7, 5), weight(7, 3, 1))
     assert got == constituents_short(5, 3, 1, 7)
     # F(5) x F(7,3) only fits the long window: parameters (11, 9, 7)
-    levi = LeviWeight(SHAPE_1_2, (weight(7, 5), weight(7, 7, 3)))
-    got = induction_constituents(levi)
+    got = constituents(SHAPE_1_2, weight(7, 5), weight(7, 7, 3))
     assert got == constituents_long(11, 9, 7, 7)
     assert sum(dim_weight(w) for w in got) == 285
 
 
 def test_induction_rejects_boundary():
     # alpha congruent to a GL_2 coordinate admits neither window
-    levi = LeviWeight(SHAPE_1_2, (weight(7, 3), weight(7, 3, 1)))
     with pytest.raises(ValueError, match="no generic shape"):
-        induction_constituents(levi)
+        constituents(SHAPE_1_2, weight(7, 3), weight(7, 3, 1))
 
 
 def test_induction_2_1_duality():
     for coords_two, alpha in (((3, 1), 5), ((4, 2), 0), ((5, 2), 1)):
         p = 7
-        levi21 = LeviWeight(SHAPE_2_1, (weight(p, *coords_two), weight(p, alpha)))
-        flipped = LeviWeight(
-            SHAPE_1_2,
-            (weight(p, -alpha), weight(p, -coords_two[1], -coords_two[0])),
-        )
+        levi21 = (SHAPE_2_1, weight(p, *coords_two), weight(p, alpha))
+        flipped = (SHAPE_1_2, weight(p, -alpha), weight(p, -coords_two[1], -coords_two[0]))
         try:
-            want = tuple(dual(v) for v in induction_constituents(flipped))
+            want = tuple(dual(v) for v in constituents(*flipped))
         except ValueError:
             with pytest.raises(ValueError):
-                induction_constituents(levi21)
+                constituents(*levi21)
             continue
-        assert induction_constituents(levi21) == want
+        assert constituents(*levi21) == want
 
 
 def test_implied_lower_example():
@@ -122,11 +104,11 @@ def test_implied_lower_example():
 
 def test_implied_matches_induction_kernel():
     # in the lower alcove, the level-2 implied weights are the other
-    # constituents of inducing the mu-2 restriction
+    # constituents of inducing the restriction to the GL_1 x GL_2 Levi
     for coords in ((5, 3, 1), (4, 2, 1), (5, 4, 2)):
         w = weight(7, *coords)
-        levi = levi_restriction(w, MU_TWO)
-        consts = set(induction_constituents(levi))
+        left, right = canonicalize(coords[:1], 7, 1), canonicalize(coords[1:], 7, 2)
+        consts = set(constituents(SHAPE_1_2, left, right))
         assert implied_weights(w, 2) == frozenset(consts - {w})
 
 

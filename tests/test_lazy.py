@@ -23,7 +23,7 @@ COMMAND_LAYERS = [
     (["eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"],
      {"arith", "weights", "tame_types", "breuil", "predicted", "elimination"}),
     (["breuil", "--p", "7", "--heights", "684,684,684", "--k0", "100"],
-     {"arith", "tame_types", "breuil"}),
+     {"arith", "breuil"}),
     (["cycle", "--p", "29", "--start", "15,8,0", *TYPE], CYCLE_LAYERS),
     (["cycle", "--p", "29", "--start", "15,8,0", *TYPE, "--dot"], CYCLE_LAYERS),
     (["sweep", "--suite", "slopes", "--count", "2"], EVERY_LAYER),

@@ -15,12 +15,11 @@ from gl3weights.breuil import (
     cuspidal_dual,
     principal_series,
     random_module,
-    reduction_candidates,
     validate,
 )
 from gl3weights.cycling import cycle
 from gl3weights.elimination import eliminate
-from gl3weights.induction import MU_ONE, AntidominantCochar, levi_restriction
+from gl3weights.induction import AntidominantCochar
 from gl3weights.predicted import enumerate_predicted
 from gl3weights.slopes import hodge_data
 from gl3weights.tame_types import distinguish, tau, tau_exponent, type_from_exponent
@@ -47,10 +46,8 @@ RECORDS = {
     "DistinguishResult": lambda: distinguish((5, 3, 1), (5, 3, 1), 7),
     "BreuilModule": lambda: validate(7, 3, 2, (0, 0, 0), (1, 7, 49)),
     "LiftType": lambda: principal_series(P, (20, 10, 2)),
-    "ReductionCandidates": lambda: reduction_candidates(cuspidal(P, (20, 10, 2))),
     "PredictedSet": lambda: enumerate_predicted(T()),
     "AntidominantCochar": lambda: AntidominantCochar((0, 1, 1)),
-    "LeviWeight": lambda: levi_restriction(W(), MU_ONE),
     "EliminationReport": lambda: eliminate(weight(P, 32, 16, 0), T()),
     "CyclingGraph": lambda: cycle(T(), W()),
     "_Frame": lambda: cycling._frame.__wrapped__(T()),
@@ -118,6 +115,8 @@ def test_weight_hash_equals_field_hash():
     (lambda: principal_series(4, (1, 2, 3)), "characteristic must be a prime >= 5, got 4"),
     (lambda: cuspidal(9, (20, 10, 2)), "characteristic must be a prime >= 5, got 9"),
     (lambda: cuspidal_dual(15, (20, 10, 2)), "characteristic must be a prime >= 5, got 15"),
+    (lambda: cuspidal(17, (15, 8, 0)),
+     "parameters (15, 8, 0) violate a-b > 2, b-c > 2, a-c < p-3 at p=17"),
     (lambda: validate(7, 3, 6, (0, 0, 0), (0, 0, 0)), "weight bound r=6 must lie in [0, 5]"),
     (lambda: random_module(random.Random(0), 1, 3, 2),
      "characteristic must be a prime >= 5, got 1"),
@@ -127,7 +126,8 @@ def test_weight_hash_equals_field_hash():
      "Hodge tuple (0, 1, 2) is not non-increasing"),
 ], ids=["weight", "weight-p", "canonicalize", "canonicalize-p1", "exp_class", "exp_class-p1",
         "tau", "tau_exponent-p1", "type_from_exponent", "principal_series", "cuspidal",
-        "cuspidal_dual", "validate", "random_module-p1", "hodge_data", "hodge_data-order"])
+        "cuspidal_dual", "cuspidal-gaps", "validate", "random_module-p1", "hodge_data",
+        "hodge_data-order"])
 def test_factory_refuses_invalid_input(make, message):
     with pytest.raises(ValueError) as info:
         make()

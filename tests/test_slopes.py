@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gl3weights.induction import MU_ONE, MU_TWO
+from gl3weights.induction import AntidominantCochar
 from gl3weights.slopes import (
     ABOVE_BOUND,
     BELOW_BOUND,
@@ -18,6 +18,9 @@ from gl3weights.slopes import (
     ordinarity_threshold,
     slope_criticality,
 )
+
+# the cocharacter of each Hecke operator level j
+MUS = {1: AntidominantCochar((0, 0, 1)), 2: AntidominantCochar((0, 1, 1))}
 
 
 def test_threshold_single_embedding():
@@ -44,15 +47,14 @@ def test_threshold_linearity_in_embeddings():
 
 
 def test_hecke_normalization_examples():
-    assert hecke_normalization(MU_ONE, [(5, 3, 1)]) == 1
-    assert hecke_normalization(MU_TWO, [(5, 3, 1)]) == 4
-    assert hecke_normalization(MU_TWO, [(0, 0, 0)] * 3) == 0
+    assert hecke_normalization(MUS[1], [(5, 3, 1)]) == 1
+    assert hecke_normalization(MUS[2], [(5, 3, 1)]) == 4
+    assert hecke_normalization(MUS[2], [(0, 0, 0)] * 3) == 0
     assert hecke_normalization((0, 1, 1), [(5, 3, 1), (2, 1, 0)]) == 5
 
 
 def test_threshold_equals_normalization():
     rng = random.Random(7)
-    mus = {1: MU_ONE, 2: MU_TWO}
     for _ in range(300):
         f = rng.randrange(1, 4)
         e_ram = rng.randrange(1, 4)
@@ -63,7 +65,7 @@ def test_threshold_equals_normalization():
         h = hodge_data(3, f, e_ram, lams, [0, 0, 0])
         for j in (1, 2):
             assert ordinarity_threshold(h, j) == Fraction(
-                hecke_normalization(mus[j], h), e_ram
+                hecke_normalization(MUS[j], h), e_ram
             )
 
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from gl3weights.sweeps import SUITES, run_suite
+from gl3weights.sweeps import COUNT_LIMIT, SUITES, run_suite
 
 SUITE_PRIMES = {
     "decompose": 7,
@@ -156,3 +156,27 @@ def test_suite_floor_is_the_smallest_prime(name, monkeypatch):
 def test_sweeps_check_p_and_count_at_entry(p, count, message):
     with pytest.raises(ValueError, match=message):
         run_suite("slopes", p, 0, count)
+
+
+@pytest.mark.parametrize("name, p, count, message", [
+    ("decompose", 1031, 3, "suite 'decompose' needs p <= 1021, got 1031"),
+    ("decompose", 7, COUNT_LIMIT + 1, f"count must be at most {COUNT_LIMIT}, got 100001"),
+    ("cycling", 29, COUNT_LIMIT + 1, f"count must be at most {COUNT_LIMIT}, got 100001"),
+])
+def test_sweep_bounds_are_refused_before_any_work(monkeypatch, name, p, count, message):
+    calls = []
+    _check, largest, floor = SUITES[name]
+    monkeypatch.setitem(SUITES, name, (lambda *args: calls.append(args), largest, floor))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlineExecutor, "made", [])
+    with pytest.raises(ValueError, match=message):
+        run_suite(name, p, 0, count, jobs=2)
+    assert calls == [] and _InlineExecutor.made == []
+
+
+def test_sweep_bounds_admit_their_value(monkeypatch):
+    # decompose is exhaustive, so it ignores count and runs at the cap in ms
+    assert run_suite("decompose", 7, 0, COUNT_LIMIT) == (7 * 7 + 7 + 2, [])
+    # the largest prime itself is accepted; the 10 s walk is stubbed out
+    monkeypatch.setitem(SUITES, "decompose", (lambda p: (p, []), 1021, 5))
+    assert run_suite("decompose", 1021, 0, 3) == (1021, [])

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from gl3weights.arith import orbit_of
 from gl3weights.tame_types import (
     FORCED,
     HYPOTHESIS_VIOLATED,
@@ -13,9 +14,7 @@ from gl3weights.tame_types import (
     TameType,
     distinguish,
     dual_twist,
-    gap_interval_condition,
     iso,
-    sum_of_characters,
     tau,
     tau_exponent,
     type_from_exponent,
@@ -64,12 +63,6 @@ def test_degenerate_type_is_three_copies():
         t.orbit_rep()
 
 
-def test_sum_of_characters():
-    t = sum_of_characters(7, (1, 2, 3))
-    assert [o.rep for o in t.chars] == [57, 114, 171]
-    assert t.niveau == 1
-
-
 def test_type_validation():
     good = type_from_exponent(7, 10)
     with pytest.raises(ValueError):
@@ -88,7 +81,8 @@ def test_dual_twist_examples():
 
 
 def test_dual_twist_degenerate_shift():
-    t = sum_of_characters(7, (1, 2, 3))
+    # the niveau-1 exponents 1, 2, 3 embedded at niveau 3
+    t = TameType(7, tuple(orbit_of(7, 3, v * 57) for v in (1, 2, 3)))
     d = dual_twist(t, 1)
     assert sorted(o.rep for o in d.chars) == sorted(
         (-o.rep + 57) % 342 for o in t.chars
@@ -126,29 +120,3 @@ def test_distinguish_rigidity_exhaustive_small_p():
                 assert r.tag == FORCED
             else:
                 assert r.tag == NOT_ISOMORPHIC, (t1, t2)
-
-
-def test_gap_interval_example():
-    # reduction-candidate exponents of a well-separated niveau-3 type
-    p, r = 17, 2
-    a, b, c = 8, 4, 0
-    base = (a + 2) + p * (b + 1) + p * p * c
-    exps = tuple(base * pow(p, i, p**3 - 1) % (p**3 - 1) for i in range(3))
-    assert gap_interval_condition(exps, p, 3, r)
-
-
-def test_gap_interval_boundary_excluded():
-    p, d, r = 7, 3, 2
-    e = p**d - 1
-    unit = e // (p - 1)
-    # place a pair exactly on the lower edge r*unit of the open interval
-    a0 = 0
-    a1 = r * unit * p % e
-    assert not gap_interval_condition((a0, a1), p, d, r)
-
-
-def test_gap_interval_validation():
-    with pytest.raises(ValueError):
-        gap_interval_condition((0, 1), 7, 3, 3)  # 2r >= p-1
-    with pytest.raises(ValueError):
-        gap_interval_condition((0, 1), 7, 4, 1)

@@ -15,7 +15,6 @@ from gl3weights.weights import (
     dual,
     is_delta_generic,
     is_generic,
-    is_strongly_generic,
     shadow,
     shadow_inverse,
     weight,
@@ -82,7 +81,6 @@ def test_alcove_examples():
 
 def test_genericity_examples():
     assert is_delta_generic(weight(29, 15, 8, 0), 6)
-    assert is_strongly_generic(weight(29, 15, 8, 0))
     assert not is_delta_generic(weight(7, 5, 3, 1), 4)
     assert not is_generic(weight(7, 5, 3, 1))
     # delta=0 still requires strict interior differences
