@@ -59,23 +59,31 @@ def check_niveau(d: int) -> None:
 
 class Record:
     """Immutable value record: its fields are its `__slots__` less those
-    with a leading underscore (caches such as a precomputed hash).  It
-    equals only a record of its own class with equal fields, pickles as
-    a call of its class and prints as a dataclass does.  A record built
-    on a hot path has a `__new__` that stores its fields unchecked, the
-    trusted path `Cls.__new__(Cls, ...)`, and an `__init__` that checks."""
+    with a leading underscore, and a `_hash` slot caches the hash of the
+    fields.  It equals only a record of its own class with equal fields,
+    pickles as a call of its class and prints as a dataclass does.
+
+    `__new__` is the one store: it takes the fields positionally and runs
+    no check, so `Cls.__new__(Cls, ...)` is the trusted path.  A class's
+    `__init__` holds only its checks, so `Cls(...)` stores, then checks; a
+    class without checks has no `__init__`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+        cls._put_hash = cls._hash.__set__ if "_hash" in cls.__slots__ else None
 
-    def __init__(self, *values) -> None:
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
-        for put, value in zip(self._setters, values):
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+        self = object.__new__(cls)
+        for put, value in zip(cls._setters, values):
             put(self, value)
+        if cls._put_hash is not None:
+            cls._put_hash(self, hash(values))
+        return self
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -111,7 +119,6 @@ class ExpClass(Record):
         check_niveau(d)
         if not 0 <= value < p**d - 1:
             raise ValueError(f"exponent {value} out of range for modulus {p**d - 1}")
-        Record.__init__(self, p, d, value)
 
     @property
     def modulus(self) -> int:
@@ -125,12 +132,6 @@ class FrobOrbit(Record):
     """
 
     __slots__ = ("p", "d", "rep", "size")
-
-    def __init__(self, p: int, d: int, rep: int, size: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "size", size)
 
     def elements(self) -> tuple[int, ...]:
         e = self.p**self.d - 1
@@ -146,7 +147,7 @@ def exp_class(p: int, d: int, value: int) -> ExpClass:
     """Build an ExpClass, reducing the exponent modulo p^d - 1."""
     check_prime(p)
     check_niveau(d)
-    return ExpClass(p, d, value % (p**d - 1))
+    return ExpClass.__new__(ExpClass, p, d, value % (p**d - 1))
 
 
 def orbit(c: ExpClass) -> FrobOrbit:
@@ -205,9 +206,9 @@ class Decomposition(Record):
 
     __slots__ = ("kind", "x", "y", "z")
 
-    def __init__(self, kind: str, x: int | None = None, y: int | None = None,
-                 z: int | None = None) -> None:
-        Record.__init__(self, kind, x, y, z)
+    def __new__(cls, kind: str, x: int | None = None, y: int | None = None,
+                z: int | None = None) -> Decomposition:
+        return Record.__new__(cls, kind, x, y, z)
 
     @property
     def coords(self) -> tuple[int, int, int]:

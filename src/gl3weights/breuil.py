@@ -153,15 +153,6 @@ class LiftType(Record):
 
     __slots__ = ("kind", "p", "a", "b", "c")
 
-    def __new__(cls, kind: str, p: int, a: int, b: int, c: int) -> LiftType:
-        t = object.__new__(cls)
-        object.__setattr__(t, "kind", kind)
-        object.__setattr__(t, "p", p)
-        object.__setattr__(t, "a", a)
-        object.__setattr__(t, "b", b)
-        object.__setattr__(t, "c", c)
-        return t
-
     def __init__(self, kind: str, p: int, a: int, b: int, c: int) -> None:
         check_prime(p)
         if kind not in (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL):

@@ -323,28 +323,23 @@ def _read_envelope(stream) -> tuple[str, dict]:
         doc = json.load(stream)
     # ValueError covers bad JSON, bad UTF-8 and over-long integer literals
     except (ValueError, RecursionError) as exc:
-        raise SystemExit(_usage_error(f"malformed JSON envelope: {exc}"))
+        raise UsageError(f"malformed JSON envelope: {exc}")
     if not isinstance(doc, dict):
-        raise SystemExit(_usage_error("envelope must be a JSON object"))
+        raise UsageError("envelope must be a JSON object")
     version = doc.get("version")
     # type(), not isinstance(): True == 1, but a boolean is not a version
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise SystemExit(_usage_error(f"unsupported envelope version {version!r}"))
+        raise UsageError(f"unsupported envelope version {version!r}")
     unknown = sorted(set(doc) - {"version", "command", "params"})
     if unknown:
-        raise SystemExit(_usage_error(f"unknown envelope key {unknown[0]!r}"))
+        raise UsageError(f"unknown envelope key {unknown[0]!r}")
     command = doc.get("command")
     if command not in COMMANDS:
-        raise SystemExit(_usage_error(f"unknown command {command!r}"))
+        raise UsageError(f"unknown command {command!r}")
     params = doc.get("params")
     if not isinstance(params, dict):
-        raise SystemExit(_usage_error("envelope params must be an object"))
+        raise UsageError("envelope params must be an object")
     return command, params
-
-
-def _usage_error(message: str) -> int:
-    print(f"gl3weights: error: {message}", file=sys.stderr)
-    return 2
 
 
 def run(argv: list[str] | None = None, stdin=None) -> int:
@@ -357,7 +352,8 @@ def run(argv: list[str] | None = None, stdin=None) -> int:
         params = _check(command, params)
         result = COMMANDS[command][0](params)
     except UsageError as exc:
-        return _usage_error(str(exc))
+        print(f"gl3weights: error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, ArithmeticError, RuntimeError) as exc:
         print(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1

@@ -30,7 +30,6 @@ class AntidominantCochar(Record):
             raise ValueError("entries must be non-decreasing")
         if not 0 < sum(entries) < len(entries):
             raise ValueError("cocharacter must be proper and nontrivial")
-        Record.__init__(self, entries)
 
     @property
     def level(self) -> int:

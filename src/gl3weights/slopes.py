@@ -48,7 +48,6 @@ class HodgeData(Record):
                 raise ValueError(f"Hodge tuple {lam} is not non-increasing")
         if len(t_vals) != n:
             raise ValueError("need one valuation per eigenvalue")
-        Record.__init__(self, n, f, e_ram, hodge, t_vals)
 
 
 def hodge_data(

@@ -25,13 +25,6 @@ class TameType(Record):
 
     __slots__ = ("p", "chars", "_hash")
 
-    def __new__(cls, p: int, chars: tuple[FrobOrbit, ...]) -> TameType:
-        t = object.__new__(cls)
-        object.__setattr__(t, "p", p)
-        object.__setattr__(t, "chars", chars)
-        object.__setattr__(t, "_hash", hash((p, chars)))
-        return t
-
     def __init__(self, p: int, chars: tuple[FrobOrbit, ...]) -> None:
         check_prime(p)
         if sum(o.size for o in chars) != 3:
@@ -111,9 +104,6 @@ class DistinguishResult(Record):
 
     __slots__ = ("tag", "matches")
 
-    def __init__(self, tag: str, matches: tuple[tuple[str, str], ...] = ()) -> None:
-        Record.__init__(self, tag, matches)
-
 
 def distinguish(
     abc: tuple[int, int, int], xyz: tuple[int, int, int], p: int
@@ -122,7 +112,7 @@ def distinguish(
     x, y, z = xyz
     ok = a > b > c and a - c <= p and x > y > z and x - z <= p
     if not ok or a + b + c != x + y + z:
-        return DistinguishResult(HYPOTHESIS_VIOLATED)
+        return DistinguishResult(HYPOTHESIS_VIOLATED, ())
     matches = []
     for xi1 in ORDER_THREE_CYCLES:
         t1 = tau(xi1, abc, p)
@@ -130,7 +120,7 @@ def distinguish(
             if iso(t1, tau(xi2, xyz, p)):
                 matches.append((xi1, xi2))
     if not matches:
-        return DistinguishResult(NOT_ISOMORPHIC)
+        return DistinguishResult(NOT_ISOMORPHIC, ())
     for xi1, xi2 in matches:
         if xi1 != xi2 or abc != xyz:
             raise AssertionError(

@@ -20,14 +20,6 @@ class WeightClass(Record):
 
     __slots__ = ("p", "n", "coords", "_hash")
 
-    def __new__(cls, p: int, n: int, coords: tuple[int, ...]) -> WeightClass:
-        w = object.__new__(cls)
-        object.__setattr__(w, "p", p)
-        object.__setattr__(w, "n", n)
-        object.__setattr__(w, "coords", coords)
-        object.__setattr__(w, "_hash", hash((p, n, coords)))
-        return w
-
     def __init__(self, p: int, n: int, coords: tuple[int, ...]) -> None:
         check_prime(p)
         if n not in (1, 2, 3):
@@ -158,7 +150,7 @@ def shadow(w: WeightClass) -> WeightClass:
     if alcove(w) != ALCOVE_UPPER:
         raise ValueError(f"{w} is not in the upper alcove")
     x, y, z = w.coords
-    return canonicalize((z + w.p - 2, y, x - w.p + 2), w.p)
+    return canonical((z + w.p - 2, y, x - w.p + 2), w.p)
 
 
 def shadow_inverse(w: WeightClass) -> WeightClass:
@@ -166,4 +158,4 @@ def shadow_inverse(w: WeightClass) -> WeightClass:
     if alcove(w) != ALCOVE_LOWER:
         raise ValueError(f"{w} is not strictly below the wall")
     x, y, z = w.coords
-    return canonicalize((z + w.p - 2, y, x - w.p + 2), w.p)
+    return canonical((z + w.p - 2, y, x - w.p + 2), w.p)

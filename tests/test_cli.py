@@ -191,18 +191,17 @@ def test_query_envelope_full_commands(capsys):
 
 def test_query_bad_version(capsys):
     env = json.dumps({"version": 2, "command": "dims", "params": {}})
-    with pytest.raises(SystemExit):
-        run(["query"], stdin=io.StringIO(env))
-    assert "version" in capsys.readouterr().err
+    code, out, err = invoke(capsys, "query", stdin=env)
+    assert (code, out) == (2, "")
+    assert "version" in err
 
 
 def test_query_boolean_version(capsys):
     env = json.dumps({"version": True, "command": "decompose",
                       "params": {"n": 10, "p": 7}})
-    with pytest.raises(SystemExit) as exc:
-        run(["query"], stdin=io.StringIO(env))
-    assert exc.value.code == 2
-    assert "version" in capsys.readouterr().err
+    code, out, err = invoke(capsys, "query", stdin=env)
+    assert (code, out) == (2, "")
+    assert "version" in err
 
 
 def test_query_unknown_suite_is_domain_error(capsys):
@@ -246,15 +245,15 @@ def test_python_m_cli_matches_python_m_package():
 
 def test_query_unknown_command(capsys):
     env = json.dumps({"version": 1, "command": "nope", "params": {}})
-    with pytest.raises(SystemExit):
-        run(["query"], stdin=io.StringIO(env))
-    assert "unknown command" in capsys.readouterr().err
+    code, out, err = invoke(capsys, "query", stdin=env)
+    assert (code, out) == (2, "")
+    assert "unknown command" in err
 
 
 def test_query_malformed(capsys):
-    with pytest.raises(SystemExit):
-        run(["query"], stdin=io.StringIO("not json"))
-    assert "malformed" in capsys.readouterr().err
+    code, out, err = invoke(capsys, "query", stdin="not json")
+    assert (code, out) == (2, "")
+    assert "malformed" in err
 
 
 @pytest.mark.parametrize("command, params", [
@@ -291,10 +290,22 @@ def test_query_schema_errors_are_usage_errors(capsys, command, params):
     "[" * 100_000 + "]" * 100_000,
 ])
 def test_query_unparseable_envelope_is_usage_error(capsys, text):
-    with pytest.raises(SystemExit) as exc:
-        run(["query"], stdin=io.StringIO(text))
-    assert exc.value.code == 2
-    assert "malformed" in capsys.readouterr().err
+    code, out, err = invoke(capsys, "query", stdin=text)
+    assert (code, out) == (2, "")
+    assert "malformed" in err
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    json.dumps({"version": 2, "command": "dims", "params": {}}),
+], ids=["malformed", "version"])
+def test_envelope_error_exits_2_from_a_process(text):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "gl3weights", "query"], input=text.encode(),
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"gl3weights: error: ")
 
 
 def test_query_domain_error_keeps_exit_1(capsys):
@@ -347,7 +358,7 @@ def test_huge_niveau_is_refused_quickly(capsys, given):
 
 
 def outcome(capsys, argv, stdin=None):
-    """(exit code, stdout) of one invocation, an argparse or envelope exit included."""
+    """(exit code, stdout) of one invocation, an argparse exit included."""
     try:
         code = run(argv, stdin=io.StringIO(stdin) if stdin is not None else None)
     except SystemExit as exc:

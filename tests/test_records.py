@@ -23,7 +23,7 @@ from gl3weights.induction import AntidominantCochar
 from gl3weights.predicted import enumerate_predicted
 from gl3weights.slopes import hodge_data
 from gl3weights.tame_types import distinguish, tau, tau_exponent, type_from_exponent
-from gl3weights.weights import canonicalize, weight
+from gl3weights.weights import WeightClass, canonicalize, weight
 
 P = 29
 
@@ -65,6 +65,10 @@ def test_record_semantics(name):
         assert hash(a) == hash(b)
     fields = a.__reduce__()[1]
     assert a != fields and a != tuple(fields)
+    trusted = type(a).__new__(type(a), *fields)
+    assert trusted == a
+    if name not in UNHASHABLE:
+        assert hash(trusted) == hash(a)
     first = type(a).__slots__[0]
     with pytest.raises(AttributeError):
         setattr(a, first, None)
@@ -76,11 +80,25 @@ def test_record_semantics(name):
     assert copy.deepcopy(a) == a and copy.copy(a) == a
 
 
+def test_trusted_path_runs_no_check():
+    w = WeightClass.__new__(WeightClass, 9, 3, (0, 1, 2))
+    assert w.coords == (0, 1, 2)
+    with pytest.raises(ValueError):
+        WeightClass(9, 3, (0, 1, 2))
+
+
 def test_record_field_count_is_checked():
+    cls = type(RECORDS["PredictedSet"]())
     with pytest.raises(TypeError):
-        type(RECORDS["PredictedSet"]())(P, frozenset())
-    with pytest.raises(TypeError):
-        type(RECORDS["PredictedSet"]())(P, frozenset(), T(), extra=1)
+        cls(P, frozenset(), T(), extra=1)  # fields are positional only
+    for build in (
+        lambda: cls(P, frozenset()),
+        lambda: cls.__new__(cls, P, frozenset()),
+        lambda: cls.__new__(cls, P, frozenset(), T(), T()),
+    ):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == "PredictedSet takes the fields p, weights, source"
 
 
 def test_records_repr_as_before():

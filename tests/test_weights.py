@@ -148,11 +148,13 @@ def test_shadow_pairing(p, data):
         return
     if pos == ALCOVE_UPPER:
         s = shadow(w)
+        assert WeightClass(p, 3, s.coords) == s  # the unchecked reflection passes the checks
         assert alcove(s) == ALCOVE_LOWER
         assert shadow_inverse(s) == w
         assert dim_weight(w) == weyl_dim(*w.coords) - weyl_dim(*s.coords)
     elif pos == ALCOVE_LOWER:
         s = shadow_inverse(w)
+        assert WeightClass(p, 3, s.coords) == s
         assert alcove(s) == ALCOVE_UPPER
         assert shadow(s) == w
 
