@@ -164,17 +164,29 @@ def orbit_of(p: int, d: int, value: int) -> FrobOrbit:
     return orbit(exp_class(p, d, value))
 
 
-def orbit_rep(p: int, value: int) -> int:
-    """Least member of the Frobenius orbit of value modulo p^3 - 1.
+def orbit_reps(p: int, values) -> frozenset[int]:
+    """Least members of the Frobenius orbits of values modulo p^3 - 1.
 
-    Equals type_from_exponent(p, value).chars[0].rep without building
+    Each equals type_from_exponent(p, value).chars[0].rep without building
     the class, orbit and type objects.  p is not validated: callers
     take it from an object whose construction already checked it.
     """
     e = p**3 - 1
-    v = value % e
-    v1 = v * p % e
-    return min(v, v1, v1 * p % e)
+    reps = set()
+    for value in values:
+        v = value % e
+        v1 = v * p % e
+        v2 = v1 * p % e
+        # the least of the three, without the cost of a min() call
+        reps.add(v if v < v1 and v < v2 else v1 if v1 < v2 else v2)
+    # copied from a set, not built from a generator, the table fits its members
+    return frozenset(reps)
+
+
+def orbit_rep(p: int, value: int) -> int:
+    """Least member of the Frobenius orbit of value modulo p^3 - 1."""
+    (rep,) = orbit_reps(p, (value,))
+    return rep
 
 
 def niveau_of(c: ExpClass) -> int:

@@ -14,8 +14,9 @@ characters can appear in mod-p reductions of the lift's inertial type.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from .arith import ExpClass, Record, check_niveau, check_prime, exp_class, orbit_rep
+from .arith import MEMO_SIZE, ExpClass, Record, check_niveau, check_prime, exp_class, orbit_reps
 
 PRINCIPAL_SERIES = "principal_series"
 CUSPIDAL = "cuspidal"
@@ -203,6 +204,19 @@ def candidate_exponents(t: LiftType) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _candidate_rows(kind: str, p: int) -> tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]:
+    """The table of kind at p as rows ((ka, kb, kc), offsets): its candidates
+    at (a, b, c) are ka*a + kb*b + kc*c + offset.  Each is affine in
+    (a, b, c), so the origin and the unit vectors fix it."""
+    at = [candidate_exponents(LiftType.__new__(LiftType, kind, p, *v))
+          for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rows: dict[tuple[int, int, int], list[int]] = {}
+    for n0, *ns in zip(*at):
+        rows.setdefault(tuple(n - n0 for n in ns), []).append(n0)
+    return tuple((k, tuple(offsets)) for k, offsets in rows.items())
+
+
 def candidate_orbits(t: LiftType) -> frozenset[int]:
     """All inertial exponents of rank-one subquotients of reductions.
 
@@ -211,6 +225,7 @@ def candidate_orbits(t: LiftType) -> frozenset[int]:
     collected as Frobenius orbit representatives.  Both admissible
     digit patterns of the descent data contribute a family.
     """
-    # copied from a set, the frozenset gets a table sized to its members;
-    # built straight from a generator it keeps the over-allocated one
-    return frozenset({orbit_rep(t.p, value) for value in candidate_exponents(t)})
+    a, b, c = t.a, t.b, t.c
+    return orbit_reps(t.p, [ka * a + kb * b + kc * c + offset
+                            for (ka, kb, kc), offsets in _candidate_rows(t.kind, t.p)
+                            for offset in offsets])

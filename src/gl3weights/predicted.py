@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, Record, check_prime, orbit_rep, solve_digit_pair
+from .arith import MEMO_SIZE, Record, check_prime, orbit_reps, solve_digit_pair
 from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
 from .weights import WeightClass, canonical
 
@@ -44,13 +44,28 @@ def _mu(x: int, y: int, z: int, p: int, high: bool) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def _row_congruence(p: int, xi: str, high: bool) -> tuple[int, int, int, int, int]:
+    """(e0, k1, k2, u, slope): the row's exponent of F(g1+g2, g2, 0) is
+    e0 + k1*g1 + k2*g2 mod p^3-1, and u*k1 = 1, u*k2 = slope mod p^2+p+1."""
+    c2 = p * p + p + 1
+    e0, e1, e2 = (
+        tau_exponent(xi, _mu(g1 + g2, g2, 0, p, high), p)
+        for g1, g2 in ((0, 0), (1, 0), (0, 1))
+    )
+    u = pow(e1 - e0, -1, c2)
+    return e0, e1 - e0, e2 - e0, u, (e2 - e0) * u % c2
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
-    """Orbit representatives a type must hit for the weight to be predicted."""
+    """Orbit representatives a type must hit for the weight to be predicted.
+
+    Each row's exponent is its `_row_congruence` at (x-y, y-z) plus z*(p^2+p+1)."""
     x, y, z = coords
     rows = MEMBERSHIP_ROWS if x - z > p - 2 else MEMBERSHIP_ROWS[:2]
-    return frozenset(
-        orbit_rep(p, tau_exponent(xi, _mu(x, y, z, p, high), p)) for xi, high in rows
-    )
+    shift = z * (p * p + p + 1)
+    return orbit_reps(p, [e0 + k1 * (x - y) + k2 * (y - z) + shift
+                          for e0, k1, k2, _, _ in (_row_congruence(p, *row) for row in rows)])
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
@@ -66,19 +81,6 @@ def is_predicted(w: WeightClass, t: TameType) -> bool:
             f"{w} has a difference above p-3; membership is undefined there"
         )
     return rep in membership_reps(w.p, w.coords)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _row_congruence(p: int, xi: str, high: bool) -> tuple[int, int, int, int, int]:
-    """(e0, k1, k2, u, slope): the row's exponent of F(g1+g2, g2, 0) is
-    e0 + k1*g1 + k2*g2 mod p^3-1, and u*k1 = 1, u*k2 = slope mod p^2+p+1."""
-    c2 = p * p + p + 1
-    e0, e1, e2 = (
-        tau_exponent(xi, _mu(g1 + g2, g2, 0, p, high), p)
-        for g1, g2 in ((0, 0), (1, 0), (0, 1))
-    )
-    u = pow(e1 - e0, -1, c2)
-    return e0, e1 - e0, e2 - e0, u, (e2 - e0) * u % c2
 
 
 def membership_solution(p: int, n: int, xi: str, high: bool) -> tuple[int, int, int]:

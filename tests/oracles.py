@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from gl3weights.arith import MEMO_SIZE, orbit_rep
+from gl3weights.arith import MEMO_SIZE
 from gl3weights.cycling import CASE_DIRECT, CASE_DUAL, STATUS_COMPLETE, STATUS_STUCK, CyclingGraph
 from gl3weights.induction import implied_weights
 from gl3weights.predicted import PredictedSet, is_predicted, nine_weight_families
@@ -305,5 +305,19 @@ def surviving_family_reps(w: WeightClass) -> frozenset[int]:
     ):
         for b0, b1, b2 in triples:
             mu = (y + b0, x - p + 1 + b1, z + b2)
-            reps.add(orbit_rep(p, tau_exponent(xi, mu, p)))
+            reps.add(least_orbit_member(p, 3, tau_exponent(xi, mu, p)))
     return frozenset(reps)
+
+
+def membership_reps_by_tau(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
+    """The orbit representatives of predicted.membership_reps, one
+    tau_exponent per membership row, each reduced by walking its orbit:
+    both cycles at (x+2, y+1, z) and, above the wall x - z > p - 2, also
+    at (z+p, y+1, x-p+2)."""
+    x, y, z = coords
+    mus = [(x + 2, y + 1, z)]
+    if x - z > p - 2:
+        mus.append((z + p, y + 1, x - p + 2))
+    return frozenset(
+        least_orbit_member(p, 3, tau_exponent(xi, mu, p)) for mu in mus for xi in (XI_123, XI_132)
+    )

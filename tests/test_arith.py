@@ -22,6 +22,7 @@ from gl3weights.arith import (
     orbit,
     orbit_of,
     orbit_rep,
+    orbit_reps,
     solve_digit_pair,
 )
 
@@ -224,6 +225,9 @@ def test_decomposition_guard():
     (53, random.Random(53).sample(range(-53**3, 2 * 53**3), 2000)),
 ])
 def test_orbit_rep_matches_orbit_walk(p, values):
+    wants = set()
     for v in values:
         want = least_orbit_member(p, 3, v)
         assert orbit_rep(p, v) == orbit(exp_class(p, 3, v)).rep == want, (p, v)
+        wants.add(want)
+    assert orbit_reps(p, values) == wants

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from gl3weights import breuil
 from gl3weights.breuil import (
     CUSPIDAL,
+    CUSPIDAL_DUAL,
+    PRINCIPAL_SERIES,
     BreuilModule,
     LiftType,
     candidate_exponents,
@@ -23,7 +26,7 @@ from gl3weights.breuil import (
 )
 from gl3weights.tame_types import dual_twist, type_from_exponent
 
-from oracles import cuspidal_dual_exponents
+from oracles import cuspidal_dual_exponents, least_orbit_member
 
 
 def test_validate_examples():
@@ -123,6 +126,32 @@ def test_cuspidal_dual_matches_the_hand_written_table(p):
                 a, b = c + g1 + g2, c + g2
                 got = candidate_exponents(cuspidal_dual(p, (a, b, c)))
                 assert got == cuspidal_dual_exponents(p, a, b, c), (p, a, b, c)
+
+
+@pytest.mark.parametrize("p", [11, 13, 29, 53, 1009, 65521])
+def test_candidate_rows_reproduce_the_tables(p):
+    # 500 gap triples drawn as sweep_candidates draws them; below p = 11 no
+    # triple has a-b > 2, b-c > 2 and a-c < p-3
+    rng = random.Random(f"rows:{p}")
+    coefficients = {
+        PRINCIPAL_SERIES: {(1, p * p, p), (1, p, p * p)},
+        CUSPIDAL: {(1, p * p, p), (1, p, p * p)},
+        CUSPIDAL_DUAL: {(p, p * p, 1), (p * p, p, 1)},
+    }
+    for _ in range(500):
+        g1 = rng.randrange(3, p - 6)
+        g2 = rng.randrange(3, p - 3 - g1)
+        c = rng.randrange(-p, p)
+        a, b = c + g1 + g2, c + g2
+        for make in (principal_series, cuspidal, cuspidal_dual):
+            t = make(p, (a, b, c))
+            rows = breuil._candidate_rows(t.kind, p)
+            assert {k for k, _ in rows} == coefficients[t.kind]
+            got = sorted(ka * a + kb * b + kc * c + offset
+                         for (ka, kb, kc), offsets in rows for offset in offsets)
+            table = candidate_exponents(t)
+            assert got == sorted(table), (p, t)
+            assert candidate_orbits(t) == {least_orbit_member(p, 3, n) for n in table}, (p, t)
 
 
 def test_candidate_digit_sum_rule():

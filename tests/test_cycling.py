@@ -173,8 +173,9 @@ def test_every_memo_is_bounded():
             obj for obj in vars(mod).values()
             if hasattr(obj, "cache_info") and obj.__wrapped__.__module__ == mod.__name__
         ]
-    # arith.is_prime, elimination._intersection_data and two in predicted
-    assert len(memos) >= len(cycling_memos()) + 4
+    # arith.is_prime, breuil._candidate_rows, elimination._intersection_data
+    # and two in predicted
+    assert len(memos) >= len(cycling_memos()) + 5
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo
 

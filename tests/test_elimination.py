@@ -2,6 +2,7 @@
 
 import pytest
 
+from gl3weights import breuil, elimination
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -66,6 +67,37 @@ def test_intersection_matches_closed_form():
         w = weight(29, *coords)
         _, _, _, inter = intersection_sets(w)
         assert inter == surviving_family_reps(w)
+
+
+def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
+    # the candidate rows are derived once per (kind, p) from the tables; an
+    # intersection miss then evaluates them and reduces each lift's 6, 10
+    # and 10 candidates in one orbit_reps call
+    w = weight(29, 32, 16, 0)
+    tables, reduced = [], []
+    real_table, real_reps = breuil.candidate_exponents, breuil.orbit_reps
+
+    def counting_table(t):
+        tables.append(t.kind)
+        return real_table(t)
+
+    def counting_reps(p, values):
+        reduced.append(len(values))
+        return real_reps(p, values)
+
+    monkeypatch.setattr(breuil, "candidate_exponents", counting_table)
+    monkeypatch.setattr(breuil, "orbit_reps", counting_reps)
+    breuil._candidate_rows.cache_clear()
+    elimination._intersection_data.cache_clear()
+    intersection_sets(w)
+    # origin and three unit vectors per kind; the dual table recurses once each
+    assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 8 + [CUSPIDAL_DUAL] * 4)
+    assert reduced == [6, 10, 10]
+    tables.clear()
+    reduced.clear()
+    elimination._intersection_data.cache_clear()
+    assert intersection_sets(w)[3] == frozenset({163, 499, 527, 1003})
+    assert tables == [] and reduced == [6, 10, 10]
 
 
 @pytest.mark.parametrize("p", [17, 29, 53])

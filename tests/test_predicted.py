@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gl3weights import predicted
 from gl3weights.arith import orbit_rep
 from gl3weights.predicted import (
     LOWER_FAMILY,
@@ -11,6 +12,7 @@ from gl3weights.predicted import (
     UPPER_FAMILY,
     enumerate_predicted,
     is_predicted,
+    membership_reps,
     nine_weight_families,
     nine_weight_table,
     theta,
@@ -21,6 +23,7 @@ from gl3weights.weights import WeightClass, alcove, dual, is_generic, shadow_inv
 from oracles import (
     enumerate_predicted_bruteforce,
     enumerate_predicted_rowscan,
+    membership_reps_by_tau,
     nine_weight_triples,
 )
 from test_acceptance import _table_triples
@@ -53,6 +56,54 @@ def test_membership_rejects_reducible_type():
     t = type_from_exponent(29, 0)
     with pytest.raises(ValueError, match="irreducible"):
         is_predicted(weight(29, 15, 8, 0), t)
+
+
+def strip_weights(p):
+    return [(z + g1 + g2, z + g2, z)
+            for g1 in range(p - 2) for g2 in range(p - 2) for z in range(p - 1)]
+
+
+def seeded_strip_weights(p, count):
+    # as many below the wall x - z <= p - 2 as above it
+    rng = random.Random(f"membership:{p}")
+    found = {False: [], True: []}
+    while min(map(len, found.values())) < count // 2:
+        g1, g2, z = rng.randrange(p - 2), rng.randrange(p - 2), rng.randrange(p - 1)
+        side = found[g1 + g2 > p - 2]
+        if len(side) < count // 2:
+            side.append((z + g1 + g2, z + g2, z))
+    return found[False] + found[True]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 53, 1009, 65521])
+def test_membership_reps_match_the_rows_by_tau(p):
+    # the whole strip up to p = 13, then 2,000 seeded weights
+    for xyz in strip_weights(p) if p <= 13 else seeded_strip_weights(p, 2000):
+        assert membership_reps(p, xyz) == membership_reps_by_tau(p, xyz), (p, xyz)
+
+
+def test_membership_miss_reads_the_row_constants(monkeypatch):
+    # the row constants are derived once per (p, row); a membership miss
+    # evaluates them and reduces its 2 or 4 exponents in one orbit_reps call
+    p, below, above = 29, (15, 8, 0), (43, 28, 8)
+    membership_reps(p, above)
+    membership_reps.cache_clear()
+    taus, reduced = [], []
+    real_tau, real_reps = predicted.tau_exponent, predicted.orbit_reps
+
+    def counting_tau(*args):
+        taus.append(args)
+        return real_tau(*args)
+
+    def counting_reps(p, values):
+        reduced.append(len(values))
+        return real_reps(p, values)
+
+    monkeypatch.setattr(predicted, "tau_exponent", counting_tau)
+    monkeypatch.setattr(predicted, "orbit_reps", counting_reps)
+    membership_reps(p, below)
+    membership_reps(p, above)
+    assert taus == [] and reduced == [2, 4]
 
 
 def test_nine_weight_families_example():
