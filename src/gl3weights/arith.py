@@ -57,33 +57,47 @@ def check_niveau(d: int) -> None:
         raise ValueError(f"niveau must be one of {SUPPORTED_NIVEAUX}, got {d}")
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _store_code(n: int, hashed: bool):
+    """The store of a record of n fields, compiled once per (n, hashed); each
+    class runs it with its own slot setters put0, put1, ... as globals."""
+    names = "".join(f"v{i}, " for i in range(n))
+    return compile(
+        "def __new__(cls, *values):\n"
+        "    try:\n"
+        f"        {names}= values\n"
+        "    except ValueError:\n"
+        "        raise TypeError(message) from None\n"
+        "    self = new(cls)\n"
+        + "".join(f"    put{i}(self, v{i})\n" for i in range(n))
+        + "    put_hash(self, hash(values))\n" * hashed
+        + "    return self\n", f"<store of {n} fields>", "exec")
+
+
 class Record:
     """Immutable value record: its fields are its `__slots__` less those
     with a leading underscore, and a `_hash` slot caches the hash of the
     fields.  It equals only a record of its own class with equal fields,
     pickles as a call of its class and prints as a dataclass does.
 
-    `__new__` is the one store: it takes the fields positionally and runs
-    no check, so `Cls.__new__(Cls, ...)` is the trusted path.  A class's
-    `__init__` holds only its checks, so `Cls(...)` stores, then checks; a
-    class without checks has no `__init__`."""
+    Each class gets one store, `_store`, generated with the class: it takes
+    the fields positionally, runs no check and is the class's `__new__`
+    (Decomposition's `__new__` adds defaults and calls it), so
+    `Cls.__new__(Cls, ...)` is the trusted path.  `__init__` holds only the
+    checks, so `Cls(...)` stores, then checks."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
-        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
-        cls._put_hash = cls._hash.__set__ if "_hash" in cls.__slots__ else None
-
-    def __new__(cls, *values):
-        if len(values) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
-        self = object.__new__(cls)
-        for put, value in zip(cls._setters, values):
-            put(self, value)
-        if cls._put_hash is not None:
-            cls._put_hash(self, hash(values))
-        return self
+        hashed = "_hash" in cls.__slots__
+        scope = {f"put{i}": getattr(cls, f).__set__ for i, f in enumerate(cls._fields)}
+        scope.update(new=object.__new__, put_hash=hashed and cls._hash.__set__,
+                     message=f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
+        exec(_store_code(len(cls._fields), hashed), scope)
+        cls._store = store = staticmethod(scope["__new__"])
+        if "__new__" not in cls.__dict__:
+            cls.__new__ = store
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -220,7 +234,7 @@ class Decomposition(Record):
 
     def __new__(cls, kind: str, x: int | None = None, y: int | None = None,
                 z: int | None = None) -> Decomposition:
-        return Record.__new__(cls, kind, x, y, z)
+        return cls._store(cls, kind, x, y, z)
 
     @property
     def coords(self) -> tuple[int, int, int]:

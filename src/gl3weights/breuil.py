@@ -225,7 +225,11 @@ def candidate_orbits(t: LiftType) -> frozenset[int]:
     collected as Frobenius orbit representatives.  Both admissible
     digit patterns of the descent data contribute a family.
     """
-    a, b, c = t.a, t.b, t.c
-    return orbit_reps(t.p, [ka * a + kb * b + kc * c + offset
-                            for (ka, kb, kc), offsets in _candidate_rows(t.kind, t.p)
-                            for offset in offsets])
+    return lift_orbits(t.kind, t.p, t.a, t.b, t.c)
+
+
+def lift_orbits(kind: str, p: int, a: int, b: int, c: int) -> frozenset[int]:
+    """`candidate_orbits` of the lift with these fields, which it does not build."""
+    return orbit_reps(p, [ka * a + kb * b + kc * c + offset
+                          for (ka, kb, kc), offsets in _candidate_rows(kind, p)
+                          for offset in offsets])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arith import MEMO_SIZE, Record
-from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, LiftType, candidate_orbits
+from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, LiftType, lift_orbits
 from .predicted import membership_reps
 from .tame_types import TameType
 from .weights import WeightClass
@@ -51,26 +51,31 @@ def _branch_of(w: WeightClass) -> str:
     )
 
 
-def lift_types_for(w: WeightClass) -> tuple[LiftType, LiftType, LiftType]:
-    """The three lifts used in the large-span regime at w."""
+def _lifts(w: WeightClass) -> tuple[tuple[str, int, int, int, int], ...]:
+    """The fields (kind, p, a, b, c) of the three lifts used in the large-span regime at w."""
     if _branch_of(w) != BRANCH_INTERSECTION:
         raise UnsupportedWeight(f"{w} is not in the large-span regime")
     x, y, z = w.coords
     p = w.p
     # y > x - p + 1 > z here, so the principal series digits are already sorted
     return (
-        LiftType.__new__(LiftType, PRINCIPAL_SERIES, p, y, x - p + 1, z),
-        LiftType.__new__(LiftType, CUSPIDAL, p, y + 1, x - p + 1, z - 1),
-        LiftType.__new__(LiftType, CUSPIDAL_DUAL, p, x + 1, z + p - 1, y - 1),
+        (PRINCIPAL_SERIES, p, y, x - p + 1, z),
+        (CUSPIDAL, p, y + 1, x - p + 1, z - 1),
+        (CUSPIDAL_DUAL, p, x + 1, z + p - 1, y - 1),
     )
 
 
+def lift_types_for(w: WeightClass) -> tuple[LiftType, ...]:
+    """The three lifts used in the large-span regime at w."""
+    return tuple(LiftType.__new__(LiftType, *fields) for fields in _lifts(w))
+
+
 # one memo for both readers: (kind, orbit set) per lift for the report, and
-# the tuple intersection_sets returns.  The lifts skip the gap check (trusted
-# path); test_large_span_lifts_pass_the_gap_check shows their gaps hold
+# the tuple intersection_sets returns.  No lift is built, so none is gap-checked;
+# test_large_span_lifts_pass_the_gap_check shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
 def _intersection_data(w: WeightClass) -> tuple[tuple, tuple[frozenset[int], ...]]:
-    lift_sets = tuple((lift.kind, candidate_orbits(lift)) for lift in lift_types_for(w))
+    lift_sets = tuple((fields[0], lift_orbits(*fields)) for fields in _lifts(w))
     sets = tuple(reps for _, reps in lift_sets)
     return lift_sets, (*sets, sets[0] & sets[1] & sets[2])
 

@@ -376,12 +376,15 @@ FLAG_FORMS = [
     (["decompose", "--n", "10", "--p", "7"], "decompose", {"n": 10, "p": 7}),
     (["decompose", "--n", "5", "--p", "8"], "decompose", {"n": 5, "p": 8}),
     (["dims", "--p", "29", "--F", "8,-1,-12"], "dims", {"p": 29, "weight": [8, -1, -12]}),
+    (["dims", "--p", "7", "--F", "-1,-2,-3"], "dims", {"p": 7, "weight": [-1, -2, -3]}),
     (["predict", "--p", "29", "--xi", "123", "--mu", "17,9,0"], "predict",
      {"p": 29, "type": MU}),
     (["predict", "--p", "29", "--xi", "132", "--mu", "17,9,0"], "predict",
      {"p": 29, "type": {"xi": "132", "mu": [17, 9, 0]}}),
     (["predict", "--p", "29", "--xi", "321", "--mu", "17,9,0"], "predict",
      {"p": 29, "type": {"xi": "321", "mu": [17, 9, 0]}}),
+    (["predict", "--p", "29", "--xi", "123", "--mu", "-1,-9,-17"], "predict",
+     {"p": 29, "type": {"xi": "123", "mu": [-1, -9, -17]}}),
     (["eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"], "eliminate",
      {"p": 29, "weight": [32, 16, 0], "type": {"orbit_rep": 163}}),
     (["eliminate", "--p", "29", "--F", "54,27,0", "--orbit-rep", "278"], "eliminate",

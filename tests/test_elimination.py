@@ -85,19 +85,29 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
         reduced.append(len(values))
         return real_reps(p, values)
 
+    def counting_lift(cls, *fields):
+        lifts.append(fields[0])
+        return real_lift(cls, *fields)
+
+    lifts, real_lift = [], LiftType.__new__
     monkeypatch.setattr(breuil, "candidate_exponents", counting_table)
     monkeypatch.setattr(breuil, "orbit_reps", counting_reps)
+    monkeypatch.setattr(LiftType, "__new__", staticmethod(counting_lift))
     breuil._candidate_rows.cache_clear()
     elimination._intersection_data.cache_clear()
     intersection_sets(w)
     # origin and three unit vectors per kind; the dual table recurses once each
     assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 8 + [CUSPIDAL_DUAL] * 4)
     assert reduced == [6, 10, 10]
+    # the only lifts built are those the tables are evaluated at
+    assert sorted(lifts) == sorted(tables)
     tables.clear()
     reduced.clear()
+    lifts.clear()
     elimination._intersection_data.cache_clear()
     assert intersection_sets(w)[3] == frozenset({163, 499, 527, 1003})
-    assert tables == [] and reduced == [6, 10, 10]
+    # a miss evaluates the rows at the weight's coordinates and builds no lift
+    assert tables == [] and reduced == [6, 10, 10] and lifts == []
 
 
 @pytest.mark.parametrize("p", [17, 29, 53])

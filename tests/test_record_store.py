@@ -1,7 +1,8 @@
-"""Records store their fields in one place, `arith.Record.__new__`: no other
-module reaches `object.__setattr__` or `object.__new__`, no module calls
-`Record.__init__`, and no record class but `Record` and `Decomposition`
-defines `__new__`."""
+"""Records store their fields in one place, the store `arith.Record`
+generates for each class when the class is created: no other module
+reaches `object.__setattr__` or `object.__new__` or generates code with
+`exec` or `compile`, no module calls `Record.__init__`, and no record class
+but `Decomposition` defines `__new__`."""
 
 import ast
 from pathlib import Path
@@ -11,19 +12,23 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gl3weights"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 RAW_STORES = {"object.__setattr__", "object.__new__"}
-OWN_NEW = {"Record", "Decomposition"}  # Decomposition's gives its coordinates defaults
+CODE_MAKERS = {"exec", "compile"}
+OWN_NEW = {"Decomposition"}  # its __new__ gives the coordinates defaults
 
 
 def stores(source, home=False):
-    """Line and text of each store outside `Record.__new__`: a reference to
-    a raw store (allowed in the home module), to `Record.__init__`, or a
-    `__new__` defined in a class other than those of OWN_NEW."""
+    """Line and text of each store outside the generated ones: a reference
+    to a raw store or a code maker (both allowed in the home module), to
+    `Record.__init__`, or a `__new__` defined in a class other than those of
+    OWN_NEW."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             name = f"{node.value.id}.{node.attr}"
             if name == "Record.__init__" or (name in RAW_STORES and not home):
                 found.append((node.lineno, name))
+        elif isinstance(node, ast.Name) and node.id in CODE_MAKERS and not home:
+            found.append((node.lineno, node.id))
         elif isinstance(node, ast.ClassDef) and node.name not in OWN_NEW:
             found += [(f.lineno, f"{node.name}.__new__") for f in node.body
                       if isinstance(f, ast.FunctionDef) and f.name == "__new__"]
@@ -40,6 +45,10 @@ def test_the_check_sees_every_form():
         "    def __init__(self, p):\n"
         "        Record.__init__(self, p)\n"
         "put = object.__setattr__\n"
+        "exec(compile('def __new__(cls): pass', '', 'exec'), {})\n"
+        "make = exec\n"
+        "class Record:\n"
+        "    def __new__(cls, *values): pass\n"
     )
     assert stores(source) == [
         (2, "W.__new__"),
@@ -47,8 +56,13 @@ def test_the_check_sees_every_form():
         (4, "object.__setattr__"),
         (7, "Record.__init__"),
         (8, "object.__setattr__"),
+        (9, "compile"),
+        (9, "exec"),
+        (10, "exec"),
+        (12, "Record.__new__"),
     ]
-    assert stores(source, home=True) == [(2, "W.__new__"), (7, "Record.__init__")]
+    assert stores(source, home=True) == [
+        (2, "W.__new__"), (7, "Record.__init__"), (12, "Record.__new__")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from gl3weights import cycling
-from gl3weights.arith import decompose_exponent, exp_class, orbit_of
+from gl3weights.arith import (Decomposition, ExpClass, FrobOrbit, decompose_exponent,
+                              exp_class, orbit_of)
 from gl3weights.breuil import (
     cuspidal,
     cuspidal_dual,
@@ -20,7 +21,7 @@ from gl3weights.breuil import (
 from gl3weights.cycling import cycle
 from gl3weights.elimination import eliminate
 from gl3weights.induction import AntidominantCochar
-from gl3weights.predicted import enumerate_predicted
+from gl3weights.predicted import PredictedSet, enumerate_predicted
 from gl3weights.slopes import hodge_data
 from gl3weights.tame_types import distinguish, tau, tau_exponent, type_from_exponent
 from gl3weights.weights import WeightClass, canonicalize, weight
@@ -88,17 +89,33 @@ def test_trusted_path_runs_no_check():
 
 
 def test_record_field_count_is_checked():
-    cls = type(RECORDS["PredictedSet"]())
-    with pytest.raises(TypeError):
-        cls(P, frozenset(), T(), extra=1)  # fields are positional only
-    for build in (
-        lambda: cls(P, frozenset()),
-        lambda: cls.__new__(cls, P, frozenset()),
-        lambda: cls.__new__(cls, P, frozenset(), T(), T()),
-    ):
-        with pytest.raises(TypeError) as info:
-            build()
-        assert str(info.value) == "PredictedSet takes the fields p, weights, source"
+    for name, make in RECORDS.items():
+        record = make()
+        cls, fields = type(record), record.__reduce__()[1]
+        with pytest.raises(TypeError):
+            cls(*fields, extra=1)  # fields are positional only
+        # Decomposition's own __new__ defaults all fields but the first
+        too_few = () if cls is Decomposition else fields[:-1]
+        for build in (
+            lambda: cls(*too_few),
+            lambda: cls.__new__(cls, *too_few),
+            lambda: cls.__new__(cls, *fields, None),
+        ):
+            with pytest.raises(TypeError) as info:
+                build()
+            if cls is not Decomposition:  # its own __new__ gets Python's arity message
+                assert str(info.value) == f"{name} takes the fields {', '.join(cls._fields)}"
+    with pytest.raises(TypeError) as info:
+        PredictedSet(P, frozenset())
+    assert str(info.value) == "PredictedSet takes the fields p, weights, source"
+
+
+def test_records_of_one_shape_share_one_compiled_store():
+    # the store is compiled once per (field count, hashed), not once per class
+    assert ExpClass.__new__.__code__ is PredictedSet.__new__.__code__
+    assert ExpClass.__new__ is not PredictedSet.__new__
+    assert WeightClass.__new__.__code__ is not ExpClass.__new__.__code__
+    assert Decomposition._store.__code__ is FrobOrbit.__new__.__code__
 
 
 def test_records_repr_as_before():
