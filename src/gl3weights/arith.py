@@ -9,6 +9,7 @@ Python ints, so all results are exact.
 
 from __future__ import annotations
 
+from _collections import _tuplegetter
 from functools import lru_cache
 
 SUPPORTED_NIVEAUX = (1, 2, 3)
@@ -57,76 +58,50 @@ def check_niveau(d: int) -> None:
         raise ValueError(f"niveau must be one of {SUPPORTED_NIVEAUX}, got {d}")
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _store_code(n: int, hashed: bool):
-    """The store of a record of n fields, compiled once per (n, hashed); each
-    class runs it with its own slot setters put0, put1, ... as globals."""
-    names = "".join(f"v{i}, " for i in range(n))
-    return compile(
-        "def __new__(cls, *values):\n"
-        "    try:\n"
-        f"        {names}= values\n"
-        "    except ValueError:\n"
-        "        raise TypeError(message) from None\n"
-        "    self = new(cls)\n"
-        + "".join(f"    put{i}(self, v{i})\n" for i in range(n))
-        + "    put_hash(self, hash(values))\n" * hashed
-        + "    return self\n", f"<store of {n} fields>", "exec")
+class Record(tuple):
+    """Immutable value record: a tuple of its fields, named by `_fields`,
+    each read through a C getter as a namedtuple's is.  It equals only a
+    record of its own class with equal fields, hashes as the tuple of its
+    fields, pickles as a call of its class and prints as a dataclass does.
 
-
-class Record:
-    """Immutable value record: its fields are its `__slots__` less those
-    with a leading underscore, and a `_hash` slot caches the hash of the
-    fields.  It equals only a record of its own class with equal fields,
-    pickles as a call of its class and prints as a dataclass does.
-
-    Each class gets one store, `_store`, generated with the class: it takes
-    the fields positionally, runs no check and is the class's `__new__`
-    (Decomposition's `__new__` adds defaults and calls it), so
-    `Cls.__new__(Cls, ...)` is the trusted path.  `__init__` holds only the
+    `Record.__new__` checks only the field count and stores the fields, so
+    `Cls.__new__(Cls, ...)` is the trusted path; `__init__` holds only the
     checks, so `Cls(...)` stores, then checks."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
-        hashed = "_hash" in cls.__slots__
-        scope = {f"put{i}": getattr(cls, f).__set__ for i, f in enumerate(cls._fields)}
-        scope.update(new=object.__new__, put_hash=hashed and cls._hash.__set__,
-                     message=f"{cls.__name__} takes the fields {', '.join(cls._fields)}")
-        exec(_store_code(len(cls._fields), hashed), scope)
-        cls._store = store = staticmethod(scope["__new__"])
-        if "__new__" not in cls.__dict__:
-            cls.__new__ = store
+        for i, f in enumerate(cls._fields):
+            setattr(cls, f, _tuplegetter(i, None))
+        cls._message = f"{cls.__name__} takes the fields {', '.join(cls._fields)}"
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(cls._message)
+        return tuple.__new__(cls, values)
 
+    # False, not NotImplemented: a plain tuple must not equal a record
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+    __hash__ = tuple.__hash__
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(self)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
 
 class ExpClass(Record):
     """Exponent class of a tame character: a residue modulo p^d - 1."""
 
-    __slots__ = ("p", "d", "value")
+    __slots__ = ()
+    _fields = ("p", "d", "value")
 
     def __init__(self, p: int, d: int, value: int) -> None:
         check_prime(p)
@@ -145,7 +120,8 @@ class FrobOrbit(Record):
     The representative is the least member; the orbit size divides d.
     """
 
-    __slots__ = ("p", "d", "rep", "size")
+    __slots__ = ()
+    _fields = ("p", "d", "rep", "size")
 
     def elements(self) -> tuple[int, ...]:
         e = self.p**self.d - 1
@@ -230,11 +206,8 @@ class Decomposition(Record):
     or "II" for n = p^2*x + p*y + z with x >= y > z, x - z <= p.
     """
 
-    __slots__ = ("kind", "x", "y", "z")
-
-    def __new__(cls, kind: str, x: int | None = None, y: int | None = None,
-                z: int | None = None) -> Decomposition:
-        return cls._store(cls, kind, x, y, z)
+    __slots__ = ()
+    _fields = ("kind", "x", "y", "z")
 
     @property
     def coords(self) -> tuple[int, int, int]:
@@ -268,7 +241,7 @@ def decompose_exponent(n: int, p: int) -> Decomposition:
     m = n % c
     q = (n - m) // c
     if m == 0:
-        return Decomposition(DIVISIBLE)
+        return Decomposition(DIVISIBLE, None, None, None)
     # 1 <= m <= c - 1; write m - 1 in base p + 1
     alpha, beta = divmod(m - 1, p + 1)
     if alpha + beta <= p - 1:

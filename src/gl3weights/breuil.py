@@ -37,7 +37,8 @@ TRIPLES_SUM3 = tuple(
 class BreuilModule(Record):
     """Rank-one module datum (p, d, r, heights r_i, descent exponents k_i)."""
 
-    __slots__ = ("p", "d", "r", "heights", "exponents")
+    __slots__ = ()
+    _fields = ("p", "d", "r", "heights", "exponents")
 
     @property
     def e(self) -> int:
@@ -152,7 +153,8 @@ class LiftType(Record):
     calls, also requires the gaps a-b > 2, b-c > 2 and a-c < p-3.
     """
 
-    __slots__ = ("kind", "p", "a", "b", "c")
+    __slots__ = ()
+    _fields = ("kind", "p", "a", "b", "c")
 
     def __init__(self, kind: str, p: int, a: int, b: int, c: int) -> None:
         check_prime(p)

@@ -287,10 +287,6 @@ def _comma_ints(text: str) -> list[int]:
 
 
 FLAG_TYPES = {"int": int, "triple": _comma_ints, "d-list": _comma_ints}
-# argparse reads a list value that starts with a negative number, as in
-# `--F -1,-2,-3`, as a flag, so `run` joins the two: `--F=-1,-2,-3`
-LIST_FLAGS = {row[3] for spec in (TYPE_FIELDS, *(c[2] for c in COMMANDS.values()))
-              for row in spec if FLAG_TYPES.get(row[1]) is _comma_ints}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,8 +344,10 @@ def _read_envelope(stream) -> tuple[str, dict]:
 
 def run(argv: list[str] | None = None, stdin=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with a negative number, as in
+    # `--F -1,-2,-3`, as a flag, so a flag is joined to it: `--F=-1,-2,-3`
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in LIST_FLAGS and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+        if argv[i - 1][:2] == "--" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:

@@ -56,9 +56,10 @@ class CyclingGraph(Record):
     (at, level, forced weights) where more than one is forced; stuck_node
     is the first unreached table weight of a stuck closure, else None."""
 
-    __slots__ = ("p", "case", "params", "source", "start", "nodes", "edges",
-                 "non_singletons", "families", "predicted", "status", "stuck_node",
-                 "stuck_reason")
+    __slots__ = ()
+    _fields = ("p", "case", "params", "source", "start", "nodes", "edges",
+               "non_singletons", "families", "predicted", "status", "stuck_node",
+               "stuck_reason")
 
 
 # Memo bounds: callers that reuse a type run its starts close together,
@@ -118,7 +119,8 @@ class _Frame(Record):
     weight's (operator, forced weights) pairs in visiting order.
     """
 
-    __slots__ = ("case", "params", "table", "order", "predicted", "families", "steps")
+    __slots__ = ()
+    _fields = ("case", "params", "table", "order", "predicted", "families", "steps")
 
 
 def _by_coords(ws) -> tuple[WeightClass, ...]:

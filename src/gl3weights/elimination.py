@@ -35,8 +35,9 @@ class EliminationReport(Record):
     """A verdict and its evidence: lift_sets ((kind, candidate orbit set) per
     lift) and intersection are None on the crystalline branch."""
 
-    __slots__ = ("weight", "source", "branch", "verdict", "matched_orbit", "lift_sets",
-                 "intersection")
+    __slots__ = ()
+    _fields = ("weight", "source", "branch", "verdict", "matched_orbit", "lift_sets",
+               "intersection")
 
 
 def _branch_of(w: WeightClass) -> str:

@@ -21,7 +21,8 @@ SHAPE_1_2 = "1+2"
 class AntidominantCochar(Record):
     """Cocharacter with non-decreasing 0/1 entries, e.g. (0, 0, 1)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
+    _fields = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]) -> None:
         if any(v not in (0, 1) for v in entries):

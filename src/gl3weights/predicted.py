@@ -23,7 +23,8 @@ SHADOW_FAMILY = "shadow"
 class PredictedSet(Record):
     """Predicted weights of a type, as a set of canonical classes."""
 
-    __slots__ = ("p", "weights", "source")
+    __slots__ = ()
+    _fields = ("p", "weights", "source")
 
     def sorted_weights(self) -> tuple[WeightClass, ...]:
         return tuple(sorted(self.weights, key=lambda w: w.coords))

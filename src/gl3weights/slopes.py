@@ -29,7 +29,8 @@ class HodgeData(Record):
     t_vals: valuations of the normalised eigenvalues t_1, ..., t_n.
     """
 
-    __slots__ = ("n", "f", "e_ram", "hodge", "t_vals")
+    __slots__ = ()
+    _fields = ("n", "f", "e_ram", "hodge", "t_vals")
 
     def __init__(self, n: int, f: int, e_ram: int, hodge: tuple[tuple[int, ...], ...],
                  t_vals: tuple[Fraction, ...]) -> None:

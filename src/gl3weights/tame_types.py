@@ -23,7 +23,8 @@ HYPOTHESIS_VIOLATED = "hypothesis_violated"
 class TameType(Record):
     """Multiset of Frobenius orbits at niveau 3 with total size 3."""
 
-    __slots__ = ("p", "chars", "_hash")
+    __slots__ = ()
+    _fields = ("p", "chars")
 
     def __init__(self, p: int, chars: tuple[FrobOrbit, ...]) -> None:
         check_prime(p)
@@ -34,9 +35,6 @@ class TameType(Record):
                 raise ValueError("all orbits must live at niveau 3 over the same p")
         if tuple(sorted(chars, key=lambda o: o.rep)) != chars:
             raise ValueError("orbits must be listed sorted by representative")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def niveau(self) -> int:
@@ -102,7 +100,8 @@ class DistinguishResult(Record):
     an isomorphism can only be the identity: same cycle, same triple.
     """
 
-    __slots__ = ("tag", "matches")
+    __slots__ = ()
+    _fields = ("tag", "matches")
 
 
 def distinguish(

@@ -18,7 +18,8 @@ ALCOVE_UPPER = "upper"
 class WeightClass(Record):
     """Isomorphism class of an irreducible F_p-weight, in canonical form."""
 
-    __slots__ = ("p", "n", "coords", "_hash")
+    __slots__ = ()
+    _fields = ("p", "n", "coords")
 
     def __init__(self, p: int, n: int, coords: tuple[int, ...]) -> None:
         check_prime(p)
@@ -31,14 +32,6 @@ class WeightClass(Record):
                 raise ValueError(f"coordinates {coords} are not p-restricted")
         if not 0 <= coords[-1] <= p - 2:
             raise ValueError(f"coordinates {coords} are not in canonical form")
-
-    def __eq__(self, other):
-        if other.__class__ is WeightClass:
-            return self.coords == other.coords and self.p == other.p and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return "F(" + ",".join(str(c) for c in self.coords) + ")"

@@ -11,7 +11,6 @@ from gl3weights.arith import (
     CASE_II,
     DIVISIBLE,
     P_LIMIT,
-    Decomposition,
     ExpClass,
     check_prime,
     decompose_exponent,
@@ -214,8 +213,9 @@ def test_orbit_rep_is_invariant(v):
 
 
 def test_decomposition_guard():
+    p = 7
     with pytest.raises(ValueError):
-        Decomposition(DIVISIBLE).coords
+        decompose_exponent(p * p + p + 1, p).coords
 
 
 @pytest.mark.parametrize("p,values", [

@@ -385,6 +385,8 @@ FLAG_FORMS = [
      {"p": 29, "type": {"xi": "321", "mu": [17, 9, 0]}}),
     (["predict", "--p", "29", "--xi", "123", "--mu", "-1,-9,-17"], "predict",
      {"p": 29, "type": {"xi": "123", "mu": [-1, -9, -17]}}),
+    (["predict", "--p", "29", "--xi", "123", "--m", "-1,-9,-17"], "predict",
+     {"p": 29, "type": {"xi": "123", "mu": [-1, -9, -17]}}),
     (["eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"], "eliminate",
      {"p": 29, "weight": [32, 16, 0], "type": {"orbit_rep": 163}}),
     (["eliminate", "--p", "29", "--F", "54,27,0", "--orbit-rep", "278"], "eliminate",
@@ -400,6 +402,8 @@ FLAG_FORMS = [
      {"p": 7, "d": 3, "r": 2, "heights": [684, 684, 684], "exponents": [100, 16, 112]}),
     (["breuil", "--p", "29", "--heights", "3,1,2", "--k0", "100"], "breuil",
      {"p": 29, "heights": [3, 1, 2], "k0": 100}),
+    (["breuil", "--p", "7", "--heig", "-1,2,3", "--k0", "1"], "breuil",
+     {"p": 7, "heights": [-1, 2, 3], "k0": 1}),
     (["sweep"], "sweep", {}),
     (["sweep", "--suite", "weights", "--p", "11", "--seed", "1", "--count", "3"], "sweep",
      {"suite": "weights", "p": 11, "seed": 1, "count": 3}),
@@ -437,6 +441,8 @@ def test_flags_and_envelope_agree(capsys, argv, command, params):
      "predict", {"p": 29, "type": {"orbit_rep": 278, "xi": "123"}}),
     (["breuil", "--p", "7", "--heights", "684,684"], "breuil",
      {"p": 7, "heights": [684, 684]}),
+    (["cycle", "--p", "29", "--start", "15,8,0", "--xi", "123", "--mu", "17,9,0", "--dot", "-5"],
+     "cycle", {"p": 29, "start": [15, 8, 0], "type": MU, "dot": -5}),
 ])
 def test_conflicting_or_unknown_parameters_are_usage_errors(capsys, argv, command, params):
     assert outcome(capsys, argv) == (2, "")

@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gl3weights import cycling
-from gl3weights.arith import (Decomposition, ExpClass, FrobOrbit, decompose_exponent,
-                              exp_class, orbit_of)
+from gl3weights.arith import Record, decompose_exponent, exp_class, orbit_of
 from gl3weights.breuil import (
     cuspidal,
     cuspidal_dual,
@@ -60,17 +59,26 @@ UNHASHABLE = {"_Frame"}  # its steps field is a dict
 @pytest.mark.parametrize("name", RECORDS)
 def test_record_semantics(name):
     a, b = RECORDS[name](), RECORDS[name]()
-    assert type(a).__name__ == name
+    cls = type(a)
+    assert cls.__name__ == name
     assert a is not b and a == b and not a != b
     if name not in UNHASHABLE:
         assert hash(a) == hash(b)
     fields = a.__reduce__()[1]
     assert a != fields and a != tuple(fields)
-    trusted = type(a).__new__(type(a), *fields)
+    # a plain tuple on the left compares through the record's reflected methods
+    assert tuple(fields) != a and not tuple(fields) == a
+    # a record of another class, even of the same name and fields, is unequal too
+    twin = type(cls.__name__, (Record,), {"__slots__": (), "_fields": cls._fields})
+    other = twin.__new__(twin, *fields)
+    assert a != other and not a == other and other != a and not other == a
+    if name not in UNHASHABLE:
+        assert {tuple(fields): 1}.get(a) is None
+    trusted = cls.__new__(cls, *fields)
     assert trusted == a
     if name not in UNHASHABLE:
         assert hash(trusted) == hash(a)
-    first = type(a).__slots__[0]
+    first = cls._fields[0]
     with pytest.raises(AttributeError):
         setattr(a, first, None)
     with pytest.raises(AttributeError):
@@ -94,28 +102,17 @@ def test_record_field_count_is_checked():
         cls, fields = type(record), record.__reduce__()[1]
         with pytest.raises(TypeError):
             cls(*fields, extra=1)  # fields are positional only
-        # Decomposition's own __new__ defaults all fields but the first
-        too_few = () if cls is Decomposition else fields[:-1]
         for build in (
-            lambda: cls(*too_few),
-            lambda: cls.__new__(cls, *too_few),
+            lambda: cls(*fields[:-1]),
+            lambda: cls.__new__(cls, *fields[:-1]),
             lambda: cls.__new__(cls, *fields, None),
         ):
             with pytest.raises(TypeError) as info:
                 build()
-            if cls is not Decomposition:  # its own __new__ gets Python's arity message
-                assert str(info.value) == f"{name} takes the fields {', '.join(cls._fields)}"
+            assert str(info.value) == f"{name} takes the fields {', '.join(cls._fields)}"
     with pytest.raises(TypeError) as info:
         PredictedSet(P, frozenset())
     assert str(info.value) == "PredictedSet takes the fields p, weights, source"
-
-
-def test_records_of_one_shape_share_one_compiled_store():
-    # the store is compiled once per (field count, hashed), not once per class
-    assert ExpClass.__new__.__code__ is PredictedSet.__new__.__code__
-    assert ExpClass.__new__ is not PredictedSet.__new__
-    assert WeightClass.__new__.__code__ is not ExpClass.__new__.__code__
-    assert Decomposition._store.__code__ is FrobOrbit.__new__.__code__
 
 
 def test_records_repr_as_before():
