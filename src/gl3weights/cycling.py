@@ -18,8 +18,12 @@ kept in one bounded memo: a frame holding the table parameters, the
 nine-weight table and all 18 forced steps, in the orientation of the
 caller's type.  So each membership decision is cross-checked once per
 (type, weight), and the closure from each start is one BFS over the
-frame.  A type in dual form reads the direct frame of its cyclotomic
-double-twisted dual, flipped once: duality swaps T1 and T2.
+frame.  The direct frame reads coordinate triples through three kernels
+(`induction.implied_coords`, `predicted.is_member`,
+`elimination.is_consistent`) and builds records only for the table, so
+every forced weight is a table weight's own object.  A type in dual
+form reads the direct frame of its cyclotomic double-twisted dual,
+flipped once: duality swaps T1 and T2.
 """
 
 from __future__ import annotations
@@ -28,17 +32,18 @@ from collections import deque
 from functools import lru_cache
 
 from .arith import Record
-from .elimination import CONSISTENT, eliminate
-from .induction import implied_weights
+from .elimination import is_consistent
+from .induction import implied_coords
 from .predicted import (
     PredictedSet,
     in_table_range,
+    is_member,
     is_predicted,
     membership_solution,
     nine_weight_families,
 )
 from .tame_types import XI_123, TameType, dual_twist
-from .weights import WeightClass, dual, is_generic
+from .weights import WeightClass, canonical, dual, is_generic
 
 CASE_DIRECT = "direct"
 CASE_DUAL = "dual"
@@ -99,14 +104,13 @@ def normalize_parameters(
     return frame.case, frame.params
 
 
-def _checked_membership(v: WeightClass, t: TameType) -> bool:
-    """Membership with the elimination branch as a mandatory cross-check."""
-    member = is_predicted(v, t)
-    report = eliminate(v, t)
-    if (report.verdict == CONSISTENT) != member:
-        raise ConsistencyError(
-            f"membership and elimination disagree at {v} for type {t}"
-        )
+def _checked_membership(t: TameType, rep: int, coords: tuple[int, int, int]) -> bool:
+    """Membership of F(coords) for t, of orbit representative rep, with the
+    elimination branch as a mandatory cross-check."""
+    member = is_member(t.p, coords, rep)
+    if is_consistent(t.p, coords, rep) != member:
+        raise ConsistencyError("membership and elimination disagree at"
+                               f" {canonical(coords, t.p)} for type {t}")
     return member
 
 
@@ -136,28 +140,30 @@ def _frame(t: TameType) -> _Frame:
             raise ValueError("type does not fit any generic nine-weight table")
         return _dual_frame(_frame(flipped), t)
     params = direct[0]
-    fams = nine_weight_families(*params, t.p)
-    table = frozenset(w for fam in fams.values() for w in fam)
+    p, rep = t.p, t.orbit_rep()
+    fams = nine_weight_families(*params, p)
+    by_coords = {w.coords: w for fam in fams.values() for w in fam}
+    table = frozenset(by_coords.values())
     families = tuple(sorted(((w, name) for name, fam in fams.items() for w in fam),
                             key=lambda pair: pair[0].coords))
-    order = _by_coords(table)
-    member: dict[WeightClass, bool] = {}
+    order = tuple(by_coords[c] for c in sorted(by_coords))
+    # by coordinates: a forced weight is a table object (None if stray, refused below)
+    member: dict[tuple[int, int, int], bool] = {}
     steps = {}
     for w in order:
         pairs = []
         for j in (1, 2):
-            implied = _by_coords(implied_weights(w, j))
+            implied = implied_coords(p, w.coords, j)
             for v in implied:
                 if v not in member:
-                    member[v] = _checked_membership(v, t)
-            pairs.append((j, tuple(v for v in implied if member[v])))
+                    member[v] = _checked_membership(t, rep, v)
+            pairs.append((j, tuple(by_coords.get(v) for v in implied if member[v])))
         steps[w] = tuple(pairs)
-    stray = [v for v, m in member.items() if m and v not in table]
+    stray = [v for v, m in member.items() if m and v not in by_coords]
     if stray:
-        raise ConsistencyError(
-            f"predicted weight {stray[0]} missing from the nine-weight table {params}"
-        )
-    return _Frame(CASE_DIRECT, params, table, order, PredictedSet(t.p, table, t), families,
+        raise ConsistencyError(f"predicted weight {canonical(stray[0], p)} missing from the"
+                               f" nine-weight table {params}")
+    return _Frame(CASE_DIRECT, params, table, order, PredictedSet(p, table, t), families,
                   steps)
 
 

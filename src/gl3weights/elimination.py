@@ -40,24 +40,21 @@ class EliminationReport(Record):
                "intersection")
 
 
-def _branch_of(w: WeightClass) -> str:
-    x, y, z = w.coords
-    p = w.p
+def _branch_of(p: int, coords: tuple[int, int, int]) -> str:
+    x, y, z = coords
     if x - z < p - 3:
         return BRANCH_CRYSTALLINE
     if x - y < p - 5 and y - z < p - 5 and x - z > p + 1:
         return BRANCH_INTERSECTION
-    raise UnsupportedWeight(
-        f"{w} falls in neither the small-span nor the large-span regime"
-    )
+    raise UnsupportedWeight(f"F({x},{y},{z}) falls in neither the small-span"
+                            " nor the large-span regime")
 
 
-def _lifts(w: WeightClass) -> tuple[tuple[str, int, int, int, int], ...]:
-    """The fields (kind, p, a, b, c) of the three lifts used in the large-span regime at w."""
-    if _branch_of(w) != BRANCH_INTERSECTION:
-        raise UnsupportedWeight(f"{w} is not in the large-span regime")
-    x, y, z = w.coords
-    p = w.p
+def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, int, int], ...]:
+    """The fields (kind, p, a, b, c) of the three large-span lifts at F(coords)."""
+    x, y, z = coords
+    if _branch_of(p, coords) != BRANCH_INTERSECTION:
+        raise UnsupportedWeight(f"F({x},{y},{z}) is not in the large-span regime")
     # y > x - p + 1 > z here, so the principal series digits are already sorted
     return (
         (PRINCIPAL_SERIES, p, y, x - p + 1, z),
@@ -68,15 +65,15 @@ def _lifts(w: WeightClass) -> tuple[tuple[str, int, int, int, int], ...]:
 
 def lift_types_for(w: WeightClass) -> tuple[LiftType, ...]:
     """The three lifts used in the large-span regime at w."""
-    return tuple(LiftType.__new__(LiftType, *fields) for fields in _lifts(w))
+    return tuple(LiftType.__new__(LiftType, *fields) for fields in _lifts(w.p, w.coords))
 
 
-# one memo for both readers: (kind, orbit set) per lift for the report, and
+# one memo for every reader: (kind, orbit set) per lift for the report, and
 # the tuple intersection_sets returns.  No lift is built, so none is gap-checked;
 # test_large_span_lifts_pass_the_gap_check shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
-def _intersection_data(w: WeightClass) -> tuple[tuple, tuple[frozenset[int], ...]]:
-    lift_sets = tuple((fields[0], lift_orbits(*fields)) for fields in _lifts(w))
+def _intersection_data(p: int, coords: tuple) -> tuple[tuple, tuple[frozenset[int], ...]]:
+    lift_sets = tuple((fields[0], lift_orbits(*fields)) for fields in _lifts(p, coords))
     sets = tuple(reps for _, reps in lift_sets)
     return lift_sets, (*sets, sets[0] & sets[1] & sets[2])
 
@@ -84,7 +81,15 @@ def _intersection_data(w: WeightClass) -> tuple[tuple, tuple[frozenset[int], ...
 def intersection_sets(w: WeightClass) -> tuple[frozenset[int], ...]:
     """Candidate orbit sets of the three lifts, in the order of
     `lift_types_for`, and their intersection."""
-    return _intersection_data(w)[1]
+    return _intersection_data(w.p, w.coords)[1]
+
+
+def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
+    """The verdict of `eliminate` for F(coords) and the type of orbit
+    representative rep, past its entry checks."""
+    if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
+        return rep in membership_reps(p, coords)
+    return rep in _intersection_data(p, coords)[1][3]
 
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
@@ -96,17 +101,14 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     if not t.is_irreducible():
         raise ValueError("elimination requires an irreducible niveau-3 type")
     rep = t.orbit_rep()
-    branch = _branch_of(w)
+    branch = _branch_of(w.p, w.coords)
+    lift_sets = inter = None
     if branch == BRANCH_CRYSTALLINE:
         # below the wall these are the types tau(xi, (x+2, y+1, z))
         allowed = membership_reps(w.p, w.coords)
-        verdict = CONSISTENT if rep in allowed else ELIMINATED
-        return EliminationReport(
-            w, t, branch, verdict, rep if rep in allowed else None, None, None
-        )
-    lift_sets, sets = _intersection_data(w)
-    inter = sets[3]
-    verdict = CONSISTENT if rep in inter else ELIMINATED
-    return EliminationReport(
-        w, t, branch, verdict, rep if rep in inter else None, lift_sets, inter
-    )
+    else:
+        lift_sets, sets = _intersection_data(w.p, w.coords)
+        allowed = inter = sets[3]
+    hit = rep in allowed
+    return EliminationReport(w, t, branch, CONSISTENT if hit else ELIMINATED,
+                             rep if hit else None, lift_sets, inter)

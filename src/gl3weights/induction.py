@@ -132,5 +132,12 @@ def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
     if not (x - y > 0 and y - z > 0 and x - z < p - 1
             or x - y < p - 1 and y - z < p - 1 and x - z > p - 1):
         raise ValueError(f"{w} lies outside both implied-weight ranges")
-    shape = SHAPE_2_1 if j == 1 else SHAPE_1_2
-    return frozenset(canonical(v, p) for v in _induced(shape, w.coords, p)[:-1])
+    return frozenset(canonical(v, p) for v in implied_coords(p, w.coords, j))
+
+
+def implied_coords(p: int, coords: tuple, j: int) -> tuple[tuple[int, int, int], ...]:
+    """The canonical coordinates of `implied_weights`, distinct and sorted,
+    for a weight and level that its checks pass."""
+    m = p - 1
+    return tuple(sorted({(x - z + z % m, y - z + z % m, z % m) for x, y, z
+                         in _induced(SHAPE_2_1 if j == 1 else SHAPE_1_2, coords, p)[:-1]}))

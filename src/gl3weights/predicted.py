@@ -75,13 +75,17 @@ def is_predicted(w: WeightClass, t: TameType) -> bool:
         raise ValueError("membership is defined for rank-3 weights")
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
-    rep = _require_irreducible(t)
-    x, y, z = w.coords
-    if not (x - y <= w.p - 3 and y - z <= w.p - 3):
-        raise ValueError(
-            f"{w} has a difference above p-3; membership is undefined there"
-        )
-    return rep in membership_reps(w.p, w.coords)
+    return is_member(w.p, w.coords, _require_irreducible(t))
+
+
+def is_member(p: int, coords: tuple[int, int, int], rep: int) -> bool:
+    """`is_predicted` for F(coords) and the type of orbit representative
+    rep, past its entry checks: the strip check, then the membership rows."""
+    x, y, z = coords
+    if not (x - y <= p - 3 and y - z <= p - 3):
+        raise ValueError(f"F({x},{y},{z}) has a difference above p-3;"
+                         " membership is undefined there")
+    return rep in membership_reps(p, coords)
 
 
 def membership_solution(p: int, n: int, xi: str, high: bool) -> tuple[int, int, int]:

@@ -19,11 +19,13 @@ from gl3weights.cycling import (
     emit_dot,
     normalize_parameters,
 )
-from gl3weights.elimination import CONSISTENT, ELIMINATED, EliminationReport
+from gl3weights.elimination import eliminate
+from gl3weights.induction import implied_weights
 from gl3weights.predicted import (
     LOWER_FAMILY,
     SHADOW_FAMILY,
     UPPER_FAMILY,
+    is_predicted,
     nine_weight_table,
 )
 from gl3weights.tame_types import XI_123, dual_twist, tau, type_from_exponent
@@ -212,18 +214,14 @@ def test_memoized_closure_matches_cold(dual_case):
 
 def test_cross_check_stays_on_the_path(monkeypatch):
     flip_at = weight(29, 43, 28, 8)  # T1-implied by the start F(15,8,0)
-    real = cycling.eliminate
+    real = cycling.is_consistent
 
-    def lying_eliminate(w, t):
-        report = real(w, t)
-        if w != flip_at:
-            return report
-        verdict = ELIMINATED if report.verdict == CONSISTENT else CONSISTENT
-        return EliminationReport(report.weight, report.source, report.branch, verdict,
-                                 report.matched_orbit, report.lift_sets, report.intersection)
+    def lying_is_consistent(p, coords, rep):
+        verdict = real(p, coords, rep)
+        return not verdict if coords == flip_at.coords else verdict
 
     clear_cycling_memos()
-    monkeypatch.setattr(cycling, "eliminate", lying_eliminate)
+    monkeypatch.setattr(cycling, "is_consistent", lying_is_consistent)
     with pytest.raises(ConsistencyError, match="disagree"):
         cycle(table_type(), weight(29, 15, 8, 0))
     # the dual case cross-checks the same decisions, on the inner type
@@ -256,15 +254,15 @@ def test_stuck_path_matches_witness(monkeypatch, cold_memos):
     # without one table weight among the implied weights the closure stalls;
     # in the dual case the stuck node is the least missing weight by the
     # coordinates of the inner (direct) orientation, not of its own
-    real = cycling.implied_weights
+    real = cycling.implied_coords
     dropped = weight(29, 36, 27, 16)
 
-    def without_dropped(w, j):
-        return real(w, j) - {dropped}
+    def without_dropped(p, coords, j):
+        return tuple(v for v in real(p, coords, j) if v != dropped.coords)
 
-    monkeypatch.setattr(cycling, "implied_weights", without_dropped)
+    monkeypatch.setattr(cycling, "implied_coords", without_dropped)
     t, start, params = table_type(), weight(29, 15, 8, 0), (15, 8, 0)
-    want = closure_bfs(t, start, params, implied=without_dropped)
+    want = closure_bfs(t, start, params, implied=lambda w, j: implied_weights(w, j) - {dropped})
     td = dual_twist(t, 2)
     want_dual = dualized_closure(want, td, dual(start))
     for got, witness in ((cycle(t, start), want), (cycle(td, dual(start)), want_dual)):
@@ -282,20 +280,19 @@ def test_stuck_path_matches_witness(monkeypatch, cold_memos):
 def test_cross_check_runs_once_per_distinct_implied_weight(monkeypatch, cold_memos):
     t = table_type()
     table = nine_weight_table(15, 8, 0, 29)
-    implied = {v for w in table.weights for j in (1, 2)
-               for v in cycling.implied_weights(w, j)}
+    implied = {v for w in table.weights for j in (1, 2) for v in implied_weights(w, j)}
     seen = []
-    real = cycling.eliminate
+    real = cycling.is_consistent
 
-    def counting_eliminate(w, u):
-        seen.append(w)
-        return real(w, u)
+    def counting_is_consistent(p, coords, rep):
+        seen.append(coords)
+        return real(p, coords, rep)
 
-    monkeypatch.setattr(cycling, "eliminate", counting_eliminate)
+    monkeypatch.setattr(cycling, "is_consistent", counting_is_consistent)
     for start in table.sorted_weights():
         assert cycle(t, start).status == STATUS_COMPLETE
     assert len(implied) == 24
-    assert sorted(seen, key=lambda v: v.coords) == sorted(implied, key=lambda v: v.coords)
+    assert sorted(seen) == sorted(v.coords for v in implied)
     # the dual case reads the same checked decisions
     for start in table.sorted_weights():
         cycle(dual_twist(t, 2), dual(start))
@@ -305,6 +302,47 @@ def test_cross_check_runs_once_per_distinct_implied_weight(monkeypatch, cold_mem
 def test_forced_weight_outside_the_table_is_refused(monkeypatch, cold_memos):
     # a membership verdict for a weight the nine-weight table lacks means the
     # two encodings of the predicted set disagree
-    monkeypatch.setattr(cycling, "_checked_membership", lambda v, t: True)
+    monkeypatch.setattr(cycling, "_checked_membership", lambda t, rep, coords: True)
     with pytest.raises(ConsistencyError, match="missing from the nine-weight table"):
         cycle(table_type(), weight(29, 15, 8, 0))
+
+
+def test_direct_form_matches_witness():
+    # every p=29 triple against a plain BFS that filters through is_predicted;
+    # the start rotates through the nine table weights
+    for k, (a, b, c) in enumerate(_table_triples(29)):
+        t = table_type(29, (a, b, c))
+        start = nine_weight_table(a, b, c, 29).sorted_weights()[k % 9]
+        got = cycle(t, start)
+        assert got == closure_bfs(t, start, table_parameter_scan(t)[0]), (a, b, c)
+
+
+@pytest.mark.parametrize("p, abc", [(29, (15, 8, 0)), (31, (20, 9, 3))])
+def test_forced_weights_are_the_tables_objects(p, abc, cold_memos):
+    t = table_type(p, abc)
+    for u in (t, dual_twist(t, 2)):
+        frame = cycling._frame(u)
+        table = {id(w) for w in frame.table}
+        forced = [v for pairs in frame.steps.values() for _, vs in pairs for v in vs]
+        assert len(forced) == 30
+        assert all(id(v) in table for v in forced)
+        assert all(id(w) in table for w in frame.steps)
+
+
+@pytest.mark.parametrize("coords, entry", [
+    ((30, 2, 0), is_predicted),   # a difference above p-3
+    ((27, 13, 0), eliminate),     # in the strip, in neither elimination regime
+])
+def test_kernel_errors_match_the_record_entries(monkeypatch, cold_memos, coords, entry):
+    t, start = table_type(), weight(29, 15, 8, 0)
+    w = weight(29, *coords)
+    with pytest.raises(ValueError) as want:
+        entry(w, t)
+    assert str(w) in str(want.value)
+    monkeypatch.setattr(cycling, "implied_coords", lambda p, c, j: (coords,))
+    for u, s in ((t, start), (dual_twist(t, 2), dual(start))):
+        clear_cycling_memos()
+        with pytest.raises(ValueError) as got:
+            cycle(u, s)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
