@@ -19,11 +19,10 @@ __version__ = "0.1.0"
 # home module -> the names it exports at package level
 _EXPORTS = {
     "arith": "CASE_I CASE_II DIVISIBLE Decomposition ExpClass FrobOrbit decompose_exponent"
-             " embed_niveau exp_class niveau_of orbit orbit_of orbit_rep",
+             " exp_class orbit orbit_of orbit_rep",
     "weights": "WeightClass alcove canonicalize dim_weight dual is_delta_generic is_generic"
-               " shadow shadow_inverse weight weyl_dim",
-    "tame_types": "FORCED HYPOTHESIS_VIOLATED NOT_ISOMORPHIC TameType distinguish dual_twist"
-                  " iso tau tau_exponent type_from_exponent",
+               " shadow weight weyl_dim",
+    "tame_types": "TameType dual_twist iso tau tau_exponent type_from_exponent",
     "breuil": "BreuilModule LiftType cuspidal cuspidal_dual fractional_shift"
               " inertial_character is_maximal is_minimal maximal_model principal_series"
               " random_module validate",

@@ -1,9 +1,10 @@
 """Exponent arithmetic for tame characters of niveau d.
 
 A tame character of niveau d is determined by an exponent modulo
-p^d - 1; the Frobenius acts on exponents by multiplication by p, and
-characters of a smaller niveau embed via the norm-compatible scaling
-(p^D - 1)/(p^d - 1).  Everything here is plain modular arithmetic over
+p^d - 1; the Frobenius acts on exponents by multiplication by p.  A
+niveau-1 exponent v embeds at niveau 3 as v*(p^2+p+1), the norm-compatible
+scaling (p^3 - 1)/(p - 1); so adding a multiple of p^2+p+1 to an exponent
+is a niveau-1 twist.  Everything here is plain modular arithmetic over
 Python ints, so all results are exact.
 """
 
@@ -177,25 +178,6 @@ def orbit_rep(p: int, value: int) -> int:
     """Least member of the Frobenius orbit of value modulo p^3 - 1."""
     (rep,) = orbit_reps(p, (value,))
     return rep
-
-
-def niveau_of(c: ExpClass) -> int:
-    """Least k with value * p^k = value mod p^d - 1, i.e. the orbit size."""
-    return orbit(c).size
-
-
-def embed_niveau(c: ExpClass, target_d: int) -> ExpClass:
-    """Embed a niveau-1 exponent class into a larger niveau.
-
-    The fundamental character of niveau 1 equals the (p^D-1)/(p-1) power
-    of the niveau-D one, so exponents scale by that factor.
-    """
-    if c.d != 1:
-        raise ValueError(f"embedding is defined for niveau-1 classes, got d={c.d}")
-    if target_d not in SUPPORTED_NIVEAUX or target_d < c.d:
-        raise ValueError(f"cannot embed niveau {c.d} into niveau {target_d}")
-    scale = (c.p**target_d - 1) // (c.p - 1)
-    return exp_class(c.p, target_d, c.value * scale)
 
 
 class Decomposition(Record):

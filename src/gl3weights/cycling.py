@@ -94,14 +94,19 @@ def normalize_parameters(
     verifies the table-range bounds on (a, b, c) directly rather than
     inferring them from a stronger genericity of the start.
     """
+    frame = _checked_frame(t, start)
+    return frame.case, frame.params
+
+
+def _checked_frame(t: TameType, start: WeightClass) -> _Frame:
+    """The frame of t, after the checks of `normalize_parameters` on t and start."""
     if not t.is_irreducible():
         raise ValueError("cycling requires an irreducible niveau-3 type")
     if not is_generic(start):
         raise ValueError(f"start weight {start} is not 4-generic")
     if not is_predicted(start, t):
         raise ValueError(f"start weight {start} is not predicted for the type")
-    frame = _frame(t)
-    return frame.case, frame.params
+    return _frame(t)
 
 
 def _checked_membership(t: TameType, rep: int, coords: tuple[int, int, int]) -> bool:
@@ -194,8 +199,7 @@ def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
 
 def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
     """Run the cycling closure from a strongly generic predicted weight."""
-    normalize_parameters(t, start)
-    frame = _frame(t)
+    frame = _checked_frame(t, start)
     table = frame.table
     if start not in table:
         raise ConsistencyError(

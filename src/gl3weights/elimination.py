@@ -94,8 +94,6 @@ def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     """Decide whether modularity of w is consistent with the type t."""
-    if w.n != 3:
-        raise ValueError("elimination is defined for rank-3 weights")
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
     if not t.is_irreducible():

@@ -123,8 +123,6 @@ def implied_weights(w: WeightClass, j: int) -> frozenset[WeightClass]:
     range (x - z > p - 1 with both differences below p - 1); the wall
     x - z = p - 1 is outside both ranges.
     """
-    if w.n != 3:
-        raise ValueError("implied weights are defined for rank 3 only")
     if j not in (1, 2):
         raise ValueError(f"operator level must be 1 or 2, got {j}")
     p = w.p

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .arith import MEMO_SIZE, Record, check_prime, orbit_reps, solve_digit_pair
 from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
-from .weights import WeightClass, canonical
+from .weights import WeightClass, canonical, reflect
 
 LOWER_FAMILY = "lower"
 UPPER_FAMILY = "upper"
@@ -71,8 +71,6 @@ def membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
     """Whether the weight lies in the predicted set of the type."""
-    if w.n != 3:
-        raise ValueError("membership is defined for rank-3 weights")
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
     return is_member(w.p, w.coords, _require_irreducible(t))
@@ -147,10 +145,11 @@ def nine_weight_families(
     check_prime(p)
     turned = theta(a, b, c, p)
     orbit = ((a, b, c), turned, theta(*turned, p))
+    lower = tuple(canonical(coords, p) for coords in orbit)
     return {
-        LOWER_FAMILY: tuple(canonical((x, y, z), p) for x, y, z in orbit),
+        LOWER_FAMILY: lower,
         UPPER_FAMILY: tuple(canonical((z + p - 2, y + 1, x - p + 1), p) for x, y, z in orbit),
-        SHADOW_FAMILY: tuple(canonical((z + p - 2, y, x - p + 2), p) for x, y, z in orbit),
+        SHADOW_FAMILY: tuple(map(reflect, lower)),
     }
 
 

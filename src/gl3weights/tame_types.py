@@ -15,10 +15,6 @@ XI_123 = "123"  # cycle sending 1 -> 2 -> 3 -> 1
 XI_132 = "132"  # cycle sending 1 -> 3 -> 2 -> 1
 ORDER_THREE_CYCLES = (XI_123, XI_132)
 
-FORCED = "forced"
-NOT_ISOMORPHIC = "not_isomorphic"
-HYPOTHESIS_VIOLATED = "hypothesis_violated"
-
 
 class TameType(Record):
     """Multiset of Frobenius orbits at niveau 3 with total size 3."""
@@ -91,38 +87,3 @@ def dual_twist(t: TameType, cyclotomic_power: int) -> TameType:
     shift = cyclotomic_power * (t.p * t.p + t.p + 1)
     orbits = [orbit(exp_class(t.p, 3, shift - o.rep)) for o in t.chars]
     return TameType.__new__(TameType, t.p, tuple(sorted(orbits, key=lambda o: o.rep)))
-
-
-class DistinguishResult(Record):
-    """Outcome of comparing tau(xi, (a,b,c)) against tau(xi', (x,y,z)).
-
-    For strictly decreasing triples with span at most p and equal sums,
-    an isomorphism can only be the identity: same cycle, same triple.
-    """
-
-    __slots__ = ()
-    _fields = ("tag", "matches")
-
-
-def distinguish(
-    abc: tuple[int, int, int], xyz: tuple[int, int, int], p: int
-) -> DistinguishResult:
-    a, b, c = abc
-    x, y, z = xyz
-    ok = a > b > c and a - c <= p and x > y > z and x - z <= p
-    if not ok or a + b + c != x + y + z:
-        return DistinguishResult(HYPOTHESIS_VIOLATED, ())
-    matches = []
-    for xi1 in ORDER_THREE_CYCLES:
-        t1 = tau(xi1, abc, p)
-        for xi2 in ORDER_THREE_CYCLES:
-            if iso(t1, tau(xi2, xyz, p)):
-                matches.append((xi1, xi2))
-    if not matches:
-        return DistinguishResult(NOT_ISOMORPHIC, ())
-    for xi1, xi2 in matches:
-        if xi1 != xi2 or abc != xyz:
-            raise AssertionError(
-                f"rigidity failure: tau({xi1},{abc}) = tau({xi2},{xyz}) at p={p}"
-            )
-    return DistinguishResult(FORCED, tuple(matches))

@@ -1,9 +1,10 @@
-"""Irreducible weights of GL_n(F_p) in characteristic p, for n <= 3.
+"""Irreducible weights of GL_3(F_p) in characteristic p.
 
-A weight F(x_1, ..., x_n) is the socle of the dual Weyl module of a
-p-restricted dominant tuple (consecutive differences in [0, p-1]);
-F(x) = F(y) iff the differences agree and the central characters match,
-which pins a unique representative with last coordinate in [0, p-2].
+A weight F(x, y, z) is the socle of the dual Weyl module of a
+p-restricted dominant triple (consecutive differences in [0, p-1]);
+two triples give the same weight iff the differences agree and the
+central characters match, which pins a unique representative with last
+coordinate in [0, p-2].
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ class WeightClass(Record):
     __slots__ = ()
     _fields = ("p", "n", "coords")
 
-    def __init__(self, p: int, n: int, coords: tuple[int, ...]) -> None:
+    def __init__(self, p: int, n: int, coords: tuple[int, int, int]) -> None:
         check_prime(p)
-        if n not in (1, 2, 3):
-            raise ValueError(f"rank must be 1, 2 or 3, got {n}")
-        if len(coords) != n:
-            raise ValueError("coordinate count does not match rank")
+        if n != 3:
+            raise ValueError(f"rank must be 3, got {n}")
+        if len(coords) != 3:
+            raise ValueError(f"expected 3 coordinates, got {len(coords)}")
         for a, b in zip(coords, coords[1:]):
             if not 0 <= a - b <= p - 1:
                 raise ValueError(f"coordinates {coords} are not p-restricted")
@@ -37,36 +38,35 @@ class WeightClass(Record):
         return "F(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def canonicalize(coords: tuple[int, ...] | list[int], p: int, n: int = 3) -> WeightClass:
+def canonicalize(coords: tuple[int, int, int] | list[int], p: int) -> WeightClass:
     """Canonical representative: shift all coordinates by the unique
     multiple of p - 1 placing the last one in [0, p-2]."""
     check_prime(p)
-    if n not in (1, 2, 3):
-        raise ValueError(f"rank must be 1, 2 or 3, got {n}")
     coords = tuple(coords)
-    if len(coords) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(coords)}")
-    w = canonical(coords, p, n)
-    w.__init__(p, n, w.coords)  # the checks of a direct WeightClass(p, n, coords)
+    if len(coords) != 3:
+        raise ValueError(f"expected 3 coordinates, got {len(coords)}")
+    w = canonical(coords, p)
+    w.__init__(p, 3, w.coords)  # the checks of a direct WeightClass(p, 3, coords)
     return w
 
 
-def canonical(coords: tuple[int, ...], p: int, n: int = 3) -> WeightClass:
+def canonical(coords: tuple[int, int, int], p: int) -> WeightClass:
     """`canonicalize` without checks: the trusted path, for p-restricted
     coordinates over a prime that a record or a factory has already checked."""
     shift = coords[-1] - coords[-1] % (p - 1)
     if shift:
         coords = tuple(c - shift for c in coords)
-    return WeightClass.__new__(WeightClass, p, n, coords)
+    return WeightClass.__new__(WeightClass, p, 3, coords)
 
 
 def weight(p: int, *coords: int) -> WeightClass:
-    return canonicalize(tuple(coords), p, len(coords))
+    return canonicalize(coords, p)
 
 
 def dual(w: WeightClass) -> WeightClass:
     """Contragredient twisted back to a weight: reverse and negate."""
-    return canonical(tuple(-c for c in reversed(w.coords)), w.p, w.n)
+    x, y, z = w.coords
+    return canonical((-z, -y, -x), w.p)
 
 
 def alcove(w: WeightClass) -> str:
@@ -78,8 +78,6 @@ def alcove(w: WeightClass) -> str:
     a difference equal to p - 1 beyond the wall fit neither alcove and
     are rejected.
     """
-    if w.n != 3:
-        raise ValueError("alcove position is defined for rank 3 only")
     x, y, z = w.coords
     span = x - z
     if span < w.p - 2:
@@ -94,8 +92,6 @@ def alcove(w: WeightClass) -> str:
 def is_delta_generic(w: WeightClass, delta: int) -> bool:
     """Both differences in (delta - 1, p - 1 - delta) and distance from
     the alcove wall larger than delta."""
-    if w.n != 3:
-        raise ValueError("genericity is defined for rank 3 only")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     x, y, z = w.coords
@@ -123,32 +119,21 @@ def dim_weight(w: WeightClass) -> int:
     module; in the upper alcove the Weyl module has one extra factor,
     the reflected partner, whose Weyl dimension is subtracted.
     """
-    if w.n == 1:
-        return 1
-    if w.n == 2:
-        b, c = w.coords
-        return b - c + 1
-    x, y, z = w.coords
+    full = weyl_dim(*w.coords)
     if alcove(w) in (ALCOVE_LOWER, ALCOVE_WALL):
-        return weyl_dim(x, y, z)
-    return weyl_dim(x, y, z) - weyl_dim(z + w.p - 2, y, x - w.p + 2)
+        return full
+    return full - weyl_dim(*reflect(w).coords)
+
+
+def reflect(w: WeightClass) -> WeightClass:
+    """The reflection (x, y, z) -> (z + p - 2, y, x - p + 2): it swaps the
+    lower and upper alcoves and is an involution on classes."""
+    x, y, z = w.coords
+    return canonical((z + w.p - 2, y, x - w.p + 2), w.p)
 
 
 def shadow(w: WeightClass) -> WeightClass:
-    """Lower-alcove partner of an upper-alcove weight.
-
-    The reflection (x, y, z) -> (z + p - 2, y, x - p + 2) swaps the two
-    alcoves and is an involution on classes.
-    """
+    """Lower-alcove partner of an upper-alcove weight, by `reflect`."""
     if alcove(w) != ALCOVE_UPPER:
         raise ValueError(f"{w} is not in the upper alcove")
-    x, y, z = w.coords
-    return canonical((z + w.p - 2, y, x - w.p + 2), w.p)
-
-
-def shadow_inverse(w: WeightClass) -> WeightClass:
-    """Upper-alcove partner of a strictly lower-alcove weight."""
-    if alcove(w) != ALCOVE_LOWER:
-        raise ValueError(f"{w} is not strictly below the wall")
-    x, y, z = w.coords
-    return canonical((z + w.p - 2, y, x - w.p + 2), w.p)
+    return reflect(w)

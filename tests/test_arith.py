@@ -14,10 +14,8 @@ from gl3weights.arith import (
     ExpClass,
     check_prime,
     decompose_exponent,
-    embed_niveau,
     exp_class,
     is_prime,
-    niveau_of,
     orbit,
     orbit_of,
     orbit_rep,
@@ -81,9 +79,10 @@ def test_orbit_example():
 
 
 def test_niveau_examples():
-    assert niveau_of(exp_class(7, 3, 57)) == 1
-    assert niveau_of(exp_class(7, 3, 10)) == 3
-    assert niveau_of(exp_class(7, 3, 0)) == 1
+    # the niveau of an exponent class is its orbit size
+    assert orbit(exp_class(7, 3, 57)).size == 1
+    assert orbit(exp_class(7, 3, 10)).size == 3
+    assert orbit(exp_class(7, 3, 0)).size == 1
 
 
 def test_orbit_matches_bruteforce():
@@ -118,28 +117,22 @@ def test_solve_digit_pair_rejects_other_slopes():
 
 
 def test_embed_niveau_example():
-    c = embed_niveau(exp_class(7, 1, 1), 3)
-    assert (c.p, c.d, c.value) == (7, 3, 57)
+    # a niveau-1 exponent v embeds at niveau 3 as v*(p^2+p+1)
+    c = exp_class(7, 3, 7 * 7 + 7 + 1)
+    assert (c.value, orbit(c).size) == (57, 1)
 
 
 def test_embed_niveau_is_norm_compatible():
-    # images are Frobenius-fixed, additive, and recover the source exponent
+    # the shift by p^2+p+1 is the scaling (p^3-1)/(p-1); its images are
+    # Frobenius-fixed and additive modulo p - 1
     for p in (7, 11):
-        scale = p * p + p + 1
+        e, scale = p**3 - 1, p * p + p + 1
+        assert e == (p - 1) * scale
         for v in range(p - 1):
-            c = embed_niveau(exp_class(p, 1, v), 3)
-            assert niveau_of(c) == 1
-            assert c.value == v * scale
+            assert orbit_of(p, 3, v * scale).size == 1
+            assert v * scale * p % e == v * scale
         for v, w in ((1, 2), (3, 4), (p - 2, p - 2)):
-            lhs = embed_niveau(exp_class(p, 1, v + w), 3).value
-            a = embed_niveau(exp_class(p, 1, v), 3).value
-            b = embed_niveau(exp_class(p, 1, w), 3).value
-            assert lhs == (a + b) % (p**3 - 1)
-
-
-def test_embed_rejects_higher_niveau_source():
-    with pytest.raises(ValueError):
-        embed_niveau(exp_class(7, 3, 10), 3)
+            assert (v + w) % (p - 1) * scale == (v * scale + w * scale) % e
 
 
 def test_decompose_example():

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from gl3weights import tame_types
 from gl3weights.cli import run
 
 
@@ -135,6 +136,14 @@ def test_sweep_deterministic(capsys):
     assert doc["checks"] > 0
     _, out2, _ = invoke(capsys, *args)
     assert out2 == out
+
+
+def test_tame_rigidity_failure_is_a_failure_record(capsys, monkeypatch):
+    # a type isomorphism that holds for every pair breaks rigidity on each instance
+    monkeypatch.setattr(tame_types, "iso", lambda t1, t2: True)
+    code, out, _ = invoke(capsys, "sweep", "--suite", "tame", "--p", "7", "--count", "3")
+    assert code == 1
+    assert [f["reason"] for f in json.loads(out)["failures"]] == ["rigidity failed"] * 3
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])

@@ -16,11 +16,10 @@ from gl3weights.weights import alcove, canonicalize, dim_weight, dual, weight
 from oracles import implied_weight_tables
 
 
-def constituents(shape, left, right):
-    """The induction constituents of the Levi weight with these blocks."""
-    p = left.p
-    coords = left.coords + right.coords
-    return tuple(canonicalize(v, p) for v in induction._induced(shape, coords, p))
+def constituents(shape, p, left, right):
+    """The induction constituents of the Levi weight whose blocks have
+    these coordinates, read left to right."""
+    return tuple(canonicalize(v, p) for v in induction._induced(shape, left + right, p))
 
 
 def test_cochar_validation():
@@ -66,10 +65,10 @@ def test_dimension_identities_small():
 
 def test_induction_shape_matching():
     # F(5) x F(3,1) at p=7 lifts into the short window with a=5
-    got = constituents(SHAPE_1_2, weight(7, 5), weight(7, 3, 1))
+    got = constituents(SHAPE_1_2, 7, (5,), (3, 1))
     assert got == constituents_short(5, 3, 1, 7)
     # F(5) x F(7,3) only fits the long window: parameters (11, 9, 7)
-    got = constituents(SHAPE_1_2, weight(7, 5), weight(7, 7, 3))
+    got = constituents(SHAPE_1_2, 7, (5,), (7, 3))
     assert got == constituents_long(11, 9, 7, 7)
     assert sum(dim_weight(w) for w in got) == 285
 
@@ -77,14 +76,14 @@ def test_induction_shape_matching():
 def test_induction_rejects_boundary():
     # alpha congruent to a GL_2 coordinate admits neither window
     with pytest.raises(ValueError, match="no generic shape"):
-        constituents(SHAPE_1_2, weight(7, 3), weight(7, 3, 1))
+        constituents(SHAPE_1_2, 7, (3,), (3, 1))
 
 
 def test_induction_2_1_duality():
     for coords_two, alpha in (((3, 1), 5), ((4, 2), 0), ((5, 2), 1)):
         p = 7
-        levi21 = (SHAPE_2_1, weight(p, *coords_two), weight(p, alpha))
-        flipped = (SHAPE_1_2, weight(p, -alpha), weight(p, -coords_two[1], -coords_two[0]))
+        levi21 = (SHAPE_2_1, p, coords_two, (alpha,))
+        flipped = (SHAPE_1_2, p, (-alpha,), (-coords_two[1], -coords_two[0]))
         try:
             want = tuple(dual(v) for v in constituents(*flipped))
         except ValueError:
@@ -107,8 +106,7 @@ def test_implied_matches_induction_kernel():
     # constituents of inducing the restriction to the GL_1 x GL_2 Levi
     for coords in ((5, 3, 1), (4, 2, 1), (5, 4, 2)):
         w = weight(7, *coords)
-        left, right = canonicalize(coords[:1], 7, 1), canonicalize(coords[1:], 7, 2)
-        consts = set(constituents(SHAPE_1_2, left, right))
+        consts = set(constituents(SHAPE_1_2, 7, coords[:1], coords[1:]))
         assert implied_weights(w, 2) == frozenset(consts - {w})
 
 

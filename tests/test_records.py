@@ -22,7 +22,7 @@ from gl3weights.elimination import eliminate
 from gl3weights.induction import AntidominantCochar
 from gl3weights.predicted import PredictedSet, enumerate_predicted
 from gl3weights.slopes import hodge_data
-from gl3weights.tame_types import distinguish, tau, tau_exponent, type_from_exponent
+from gl3weights.tame_types import tau, tau_exponent, type_from_exponent
 from gl3weights.weights import WeightClass, canonicalize, weight
 
 P = 29
@@ -43,7 +43,6 @@ RECORDS = {
     "Decomposition": lambda: decompose_exponent(10, 7),
     "WeightClass": W,
     "TameType": T,
-    "DistinguishResult": lambda: distinguish((5, 3, 1), (5, 3, 1), 7),
     "BreuilModule": lambda: validate(7, 3, 2, (0, 0, 0), (1, 7, 49)),
     "LiftType": lambda: principal_series(P, (20, 10, 2)),
     "PredictedSet": lambda: enumerate_predicted(T()),

@@ -6,13 +6,10 @@ import pytest
 
 from gl3weights.arith import orbit_of
 from gl3weights.tame_types import (
-    FORCED,
-    HYPOTHESIS_VIOLATED,
-    NOT_ISOMORPHIC,
+    ORDER_THREE_CYCLES,
     XI_123,
     XI_132,
     TameType,
-    distinguish,
     dual_twist,
     iso,
     tau,
@@ -89,17 +86,6 @@ def test_dual_twist_degenerate_shift():
     )
 
 
-def test_distinguish_examples():
-    r = distinguish((5, 3, 1), (6, 3, 0), 7)
-    assert r.tag == NOT_ISOMORPHIC
-    r = distinguish((5, 3, 1), (5, 3, 1), 7)
-    assert r.tag == FORCED
-    assert all(x1 == x2 for x1, x2 in r.matches)
-    assert distinguish((5, 3, 1), (6, 3, 1), 7).tag == HYPOTHESIS_VIOLATED  # sums differ
-    assert distinguish((5, 5, 1), (6, 4, 1), 7).tag == HYPOTHESIS_VIOLATED  # not strict
-    assert distinguish((9, 3, 1), (8, 4, 1), 7).tag == HYPOTHESIS_VIOLATED  # span > p
-
-
 def test_distinguish_rigidity_exhaustive_small_p():
     """Over all pairs of strictly decreasing span-bounded triples with
     equal sums at p=7, isomorphism happens only at identical data."""
@@ -115,8 +101,7 @@ def test_distinguish_rigidity_exhaustive_small_p():
         by_sum.setdefault(sum(t), []).append(t)
     for group in by_sum.values():
         for t1, t2 in itertools.product(group, repeat=2):
-            r = distinguish(t1, t2, p)
-            if t1 == t2:
-                assert r.tag == FORCED
-            else:
-                assert r.tag == NOT_ISOMORPHIC, (t1, t2)
+            matches = [(xi1, xi2) for xi1, xi2 in itertools.product(ORDER_THREE_CYCLES, repeat=2)
+                       if iso(tau(xi1, t1, p), tau(xi2, t2, p))]
+            assert matches == ([(xi, xi) for xi in ORDER_THREE_CYCLES] if t1 == t2 else []), (
+                t1, t2)

@@ -15,8 +15,8 @@ from gl3weights.weights import (
     dual,
     is_delta_generic,
     is_generic,
+    reflect,
     shadow,
-    shadow_inverse,
     weight,
     weyl_dim,
 )
@@ -60,15 +60,23 @@ def test_rejects_non_restricted():
         canonicalize((9, 1, 0), 7)
 
 
-@pytest.mark.parametrize("make, rank", [
+@pytest.mark.parametrize("make, count", [
     (lambda: weight(7), 0),
-    (lambda: canonicalize((), 7, 0), 0),
+    (lambda: canonicalize((), 7), 0),
     (lambda: weight(7, 4, 3, 2, 1), 4),
-], ids=["weight(7)", "canonicalize((), 7, 0)", "weight(7, 4, 3, 2, 1)"])
-def test_rank_outside_one_to_three_is_refused(make, rank):
+], ids=["weight(7)", "canonicalize((), 7)", "weight(7, 4, 3, 2, 1)"])
+def test_rank_outside_one_to_three_is_refused(make, count):
     # refused before the last coordinate is read, so no IndexError
-    with pytest.raises(ValueError, match=f"rank must be 1, 2 or 3, got {rank}"):
+    with pytest.raises(ValueError, match=f"expected 3 coordinates, got {count}"):
         make()
+
+
+def test_ranks_one_and_two_are_refused():
+    for make in (lambda: weight(7, 4), lambda: weight(7, 3, 1), lambda: canonicalize((3, 1), 7)):
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            make()
+    with pytest.raises(ValueError, match="rank must be 3, got 2"):
+        WeightClass(7, 2, (3, 1))
 
 
 def test_alcove_examples():
@@ -95,18 +103,15 @@ def test_dim_examples():
     assert weyl_dim(6, 5, 4) == 8
     # wall weights exhaust their Weyl module
     assert dim_weight(weight(7, 6, 3, 1)) == weyl_dim(6, 3, 1)
-    # small ranks
-    assert dim_weight(weight(7, 3, 1)) == 3
-    assert dim_weight(weight(7, 4)) == 1
 
 
 def test_shadow_example():
     assert shadow(weight(7, 9, 5, 1)).coords == (6, 5, 4)
-    assert shadow_inverse(weight(7, 6, 5, 4)) == weight(7, 9, 5, 1)
+    assert reflect(weight(7, 6, 5, 4)) == weight(7, 9, 5, 1)
     with pytest.raises(ValueError):
         shadow(weight(7, 5, 3, 1))
     with pytest.raises(ValueError):
-        shadow_inverse(weight(7, 6, 3, 1))  # wall is excluded
+        shadow(weight(7, 6, 3, 1))  # wall is excluded
 
 
 @given(st.sampled_from((7, 11, 29)), st.data())
@@ -137,6 +142,13 @@ def test_dual_preserves_alcove_and_genericity(p, data):
     assert alcove(d) == a
     for delta in (0, 2, 4, 6):
         assert is_delta_generic(w, delta) == is_delta_generic(d, delta)
+
+
+def shadow_inverse(w):
+    """Upper-alcove partner of a strictly lower-alcove weight."""
+    if alcove(w) != ALCOVE_LOWER:
+        raise ValueError(f"{w} is not strictly below the wall")
+    return reflect(w)
 
 
 @given(st.sampled_from((7, 11, 29)), st.data())
