@@ -30,8 +30,8 @@ _EXPORTS = {
                  " nine_weight_table theta",
     "induction": "AntidominantCochar implied_weights",
     "elimination": "CONSISTENT ELIMINATED EliminationReport UnsupportedWeight eliminate"
-                   " intersection_sets lift_types_for",
-    "cycling": "ConsistencyError CyclingGraph cycle emit_dot normalize_parameters",
+                   " intersection_sets",
+    "cycling": "ConsistencyError CyclingGraph cycle emit_dot",
     "slopes": "HodgeData hecke_normalization hodge_data newton_hodge_gap"
               " ordinarity_threshold slope_criticality",
 }

@@ -183,18 +183,16 @@ def cuspidal_dual(p: int, params: tuple[int, int, int]) -> LiftType:
     return LiftType(CUSPIDAL_DUAL, p, *params)
 
 
-def candidate_exponents(t: LiftType) -> list[int]:
+def candidate_exponents(lift: tuple) -> list[int]:
     """Candidate niveau-3 exponents of a lift, before reduction to orbit representatives.
 
     Those of the reversed digits at (a, b, c) are the twisted duals,
     2(p^2+p+1) - n, of those n of the ascending digits at (-c, -b, -a)."""
-    p = t.p
-    a, b, c = t.params
-    if t.kind == CUSPIDAL_DUAL:
-        lift = LiftType.__new__(LiftType, CUSPIDAL, p, -c, -b, -a)
-        return [2 * (p * p + p + 1) - n for n in candidate_exponents(lift)]
+    kind, p, a, b, c = lift
+    if kind == CUSPIDAL_DUAL:
+        return [2 * (p * p + p + 1) - n for n in candidate_exponents((CUSPIDAL, p, -c, -b, -a))]
     out: list[int] = []
-    if t.kind == PRINCIPAL_SERIES:
+    if kind == PRINCIPAL_SERIES:
         for a0, a1, a2 in TRIPLES_SHORT_PS:
             out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
             out.append((a + 2 - a2) + p * (b + 2 - a1) + p * p * (c + 2 - a0))
@@ -211,7 +209,7 @@ def _candidate_rows(kind: str, p: int) -> tuple[tuple[tuple[int, int, int], tupl
     """The table of kind at p as rows ((ka, kb, kc), offsets): its candidates
     at (a, b, c) are ka*a + kb*b + kc*c + offset.  Each is affine in
     (a, b, c), so the origin and the unit vectors fix it."""
-    at = [candidate_exponents(LiftType.__new__(LiftType, kind, p, *v))
+    at = [candidate_exponents((kind, p, *v))
           for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
     rows: dict[tuple[int, int, int], list[int]] = {}
     for n0, *ns in zip(*at):
@@ -219,19 +217,17 @@ def _candidate_rows(kind: str, p: int) -> tuple[tuple[tuple[int, int, int], tupl
     return tuple((k, tuple(offsets)) for k, offsets in rows.items())
 
 
-def candidate_orbits(t: LiftType) -> frozenset[int]:
+def candidate_orbits(lift: tuple) -> frozenset[int]:
     """All inertial exponents of rank-one subquotients of reductions.
 
     Each candidate is the niveau-3 exponent of a character that can
     occur in a reduction of a lattice in the lift; candidates are
     collected as Frobenius orbit representatives.  Both admissible
-    digit patterns of the descent data contribute a family.
+    digit patterns of the descent data contribute a family.  The lift is
+    a `LiftType` or its fields (kind, p, a, b, c): a record is a tuple,
+    so elimination reaches the candidates without building one.
     """
-    return lift_orbits(t.kind, t.p, t.a, t.b, t.c)
-
-
-def lift_orbits(kind: str, p: int, a: int, b: int, c: int) -> frozenset[int]:
-    """`candidate_orbits` of the lift with these fields, which it does not build."""
+    kind, p, a, b, c = lift
     return orbit_reps(p, [ka * a + kb * b + kc * c + offset
                           for (ka, kb, kc), offsets in _candidate_rows(kind, p)
                           for offset in offsets])

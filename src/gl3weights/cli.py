@@ -52,12 +52,8 @@ def _weight_doc(w: WeightClass) -> list[int]:
 
 
 def _type_doc(t: TameType) -> dict:
-    doc: dict[str, Any] = {"p": t.p, "niveau": t.niveau}
-    if t.is_irreducible():
-        doc["orbit_rep"] = t.orbit_rep()
-    else:
-        doc["orbit_reps"] = sorted(o.rep for o in t.chars)
-    return doc
+    # predict and eliminate refuse a reducible type before they reach this
+    return {"p": t.p, "niveau": t.niveau, "orbit_rep": t.orbit_rep()}
 
 
 # Handlers receive parameters that `_check` has already validated and

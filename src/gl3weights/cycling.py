@@ -23,7 +23,8 @@ frame.  The direct frame reads coordinate triples through three kernels
 `elimination.is_consistent`) and builds records only for the table, so
 every forced weight is a table weight's own object.  A type in dual
 form reads the direct frame of its cyclotomic double-twisted dual,
-flipped once: duality swaps T1 and T2.
+flipped once: duality swaps T1 and T2.  `cycle` maps the start to its
+table object, so the closure matches weights by identity.
 """
 
 from __future__ import annotations
@@ -79,36 +80,6 @@ def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(abc for abc in found if in_table_range(*abc, t.p)))
 
 
-def normalize_parameters(
-    t: TameType, start: WeightClass
-) -> tuple[str, tuple[int, int, int]]:
-    """Locate the type inside a nine-weight table, directly or dually.
-
-    Returns ("direct", (a, b, c)) when t is tau((1 2 3), (a+2, b+1, c))
-    for table parameters, and ("dual", (a, b, c)) when the cyclotomic
-    double twist of the dual of t is.  Several parameter triples can
-    match (they yield the same nine classes); the least is returned.
-
-    The start weight must be 4-generic: that covers all nine table
-    weights (some of which just miss 6-genericity), and the solver
-    verifies the table-range bounds on (a, b, c) directly rather than
-    inferring them from a stronger genericity of the start.
-    """
-    frame = _checked_frame(t, start)
-    return frame.case, frame.params
-
-
-def _checked_frame(t: TameType, start: WeightClass) -> _Frame:
-    """The frame of t, after the checks of `normalize_parameters` on t and start."""
-    if not t.is_irreducible():
-        raise ValueError("cycling requires an irreducible niveau-3 type")
-    if not is_generic(start):
-        raise ValueError(f"start weight {start} is not 4-generic")
-    if not is_predicted(start, t):
-        raise ValueError(f"start weight {start} is not predicted for the type")
-    return _frame(t)
-
-
 def _checked_membership(t: TameType, rep: int, coords: tuple[int, int, int]) -> bool:
     """Membership of F(coords) for t, of orbit representative rep, with the
     elimination branch as a mandatory cross-check."""
@@ -122,18 +93,16 @@ def _checked_membership(t: TameType, rep: int, coords: tuple[int, int, int]) -> 
 class _Frame(Record):
     """Everything a closure reads, in the orientation of the caller's type.
 
-    case and params: as `normalize_parameters` returns them; table: the
-    nine weights; order: the table by the coordinates of the direct
-    orientation, which decides the reported stuck node; steps: each table
-    weight's (operator, forced weights) pairs in visiting order.
+    case and params: direct and the least table parameters (a, b, c) with
+    t = tau((1 2 3), (a+2, b+1, c)), or dual and those of its cyclotomic
+    double-twisted dual; table: the nine weights by their coordinates;
+    order: the table by the coordinates of the direct orientation, which
+    decides the reported stuck node; steps: each table weight's
+    (operator, forced weights) pairs in visiting order.
     """
 
     __slots__ = ()
     _fields = ("case", "params", "table", "order", "predicted", "families", "steps")
-
-
-def _by_coords(ws) -> tuple[WeightClass, ...]:
-    return tuple(sorted(ws, key=lambda v: v.coords))
 
 
 @lru_cache(maxsize=_TYPE_MEMO)
@@ -148,7 +117,6 @@ def _frame(t: TameType) -> _Frame:
     p, rep = t.p, t.orbit_rep()
     fams = nine_weight_families(*params, p)
     by_coords = {w.coords: w for fam in fams.values() for w in fam}
-    table = frozenset(by_coords.values())
     families = tuple(sorted(((w, name) for name, fam in fams.items() for w in fam),
                             key=lambda pair: pair[0].coords))
     order = tuple(by_coords[c] for c in sorted(by_coords))
@@ -168,8 +136,8 @@ def _frame(t: TameType) -> _Frame:
     if stray:
         raise ConsistencyError(f"predicted weight {canonical(stray[0], p)} missing from the"
                                f" nine-weight table {params}")
-    return _Frame(CASE_DIRECT, params, table, order, PredictedSet(p, table, t), families,
-                  steps)
+    return _Frame(CASE_DIRECT, params, by_coords, order,
+                  PredictedSet(p, frozenset(by_coords.values()), t), families, steps)
 
 
 def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
@@ -179,18 +147,17 @@ def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
     and each node visits its operators in the order (2, 1), so one BFS
     gives the dualized graph of the inner closure, edge for edge.
     """
-    flip = {w: dual(w) for w in inner.table}
-    table = frozenset(flip.values())
+    flip = {w: dual(w) for w in inner.predicted.weights}
     return _Frame(
         CASE_DUAL,
         inner.params,
-        table,
+        {v.coords: v for v in flip.values()},
         tuple(flip[w] for w in inner.order),
-        PredictedSet(t.p, table, t),
+        PredictedSet(t.p, frozenset(flip.values()), t),
         tuple(sorted(((flip[w], name) for w, name in inner.families),
                      key=lambda pair: pair[0].coords)),
         {
-            flip[w]: tuple((3 - j, _by_coords(flip[v] for v in vs))
+            flip[w]: tuple((3 - j, tuple(sorted((flip[v] for v in vs), key=lambda u: u.coords)))
                            for j, vs in pairs)
             for w, pairs in inner.steps.items()
         },
@@ -198,13 +165,25 @@ def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
 
 
 def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
-    """Run the cycling closure from a strongly generic predicted weight."""
-    frame = _checked_frame(t, start)
+    """Run the cycling closure from a strongly generic predicted weight.
+
+    The type is located in a nine-weight table, directly or in dual form
+    (the graph's case and params).  The start must be 4-generic, which
+    covers all nine table weights (some just miss 6-genericity).
+    """
+    if not t.is_irreducible():
+        raise ValueError("cycling requires an irreducible niveau-3 type")
+    if not is_generic(start):
+        raise ValueError(f"start weight {start} is not 4-generic")
+    if not is_predicted(start, t):
+        raise ValueError(f"start weight {start} is not predicted for the type")
+    frame = _frame(t)
     table = frame.table
-    if start not in table:
+    if start.coords not in table:
         raise ConsistencyError(
             f"predicted start {start} missing from the nine-weight table {frame.params}"
         )
+    start = table[start.coords]  # the table's object: the closure matches by identity
     steps = frame.steps
     nodes = {start}
     edges: list[tuple[WeightClass, WeightClass, int]] = []
@@ -221,7 +200,7 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
                     queue.append(v)
             elif forced:
                 stalls.append((w, j, forced))
-    if nodes == table:
+    if len(nodes) == len(table):
         status, stuck_node, reason = STATUS_COMPLETE, None, None
     else:
         status = STATUS_STUCK

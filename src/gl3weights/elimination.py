@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arith import MEMO_SIZE, Record
-from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, LiftType, lift_orbits
+from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_orbits
 from .predicted import membership_reps
 from .tame_types import TameType
 from .weights import WeightClass
@@ -53,8 +53,6 @@ def _branch_of(p: int, coords: tuple[int, int, int]) -> str:
 def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, int, int], ...]:
     """The fields (kind, p, a, b, c) of the three large-span lifts at F(coords)."""
     x, y, z = coords
-    if _branch_of(p, coords) != BRANCH_INTERSECTION:
-        raise UnsupportedWeight(f"F({x},{y},{z}) is not in the large-span regime")
     # y > x - p + 1 > z here, so the principal series digits are already sorted
     return (
         (PRINCIPAL_SERIES, p, y, x - p + 1, z),
@@ -63,33 +61,37 @@ def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, i
     )
 
 
-def lift_types_for(w: WeightClass) -> tuple[LiftType, ...]:
-    """The three lifts used in the large-span regime at w."""
-    return tuple(LiftType.__new__(LiftType, *fields) for fields in _lifts(w.p, w.coords))
-
-
-# one memo for every reader: (kind, orbit set) per lift for the report, and
-# the tuple intersection_sets returns.  No lift is built, so none is gap-checked;
-# test_large_span_lifts_pass_the_gap_check shows their gaps hold
+# the (kind, orbit set) pair of each lift, and their intersection.  No lift
+# is built, so none is gap-checked; test_large_span_lifts_pass_the_gap_check
+# shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
-def _intersection_data(p: int, coords: tuple) -> tuple[tuple, tuple[frozenset[int], ...]]:
-    lift_sets = tuple((fields[0], lift_orbits(*fields)) for fields in _lifts(p, coords))
-    sets = tuple(reps for _, reps in lift_sets)
-    return lift_sets, (*sets, sets[0] & sets[1] & sets[2])
+def _intersection_data(p: int, coords: tuple) -> tuple[tuple, frozenset[int]]:
+    lift_sets = tuple((lift[0], candidate_orbits(lift)) for lift in _lifts(p, coords))
+    (_, ps), (_, cusp), (_, cusp_dual) = lift_sets
+    return lift_sets, ps & cusp & cusp_dual
 
 
 def intersection_sets(w: WeightClass) -> tuple[frozenset[int], ...]:
-    """Candidate orbit sets of the three lifts, in the order of
-    `lift_types_for`, and their intersection."""
-    return _intersection_data(w.p, w.coords)[1]
+    """Candidate orbit sets of the three large-span lifts at w, and their intersection."""
+    if _branch_of(w.p, w.coords) != BRANCH_INTERSECTION:
+        raise UnsupportedWeight(f"{w} is not in the large-span regime")
+    lift_sets, inter = _intersection_data(w.p, w.coords)
+    return (*(reps for _, reps in lift_sets), inter)
+
+
+def _decision(p: int, coords: tuple[int, int, int]) -> tuple[str, frozenset[int], tuple | None]:
+    """(branch, orbit representatives kept, lift_sets or None) at F(coords)."""
+    if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
+        # below the wall these are the types tau(xi, (x+2, y+1, z))
+        return BRANCH_CRYSTALLINE, membership_reps(p, coords), None
+    lift_sets, inter = _intersection_data(p, coords)
+    return BRANCH_INTERSECTION, inter, lift_sets
 
 
 def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
     """The verdict of `eliminate` for F(coords) and the type of orbit
     representative rep, past its entry checks."""
-    if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
-        return rep in membership_reps(p, coords)
-    return rep in _intersection_data(p, coords)[1][3]
+    return rep in _decision(p, coords)[1]
 
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
@@ -99,14 +101,8 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     if not t.is_irreducible():
         raise ValueError("elimination requires an irreducible niveau-3 type")
     rep = t.orbit_rep()
-    branch = _branch_of(w.p, w.coords)
-    lift_sets = inter = None
-    if branch == BRANCH_CRYSTALLINE:
-        # below the wall these are the types tau(xi, (x+2, y+1, z))
-        allowed = membership_reps(w.p, w.coords)
-    else:
-        lift_sets, sets = _intersection_data(w.p, w.coords)
-        allowed = inter = sets[3]
+    branch, allowed, lift_sets = _decision(w.p, w.coords)
     hit = rep in allowed
     return EliminationReport(w, t, branch, CONSISTENT if hit else ELIMINATED,
-                             rep if hit else None, lift_sets, inter)
+                             rep if hit else None, lift_sets,
+                             None if lift_sets is None else allowed)

@@ -11,7 +11,7 @@ induction of its Levi restriction are forced: the implied weights.
 
 from __future__ import annotations
 
-from .arith import Record
+from .arith import Record, check_prime
 from .weights import WeightClass, canonical, canonicalize
 
 SHAPE_2_1 = "2+1"
@@ -74,6 +74,7 @@ def constituents_long(a: int, b: int, c: int, p: int) -> tuple[WeightClass, ...]
 
 
 def _check_generic_triple(a: int, b: int, c: int, p: int) -> None:
+    check_prime(p)
     if not (a - b > 0 and b - c > 0 and a - c < p - 1):
         raise ValueError(
             f"({a},{b},{c}) violates a-b > 0, b-c > 0, a-c < p-1 at p={p}"

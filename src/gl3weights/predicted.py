@@ -138,11 +138,11 @@ def nine_weight_families(
     ("shadow"), and the remaining upper-alcove members.  Each family is
     one form of the parameters, taken over their theta-orbit.
     """
+    check_prime(p)
     if not in_table_range(a, b, c, p):
         raise ValueError(
             f"({a},{b},{c}) violates a-b > 5, b-c > 4, a-c < p-7 at p={p}"
         )
-    check_prime(p)
     turned = theta(a, b, c, p)
     orbit = ((a, b, c), turned, theta(*turned, p))
     lower = tuple(canonical(coords, p) for coords in orbit)

@@ -1,5 +1,6 @@
 """Weight cycling: parameter normalization, closure, DOT emission."""
 
+import hashlib
 import importlib
 import pkgutil
 import re
@@ -7,8 +8,8 @@ import re
 import pytest
 
 import gl3weights
-from gl3weights import cycling
-from gl3weights.arith import orbit_rep
+from gl3weights import cli, cycling
+from gl3weights.arith import Record, orbit_rep
 from gl3weights.cycling import (
     CASE_DIRECT,
     CASE_DUAL,
@@ -17,7 +18,6 @@ from gl3weights.cycling import (
     ConsistencyError,
     cycle,
     emit_dot,
-    normalize_parameters,
 )
 from gl3weights.elimination import eliminate
 from gl3weights.induction import implied_weights
@@ -33,6 +33,10 @@ from gl3weights.weights import dual, weight
 
 from oracles import closure_bfs, dualized_closure, table_parameter_scan
 from test_acceptance import _table_triples
+
+# sha256 over the DOT text and CLI graph JSON of the graphs of
+# test_graph_bytes_are_frozen
+FROZEN_GRAPH_DIGEST = "03d9f709017f0fa073eeceb0835dddfc8581a9a3d8e1369fac972e545ecf881f"
 
 EXPECTED_DOT = """digraph weight_cycling {
   label="start F(15,8,0); status complete";
@@ -67,27 +71,27 @@ def table_type(p=29, abc=(15, 8, 0)):
 
 
 def test_normalize_direct():
-    case, params = normalize_parameters(table_type(), weight(29, 15, 8, 0))
-    assert case == CASE_DIRECT
-    assert params == (15, 8, 0)
+    g = cycle(table_type(), weight(29, 15, 8, 0))
+    assert g.case == CASE_DIRECT
+    assert g.params == (15, 8, 0)
 
 
 def test_normalize_dual():
     t = dual_twist(table_type(), 2)
     start = dual(weight(29, 15, 8, 0))
-    case, params = normalize_parameters(t, start)
-    assert case == CASE_DUAL
-    assert params == (15, 8, 0)
+    g = cycle(t, start)
+    assert g.case == CASE_DUAL
+    assert g.params == (15, 8, 0)
 
 
 def test_normalize_guards():
     t = table_type()
     with pytest.raises(ValueError, match="4-generic"):
-        normalize_parameters(t, weight(29, 5, 3, 1))
+        cycle(t, weight(29, 5, 3, 1))
     with pytest.raises(ValueError, match="predicted"):
-        normalize_parameters(t, weight(29, 16, 9, 1))
+        cycle(t, weight(29, 16, 9, 1))
     with pytest.raises(ValueError, match="irreducible"):
-        normalize_parameters(type_from_exponent(29, 0), weight(29, 15, 8, 0))
+        cycle(type_from_exponent(29, 0), weight(29, 15, 8, 0))
 
 
 def test_cycle_complete_from_each_start():
@@ -322,7 +326,7 @@ def test_forced_weights_are_the_tables_objects(p, abc, cold_memos):
     t = table_type(p, abc)
     for u in (t, dual_twist(t, 2)):
         frame = cycling._frame(u)
-        table = {id(w) for w in frame.table}
+        table = {id(w) for w in frame.table.values()}
         forced = [v for pairs in frame.steps.values() for _, vs in pairs for v in vs]
         assert len(forced) == 30
         assert all(id(v) in table for v in forced)
@@ -346,3 +350,45 @@ def test_kernel_errors_match_the_record_entries(monkeypatch, cold_memos, coords,
             cycle(u, s)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+def test_graph_bytes_are_frozen():
+    # every 4th acceptance-3 triple (index k within each p) at p = 29 and 31,
+    # from the start sorted_weights()[k % 9], in direct and dual form; only
+    # output bytes are hashed, not reprs
+    digest, count = hashlib.sha256(), 0
+    for p in (29, 31):
+        for k, (a, b, c) in enumerate(_table_triples(p)):
+            if k % 4:
+                continue
+            t = table_type(p, (a, b, c))
+            start = nine_weight_table(a, b, c, p).sorted_weights()[k % 9]
+            for g in (cycle(t, start), cycle(dual_twist(t, 2), dual(start))):
+                digest.update(emit_dot(g).encode())
+                digest.update(cli._dump(cli._graph_doc(g)).encode())
+                count += 1
+    assert count == 2290
+    assert digest.hexdigest() == FROZEN_GRAPH_DIGEST
+
+
+def test_warm_closure_matches_weights_by_identity(monkeypatch):
+    # cycle maps the caller's start to the table's own object, so a warm
+    # closure from a fresh start object compares no two records
+    t = table_type()
+    for u, s in ((t, weight(29, 15, 8, 0)), (dual_twist(t, 2), dual(weight(29, 15, 8, 0)))):
+        cycle(u, s)
+        calls = []
+        real = Record.__eq__
+
+        def counting_eq(self, other):
+            calls.append(self)
+            return real(self, other)
+
+        monkeypatch.setattr(Record, "__eq__", counting_eq)
+        fresh = weight(29, *s.coords)
+        g = cycle(u, fresh)
+        monkeypatch.undo()
+        assert calls == []
+        table = cycling._frame(u).table
+        assert g.start is table[fresh.coords] and g.start is not fresh
+        assert all(v is table[v.coords] for v in g.nodes)

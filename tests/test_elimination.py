@@ -18,7 +18,6 @@ from gl3weights.elimination import (
     UnsupportedWeight,
     eliminate,
     intersection_sets,
-    lift_types_for,
 )
 from gl3weights.predicted import is_predicted
 from gl3weights.tame_types import XI_123, XI_132, tau, type_from_exponent
@@ -46,11 +45,10 @@ def test_crystalline_branch_negative():
 
 
 def test_lift_parameters():
-    w = weight(29, 32, 16, 0)
-    ps, cusp, cusp_dual = lift_types_for(w)
-    assert ps.kind == PRINCIPAL_SERIES and ps.params == (16, 4, 0)
-    assert cusp.kind == CUSPIDAL and cusp.params == (17, 4, -1)
-    assert cusp_dual.kind == CUSPIDAL_DUAL and cusp_dual.params == (33, 28, 15)
+    ps, cusp, cusp_dual = elimination._lifts(29, (32, 16, 0))
+    assert ps == (PRINCIPAL_SERIES, 29, 16, 4, 0)
+    assert cusp == (CUSPIDAL, 29, 17, 4, -1)
+    assert cusp_dual == (CUSPIDAL_DUAL, 29, 33, 28, 15)
 
 
 def test_intersection_example():
@@ -78,7 +76,7 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     real_table, real_reps = breuil.candidate_exponents, breuil.orbit_reps
 
     def counting_table(t):
-        tables.append(t.kind)
+        tables.append(t[0])
         return real_table(t)
 
     def counting_reps(p, values):
@@ -99,8 +97,8 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     # origin and three unit vectors per kind; the dual table recurses once each
     assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 8 + [CUSPIDAL_DUAL] * 4)
     assert reduced == [6, 10, 10]
-    # the only lifts built are those the tables are evaluated at
-    assert sorted(lifts) == sorted(tables)
+    # the tables are evaluated at plain field tuples: no lift is built
+    assert lifts == []
     tables.clear()
     reduced.clear()
     lifts.clear()
@@ -112,13 +110,13 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
 
 @pytest.mark.parametrize("p", [17, 29, 53])
 def test_large_span_lifts_pass_the_gap_check(p):
-    # lift_types_for takes the trusted path, which skips the gap check of
-    # the checked constructor; the gaps depend on the differences only
+    # elimination reads the lifts' fields and builds no lift, so it skips the
+    # gap check of the checked constructor; the gaps depend on the differences only
     for g1 in range(1, p - 5):
         for g2 in range(max(1, p + 2 - g1), p - 5):
             w = weight(p, g1 + g2, g2, 0)
             sets = intersection_sets(w)
-            checked = tuple(LiftType(lift.kind, p, *lift.params) for lift in lift_types_for(w))
+            checked = tuple(LiftType(*fields) for fields in elimination._lifts(p, w.coords))
             assert sets[:3] == tuple(candidate_orbits(lift) for lift in checked), w.coords
 
 

@@ -19,8 +19,8 @@ from gl3weights.breuil import (
 )
 from gl3weights.cycling import cycle
 from gl3weights.elimination import eliminate
-from gl3weights.induction import AntidominantCochar
-from gl3weights.predicted import PredictedSet, enumerate_predicted
+from gl3weights.induction import AntidominantCochar, constituents_short
+from gl3weights.predicted import PredictedSet, enumerate_predicted, nine_weight_table
 from gl3weights.slopes import hodge_data
 from gl3weights.tame_types import tau, tau_exponent, type_from_exponent
 from gl3weights.weights import WeightClass, canonicalize, weight
@@ -155,10 +155,12 @@ def test_weight_hash_equals_field_hash():
      "need one tuple per embedding: 1, got 2"),
     (lambda: hodge_data(3, 1, 1, [(0, 1, 2)], [Fraction(1, 2), 0, 0]),
      "Hodge tuple (0, 1, 2) is not non-increasing"),
+    (lambda: nine_weight_table(20, 9, 3, 1), "characteristic must be a prime >= 5, got 1"),
+    (lambda: constituents_short(5, 3, 1, 1), "characteristic must be a prime >= 5, got 1"),
 ], ids=["weight", "weight-p", "canonicalize", "canonicalize-p1", "exp_class", "exp_class-p1",
         "tau", "tau_exponent-p1", "type_from_exponent", "principal_series", "cuspidal",
         "cuspidal_dual", "cuspidal-gaps", "validate", "random_module-p1", "hodge_data",
-        "hodge_data-order"])
+        "hodge_data-order", "nine_weight_table-p1", "constituents_short-p1"])
 def test_factory_refuses_invalid_input(make, message):
     with pytest.raises(ValueError) as info:
         make()
