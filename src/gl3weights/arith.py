@@ -6,6 +6,11 @@ niveau-1 exponent v embeds at niveau 3 as v*(p^2+p+1), the norm-compatible
 scaling (p^3 - 1)/(p - 1); so adding a multiple of p^2+p+1 to an exponent
 is a niveau-1 twist.  Everything here is plain modular arithmetic over
 Python ints, so all results are exact.
+
+Exponents affine in three coordinates are kept as rows (kx, ky, kz, k0):
+the candidate and membership tables are derived once per prime by
+`affine_rows`, and `orbit_reps` is the one loop that evaluates a table
+at a point and reduces each value to its Frobenius orbit's least member.
 """
 
 from __future__ import annotations
@@ -155,8 +160,17 @@ def orbit_of(p: int, d: int, value: int) -> FrobOrbit:
     return orbit(exp_class(p, d, value))
 
 
-def orbit_reps(p: int, values) -> frozenset[int]:
-    """Least members of the Frobenius orbits of values modulo p^3 - 1.
+def affine_rows(values_at) -> tuple[tuple[int, int, int, int], ...]:
+    """The rows (kx, ky, kz, k0) of an affine map to a list of exponents:
+    values_at((x, y, z))[i] = kx*x + ky*y + kz*z + k0.  The origin and
+    the unit vectors fix each row."""
+    at = [values_at(v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return tuple((nx - n0, ny - n0, nz - n0, n0) for n0, nx, ny, nz in zip(*at))
+
+
+def orbit_reps(p: int, rows, x: int, y: int, z: int) -> frozenset[int]:
+    """Least members of the Frobenius orbits, modulo p^3 - 1, of the
+    values kx*x + ky*y + kz*z + k0 of the rows at the point (x, y, z).
 
     Each equals type_from_exponent(p, value).chars[0].rep without building
     the class, orbit and type objects.  p is not validated: callers
@@ -164,19 +178,20 @@ def orbit_reps(p: int, values) -> frozenset[int]:
     """
     e = p**3 - 1
     reps = set()
-    for value in values:
-        v = value % e
+    add = reps.add
+    for kx, ky, kz, k0 in rows:
+        v = (kx * x + ky * y + kz * z + k0) % e
         v1 = v * p % e
         v2 = v1 * p % e
         # the least of the three, without the cost of a min() call
-        reps.add(v if v < v1 and v < v2 else v1 if v1 < v2 else v2)
+        add(v if v < v1 and v < v2 else v1 if v1 < v2 else v2)
     # copied from a set, not built from a generator, the table fits its members
     return frozenset(reps)
 
 
 def orbit_rep(p: int, value: int) -> int:
     """Least member of the Frobenius orbit of value modulo p^3 - 1."""
-    (rep,) = orbit_reps(p, (value,))
+    (rep,) = orbit_reps(p, ((1, 0, 0, 0),), value, 0, 0)
     return rep
 
 
@@ -233,21 +248,3 @@ def decompose_exponent(n: int, p: int) -> Decomposition:
         x, y, z = 1, alpha + 2 - p, alpha + beta + 1 - 2 * p
         kind = CASE_II
     return Decomposition(kind, x + q, y + q, z + q)
-
-
-def solve_digit_pair(p: int, slope: int, r: int) -> tuple[int, int]:
-    """The digits (g1, g2) in [0, p] solving g1 + slope*g2 = r modulo p^2+p+1.
-
-    slope is p+1, giving the base-(p+1) split of r, or -p: as -p(p+1) = 1
-    modulo p^2+p+1, that is the split of (p+1)*r with the digits swapped.
-    The split is injective on [0, p-3]^2, where it stays below
-    (p+2)(p-3) < p^2+p+1, so every solution in that box is this one.
-    """
-    c = p * p + p + 1
-    if (slope - p - 1) % c == 0:
-        g2, g1 = divmod(r % c, p + 1)
-    elif (slope + p) % c == 0:
-        g1, g2 = divmod((p + 1) * r % c, p + 1)
-    else:
-        raise ValueError(f"slope must be p+1 or -p modulo {c}, got {slope}")
-    return g1, g2

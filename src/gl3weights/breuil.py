@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, ExpClass, Record, check_niveau, check_prime, exp_class, orbit_reps
+from .arith import (MEMO_SIZE, ExpClass, Record, affine_rows, check_niveau, check_prime,
+                    exp_class, orbit_reps)
 
 PRINCIPAL_SERIES = "principal_series"
 CUSPIDAL = "cuspidal"
@@ -205,16 +206,10 @@ def candidate_exponents(lift: tuple) -> list[int]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _candidate_rows(kind: str, p: int) -> tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...]:
-    """The table of kind at p as rows ((ka, kb, kc), offsets): its candidates
-    at (a, b, c) are ka*a + kb*b + kc*c + offset.  Each is affine in
-    (a, b, c), so the origin and the unit vectors fix it."""
-    at = [candidate_exponents((kind, p, *v))
-          for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    rows: dict[tuple[int, int, int], list[int]] = {}
-    for n0, *ns in zip(*at):
-        rows.setdefault(tuple(n - n0 for n in ns), []).append(n0)
-    return tuple((k, tuple(offsets)) for k, offsets in rows.items())
+def _candidate_rows(kind: str, p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The table of kind at p as rows (ka, kb, kc, offset): its candidates
+    at (a, b, c) are ka*a + kb*b + kc*c + offset."""
+    return affine_rows(lambda v: candidate_exponents((kind, p, *v)))
 
 
 def candidate_orbits(lift: tuple) -> frozenset[int]:
@@ -224,10 +219,7 @@ def candidate_orbits(lift: tuple) -> frozenset[int]:
     occur in a reduction of a lattice in the lift; candidates are
     collected as Frobenius orbit representatives.  Both admissible
     digit patterns of the descent data contribute a family.  The lift is
-    a `LiftType` or its fields (kind, p, a, b, c): a record is a tuple,
-    so elimination reaches the candidates without building one.
+    a `LiftType` or its fields (kind, p, a, b, c).
     """
     kind, p, a, b, c = lift
-    return orbit_reps(p, [ka * a + kb * b + kc * c + offset
-                          for (ka, kb, kc), offsets in _candidate_rows(kind, p)
-                          for offset in offsets])
+    return orbit_reps(p, _candidate_rows(kind, p), a, b, c)

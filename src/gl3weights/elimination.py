@@ -8,14 +8,18 @@ crystalline lifts (one principal series, two cuspidal shapes) each
 constrain the type to a finite candidate set, and only types in the
 intersection of the three sets survive.  Weights in neither regime are
 rejected rather than guessed at.
+
+The lifts' candidates are affine in the weight's coordinates, so the
+large-span branch reads one table of rows per prime, derived from
+`breuil.candidate_exponents`, and evaluates it at F(x, y, z).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, Record
-from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_orbits
+from .arith import MEMO_SIZE, Record, affine_rows, orbit_reps
+from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
 from .predicted import membership_reps
 from .tame_types import TameType
 from .weights import WeightClass
@@ -61,12 +65,20 @@ def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, i
     )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _lift_rows(p: int) -> tuple[tuple[str, tuple], ...]:
+    """(kind, rows) of each lift: its candidates at F(x, y, z) are
+    kx*x + ky*y + kz*z + k0 over its rows (kx, ky, kz, k0)."""
+    return tuple((kind, affine_rows(lambda v: candidate_exponents(_lifts(p, v)[i])))
+                 for i, kind in enumerate((PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL)))
+
+
 # the (kind, orbit set) pair of each lift, and their intersection.  No lift
 # is built, so none is gap-checked; test_large_span_lifts_pass_the_gap_check
 # shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
 def _intersection_data(p: int, coords: tuple) -> tuple[tuple, frozenset[int]]:
-    lift_sets = tuple((lift[0], candidate_orbits(lift)) for lift in _lifts(p, coords))
+    lift_sets = tuple((kind, orbit_reps(p, rows, *coords)) for kind, rows in _lift_rows(p))
     (_, ps), (_, cusp), (_, cusp_dual) = lift_sets
     return lift_sets, ps & cusp & cusp_dual
 
@@ -100,7 +112,7 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
         raise ValueError("weight and type live over different characteristics")
     if not t.is_irreducible():
         raise ValueError("elimination requires an irreducible niveau-3 type")
-    rep = t.orbit_rep()
+    rep = t.chars[0].rep
     branch, allowed, lift_sets = _decision(w.p, w.coords)
     hit = rep in allowed
     return EliminationReport(w, t, branch, CONSISTENT if hit else ELIMINATED,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, Record, check_prime, orbit_reps, solve_digit_pair
+from .arith import MEMO_SIZE, Record, affine_rows, check_prime, orbit_reps
 from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
 from .weights import WeightClass, canonical, reflect
 
@@ -33,7 +33,7 @@ class PredictedSet(Record):
 def _require_irreducible(t: TameType) -> int:
     if not t.is_irreducible():
         raise ValueError("predicted sets are computed for irreducible niveau-3 types")
-    return t.orbit_rep()
+    return t.chars[0].rep
 
 
 # membership rows (xi, above the wall); the upper two apply when x - z > p - 2
@@ -45,28 +45,21 @@ def _mu(x: int, y: int, z: int, p: int, high: bool) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _row_congruence(p: int, xi: str, high: bool) -> tuple[int, int, int, int, int]:
-    """(e0, k1, k2, u, slope): the row's exponent of F(g1+g2, g2, 0) is
-    e0 + k1*g1 + k2*g2 mod p^3-1, and u*k1 = 1, u*k2 = slope mod p^2+p+1."""
-    c2 = p * p + p + 1
-    e0, e1, e2 = (
-        tau_exponent(xi, _mu(g1 + g2, g2, 0, p, high), p)
-        for g1, g2 in ((0, 0), (1, 0), (0, 1))
-    )
-    u = pow(e1 - e0, -1, c2)
-    return e0, e1 - e0, e2 - e0, u, (e2 - e0) * u % c2
+def _membership_rows(p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The exponent of F(x, y, z) on each of MEMBERSHIP_ROWS, as a row
+    (kx, ky, kz, k0): kx*x + ky*y + kz*z + k0 mod p^3-1."""
+    return affine_rows(lambda v: [tau_exponent(xi, _mu(*v, p, high), p)
+                                  for xi, high in MEMBERSHIP_ROWS])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
-    """Orbit representatives a type must hit for the weight to be predicted.
-
-    Each row's exponent is its `_row_congruence` at (x-y, y-z) plus z*(p^2+p+1)."""
+    """Orbit representatives a type must hit for the weight to be predicted:
+    the per-prime table `_membership_rows`, its upper two rows only when
+    x - z > p - 2, evaluated at (x, y, z)."""
     x, y, z = coords
-    rows = MEMBERSHIP_ROWS if x - z > p - 2 else MEMBERSHIP_ROWS[:2]
-    shift = z * (p * p + p + 1)
-    return orbit_reps(p, [e0 + k1 * (x - y) + k2 * (y - z) + shift
-                          for e0, k1, k2, _, _ in (_row_congruence(p, *row) for row in rows)])
+    rows = _membership_rows(p)
+    return orbit_reps(p, rows if x - z > p - 2 else rows[:2], x, y, z)
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
@@ -86,18 +79,44 @@ def is_member(p: int, coords: tuple[int, int, int], rep: int) -> bool:
     return rep in membership_reps(p, coords)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _solvers(p: int) -> tuple[tuple[int, int, int, int, bool], ...]:
+    """(k0, k1, k2, u, swap) per membership row: the row's exponent of
+    F(g1+g2+z, g2+z, z) is k0 + k1*g1 + k2*g2 + z*(p^2+p+1) mod p^3-1, and
+    the base-(p+1) digits of (n-k0)*u mod p^2+p+1 are (g2, g1), or (g1, g2)
+    when swap."""
+    c2 = p * p + p + 1
+    out = []
+    for kx, ky, _, k0 in _membership_rows(p):
+        u = pow(kx, -1, c2)
+        slope = (kx + ky) * u % c2
+        # g1 + slope*g2 = (n-k0)*u: slope p+1 is the base-(p+1) split; for
+        # slope -p, as -p(p+1) = 1, split (p+1)*(n-k0)*u with the digits swapped
+        assert slope in (p + 1, c2 - p), slope
+        swap = slope == c2 - p
+        out.append((k0, kx, kx + ky, (p + 1) * u % c2 if swap else u, swap))
+    return tuple(out)
+
+
+def _solve(p: int, n: int, solver: tuple[int, int, int, int, bool]) -> tuple[int, int, int]:
+    k0, k1, k2, u, swap = solver
+    c2 = p * p + p + 1
+    g, h = divmod((n - k0) * u % c2, p + 1)
+    g1, g2 = (g, h) if swap else (h, g)
+    z = (n - k0 - k1 * g1 - k2 * g2) % (c2 * (p - 1)) // c2
+    return (g1 + g2 + z, g2 + z, z)
+
+
 def membership_solution(p: int, n: int, xi: str, high: bool) -> tuple[int, int, int]:
     """The weight F(x, y, z), 0 <= z <= p-2, with exponent n on the row
     (xi, high); it is the only one with both differences at most p-3.
 
     Moving z by one adds p^2+p+1 to the exponent, so the differences
-    solve one congruence modulo p^2+p+1 and z is the quotient of the rest.
+    (g1, g2) solve one congruence modulo p^2+p+1 and z is the quotient of
+    the rest.  The digit split is injective on [0, p-3]^2, where it stays
+    below (p+2)(p-3) < p^2+p+1, so every solution in that box is this one.
     """
-    e0, k1, k2, u, slope = _row_congruence(p, xi, high)
-    g1, g2 = solve_digit_pair(p, slope, (n - e0) * u)
-    c2 = p * p + p + 1
-    z = (n - e0 - k1 * g1 - k2 * g2) % (c2 * (p - 1)) // c2
-    return (g1 + g2 + z, g2 + z, z)
+    return _solve(p, n, _solvers(p)[MEMBERSHIP_ROWS.index((xi, high))])
 
 
 def enumerate_predicted(t: TameType) -> PredictedSet:
@@ -110,9 +129,10 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
     p = t.p
     _require_irreducible(t)
     found: set[WeightClass] = set()
+    solvers = _solvers(p)
     for n in t.chars[0].elements():
-        for xi, high in MEMBERSHIP_ROWS:
-            x, y, z = membership_solution(p, n, xi, high)
+        for (_, high), solver in zip(MEMBERSHIP_ROWS, solvers):
+            x, y, z = _solve(p, n, solver)
             if x - y <= p - 3 and y - z <= p - 3 and (x - z > p - 2 or not high):
                 found.add(canonical((x, y, z), p))
     return PredictedSet(p, frozenset(found), t)

@@ -1,5 +1,7 @@
 """Weight elimination: branch selection, candidate intersections, verdicts."""
 
+import random
+
 import pytest
 
 from gl3weights import breuil, elimination
@@ -68,56 +70,77 @@ def test_intersection_matches_closed_form():
 
 
 def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
-    # the candidate rows are derived once per (kind, p) from the tables; an
-    # intersection miss then evaluates them and reduces each lift's 6, 10
-    # and 10 candidates in one orbit_reps call
-    w = weight(29, 32, 16, 0)
-    tables, reduced = [], []
-    real_table, real_reps = breuil.candidate_exponents, breuil.orbit_reps
+    # the lifts' rows in the weight's coordinates are derived once per p from
+    # the candidate tables; an intersection miss then evaluates them and
+    # reduces each lift's 6, 10 and 10 candidates in one orbit_reps call
+    tables, reduced, lifts = [], [], []
+    real_table, real_reps = breuil.candidate_exponents, elimination.orbit_reps
 
     def counting_table(t):
         tables.append(t[0])
         return real_table(t)
 
-    def counting_reps(p, values):
-        reduced.append(len(values))
-        return real_reps(p, values)
+    def counting_reps(p, rows, *point):
+        reduced.append(len(rows))
+        return real_reps(p, rows, *point)
 
     def counting_lift(cls, *fields):
         lifts.append(fields[0])
         return real_lift(cls, *fields)
 
-    lifts, real_lift = [], LiftType.__new__
+    real_lift = LiftType.__new__
+    # the dual table recurses through breuil's own name
     monkeypatch.setattr(breuil, "candidate_exponents", counting_table)
-    monkeypatch.setattr(breuil, "orbit_reps", counting_reps)
+    monkeypatch.setattr(elimination, "candidate_exponents", counting_table)
+    monkeypatch.setattr(elimination, "orbit_reps", counting_reps)
     monkeypatch.setattr(LiftType, "__new__", staticmethod(counting_lift))
-    breuil._candidate_rows.cache_clear()
+    elimination._lift_rows.cache_clear()
     elimination._intersection_data.cache_clear()
-    intersection_sets(w)
-    # origin and three unit vectors per kind; the dual table recurses once each
+    intersection_sets(weight(29, 32, 16, 0))
+    # origin and three unit vectors per lift; the dual table recurses once each
     assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 8 + [CUSPIDAL_DUAL] * 4)
     assert reduced == [6, 10, 10]
     # the tables are evaluated at plain field tuples: no lift is built
     assert lifts == []
-    tables.clear()
-    reduced.clear()
-    lifts.clear()
-    elimination._intersection_data.cache_clear()
-    assert intersection_sets(w)[3] == frozenset({163, 499, 527, 1003})
-    # a miss evaluates the rows at the weight's coordinates and builds no lift
-    assert tables == [] and reduced == [6, 10, 10] and lifts == []
+    for coords in ((33, 17, 1), (32, 16, 0)):
+        tables.clear()
+        reduced.clear()
+        elimination._intersection_data.cache_clear()
+        intersection_sets(weight(29, *coords))
+        # a miss evaluates the rows at the weight's coordinates and builds no lift
+        assert tables == [] and reduced == [6, 10, 10] and lifts == []
+    assert intersection_sets(weight(29, 32, 16, 0))[3] == frozenset({163, 499, 527, 1003})
+    assert elimination._lift_rows.cache_info().misses == 1
+    intersection_sets(weight(31, 34, 17, 0))
+    assert elimination._lift_rows.cache_info().misses == 2
 
 
-@pytest.mark.parametrize("p", [17, 29, 53])
+def gap_check_weights(p):
+    """Large-span weights F(g1+g2+z, g2+z, z): every difference pair at a
+    few z up to p = 53, then 500 seeded ones."""
+    if p <= 53:
+        return [(g1 + g2 + z, g2 + z, z)
+                for g1 in range(1, p - 5) for g2 in range(max(1, p + 2 - g1), p - 5)
+                for z in sorted({0, 1, p // 2, p - 2})]
+    rng = random.Random(f"gaps:{p}")
+    found = []
+    while len(found) < 500:
+        g1, g2, z = rng.randrange(1, p - 5), rng.randrange(1, p - 5), rng.randrange(p - 1)
+        if g1 + g2 > p + 1:
+            found.append((g1 + g2 + z, g2 + z, z))
+    return found
+
+
+@pytest.mark.parametrize("p", [17, 29, 53, 1009, 65521])
 def test_large_span_lifts_pass_the_gap_check(p):
-    # elimination reads the lifts' fields and builds no lift, so it skips the
-    # gap check of the checked constructor; the gaps depend on the differences only
-    for g1 in range(1, p - 5):
-        for g2 in range(max(1, p + 2 - g1), p - 5):
-            w = weight(p, g1 + g2, g2, 0)
-            sets = intersection_sets(w)
-            checked = tuple(LiftType(*fields) for fields in elimination._lifts(p, w.coords))
-            assert sets[:3] == tuple(candidate_orbits(lift) for lift in checked), w.coords
+    # elimination reads the lifts' rows and builds no lift, so it skips the
+    # gap check of the checked constructor; the gaps depend on the differences
+    # only, and the rows carry a z coefficient
+    for coords in gap_check_weights(p):
+        w = weight(p, *coords)
+        sets = intersection_sets(w)
+        checked = tuple(LiftType(*fields) for fields in elimination._lifts(p, w.coords))
+        assert sets[:3] == tuple(candidate_orbits(lift) for lift in checked), w.coords
 
 
 def test_closed_form_families():

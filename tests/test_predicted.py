@@ -1,5 +1,6 @@
 """Predicted weight sets: membership, fast enumeration, nine-weight table."""
 
+import itertools
 import random
 
 import pytest
@@ -13,11 +14,13 @@ from gl3weights.predicted import (
     enumerate_predicted,
     is_predicted,
     membership_reps,
+    membership_solution,
     nine_weight_families,
     nine_weight_table,
     theta,
 )
-from gl3weights.tame_types import XI_123, XI_132, dual_twist, iso, tau, type_from_exponent
+from gl3weights.tame_types import (XI_123, XI_132, dual_twist, iso, tau, tau_exponent,
+                                   type_from_exponent)
 from gl3weights.weights import WeightClass, alcove, dual, is_generic, shadow, weight
 
 from oracles import (
@@ -83,11 +86,11 @@ def test_membership_reps_match_the_rows_by_tau(p):
 
 
 def test_membership_miss_reads_the_row_constants(monkeypatch):
-    # the row constants are derived once per (p, row); a membership miss
-    # evaluates them and reduces its 2 or 4 exponents in one orbit_reps call
+    # the membership rows and the solver rows are derived once per p; a
+    # membership miss then evaluates 2 or 4 rows at the weight's coordinates
+    # and reduces them in one orbit_reps call, and an enumeration solves
+    # from the solver rows alone
     p, below, above = 29, (15, 8, 0), (43, 28, 8)
-    membership_reps(p, above)
-    membership_reps.cache_clear()
     taus, reduced = [], []
     real_tau, real_reps = predicted.tau_exponent, predicted.orbit_reps
 
@@ -95,15 +98,47 @@ def test_membership_miss_reads_the_row_constants(monkeypatch):
         taus.append(args)
         return real_tau(*args)
 
-    def counting_reps(p, values):
-        reduced.append(len(values))
-        return real_reps(p, values)
+    def counting_reps(p, rows, *point):
+        reduced.append(len(rows))
+        return real_reps(p, rows, *point)
 
     monkeypatch.setattr(predicted, "tau_exponent", counting_tau)
     monkeypatch.setattr(predicted, "orbit_reps", counting_reps)
+    for memo in (predicted._membership_rows, predicted._solvers, membership_reps):
+        memo.cache_clear()
     membership_reps(p, below)
+    # origin and three unit vectors, four rows at each
+    assert len(taus) == 16 and reduced == [2]
+    taus.clear()
     membership_reps(p, above)
     assert taus == [] and reduced == [2, 4]
+    for abc in ((15, 8, 0), (16, 8, 1)):
+        enumerate_predicted(the_table_type(p, abc))
+    assert taus == [] and reduced == [2, 4]
+    membership_reps(31, below)
+    assert predicted._membership_rows.cache_info().misses == 2
+    assert predicted._solvers.cache_info().misses == 1
+
+
+def row_exponent(p, xi, high, x, y, z):
+    """The exponent of F(x, y, z) on the membership row (xi, high), by hand."""
+    return tau_exponent(xi, (z + p, y + 1, x - p + 2) if high else (x + 2, y + 1, z), p)
+
+
+def test_membership_solution_matches_box_search():
+    # every exponent on every row: the solution carries it, and it is the
+    # only weight of the box 0 <= z <= p-2, differences at most p-3, that does
+    for p, (xi, high) in itertools.product((5, 7, 11, 13), predicted.MEMBERSHIP_ROWS):
+        box = {}
+        for g1 in range(p - 2):
+            for g2 in range(p - 2):
+                for z in range(p - 1):
+                    xyz = (z + g1 + g2, z + g2, z)
+                    box.setdefault(row_exponent(p, xi, high, *xyz), []).append(xyz)
+        for n in range(p**3 - 1):
+            x, y, z = membership_solution(p, n, xi, high)
+            assert 0 <= z <= p - 2 and row_exponent(p, xi, high, x, y, z) == n
+            assert box.get(n, []) in ([], [(x, y, z)]), (p, xi, high, n)
 
 
 def test_nine_weight_families_example():
@@ -174,11 +209,25 @@ def test_enumeration_matches_membership_scan_p13():
         assert enumerate_predicted(t).weights == want[t], f"rep={t.orbit_rep()}"
 
 
-@pytest.mark.parametrize("p, sample", [(17, None), (29, 300), (53, 300)])
+def rowscan_types(p, sample):
+    """Every type, a seeded sample of them, or above p = 53 the types of
+    seeded exponents."""
+    rng = random.Random(f"rowscan:{p}")
+    if p <= 53:
+        types = irreducible_types(p)
+        return types if sample is None else rng.sample(types, sample)
+    types = set()
+    while len(types) < sample:
+        t = type_from_exponent(p, rng.randrange(p**3 - 1))
+        if t.is_irreducible():
+            types.add(t)
+    return sorted(types, key=lambda t: t.orbit_rep())
+
+
+@pytest.mark.parametrize("p, sample", [(17, None), (29, 300), (53, 300), (1009, 100),
+                                       (65521, 2)])
 def test_enumeration_matches_rowscan(p, sample):
-    types = irreducible_types(p)
-    if sample is not None:
-        types = random.Random(f"rowscan:{p}").sample(types, sample)
+    types = rowscan_types(p, sample)
     for t in types:
         assert enumerate_predicted(t) == enumerate_predicted_rowscan(t), t.orbit_rep()
 
