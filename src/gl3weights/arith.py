@@ -9,8 +9,10 @@ Python ints, so all results are exact.
 
 Exponents affine in three coordinates are kept as rows (kx, ky, kz, k0):
 the candidate and membership tables are derived once per prime by
-`affine_rows`, and `orbit_reps` is the one loop that evaluates a table
-at a point and reduces each value to its Frobenius orbit's least member.
+`affine_rows`, and `row_reps` is the one loop that evaluates a table at
+a point and reduces each value to its Frobenius orbit's least member.
+An orbit set is a sorted tuple of distinct representatives (`orbit_reps`),
+so a memo value built of them holds no container the collector tracks.
 """
 
 from __future__ import annotations
@@ -168,30 +170,34 @@ def affine_rows(values_at) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((nx - n0, ny - n0, nz - n0, n0) for n0, nx, ny, nz in zip(*at))
 
 
-def orbit_reps(p: int, rows, x: int, y: int, z: int) -> frozenset[int]:
-    """Least members of the Frobenius orbits, modulo p^3 - 1, of the
-    values kx*x + ky*y + kz*z + k0 of the rows at the point (x, y, z).
+def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
+    """Least member of the Frobenius orbit, modulo p^3 - 1, of each row's
+    value kx*x + ky*y + kz*z + k0 at the point (x, y, z), in row order.
 
     Each equals type_from_exponent(p, value).chars[0].rep without building
     the class, orbit and type objects.  p is not validated: callers
     take it from an object whose construction already checked it.
     """
     e = p**3 - 1
-    reps = set()
-    add = reps.add
+    reps = []
+    add = reps.append
     for kx, ky, kz, k0 in rows:
         v = (kx * x + ky * y + kz * z + k0) % e
         v1 = v * p % e
         v2 = v1 * p % e
         # the least of the three, without the cost of a min() call
         add(v if v < v1 and v < v2 else v1 if v1 < v2 else v2)
-    # copied from a set, not built from a generator, the table fits its members
-    return frozenset(reps)
+    return reps
+
+
+def orbit_reps(p: int, rows, x: int, y: int, z: int) -> tuple[int, ...]:
+    """The orbit set of the rows at (x, y, z): their distinct `row_reps`, sorted."""
+    return tuple(sorted(set(row_reps(p, rows, x, y, z))))
 
 
 def orbit_rep(p: int, value: int) -> int:
     """Least member of the Frobenius orbit of value modulo p^3 - 1."""
-    (rep,) = orbit_reps(p, ((1, 0, 0, 0),), value, 0, 0)
+    (rep,) = row_reps(p, ((1, 0, 0, 0),), value, 0, 0)
     return rep
 
 

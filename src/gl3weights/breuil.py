@@ -212,14 +212,14 @@ def _candidate_rows(kind: str, p: int) -> tuple[tuple[int, int, int, int], ...]:
     return affine_rows(lambda v: candidate_exponents((kind, p, *v)))
 
 
-def candidate_orbits(lift: tuple) -> frozenset[int]:
+def candidate_orbits(lift: tuple) -> tuple[int, ...]:
     """All inertial exponents of rank-one subquotients of reductions.
 
     Each candidate is the niveau-3 exponent of a character that can
     occur in a reduction of a lattice in the lift; candidates are
-    collected as Frobenius orbit representatives.  Both admissible
-    digit patterns of the descent data contribute a family.  The lift is
-    a `LiftType` or its fields (kind, p, a, b, c).
+    collected as Frobenius orbit representatives, a sorted tuple.  Both
+    admissible digit patterns of the descent data contribute a family.
+    The lift is a `LiftType` or its fields (kind, p, a, b, c).
     """
     kind, p, a, b, c = lift
     return orbit_reps(p, _candidate_rows(kind, p), a, b, c)

@@ -11,14 +11,17 @@ rejected rather than guessed at.
 
 The lifts' candidates are affine in the weight's coordinates, so the
 large-span branch reads one table of rows per prime, derived from
-`breuil.candidate_exponents`, and evaluates it at F(x, y, z).
+`breuil.candidate_exponents`, and evaluates it at F(x, y, z).  Rows whose
+coefficients differ by a power of p take values in one Frobenius orbit at
+every point, so the table keeps one row per such class (14 for the lifts'
+26 rows, 4 of them shared by all three) and each lift's class indices.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, Record, affine_rows, orbit_reps
+from .arith import MEMO_SIZE, Record, affine_rows, row_reps
 from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
 from .predicted import membership_reps
 from .tame_types import TameType
@@ -29,6 +32,8 @@ BRANCH_INTERSECTION = "intersection"
 
 CONSISTENT = "consistent"
 ELIMINATED = "eliminated"
+
+LIFT_KINDS = (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL)
 
 
 class UnsupportedWeight(ValueError):
@@ -66,38 +71,47 @@ def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, i
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _lift_rows(p: int) -> tuple[tuple[str, tuple], ...]:
-    """(kind, rows) of each lift: its candidates at F(x, y, z) are
-    kx*x + ky*y + kz*z + k0 over its rows (kx, ky, kz, k0)."""
-    return tuple((kind, affine_rows(lambda v: candidate_exponents(_lifts(p, v)[i])))
-                 for i, kind in enumerate((PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL)))
+def _lift_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(rows, classes): one row (kx, ky, kz, k0) per Frobenius class of the
+    lifts' rows, and each lift's class indices; a lift's candidates at
+    F(x, y, z) lie in the orbits of kx*x + ky*y + kz*z + k0 over its classes."""
+    e = p**3 - 1
+    index: dict[tuple[int, int, int, int], int] = {}
+    classes = []
+    for i in range(3):
+        # a class is named by the least of its rows r, p*r and p^2*r mod p^3-1
+        names = (min(tuple(k * q % e for k in row) for q in (1, p, p * p))
+                 for row in affine_rows(lambda v: candidate_exponents(_lifts(p, v)[i])))
+        classes.append(tuple(index.setdefault(name, len(index)) for name in names))
+    return tuple(index), tuple(classes)
 
 
-# the (kind, orbit set) pair of each lift, and their intersection.  No lift
-# is built, so none is gap-checked; test_large_span_lifts_pass_the_gap_check
-# shows their gaps hold
+# the candidate orbit sets of the lifts, in LIFT_KINDS order, and their
+# intersection.  No lift is built, so none is gap-checked;
+# test_large_span_lifts_pass_the_gap_check shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
-def _intersection_data(p: int, coords: tuple) -> tuple[tuple, frozenset[int]]:
-    lift_sets = tuple((kind, orbit_reps(p, rows, *coords)) for kind, rows in _lift_rows(p))
-    (_, ps), (_, cusp), (_, cusp_dual) = lift_sets
-    return lift_sets, ps & cusp & cusp_dual
+def _intersection_data(p: int, coords: tuple) -> tuple[tuple[int, ...], ...]:
+    rows, classes = _lift_rows(p)
+    reps = row_reps(p, rows, *coords)
+    ps, cusp, cusp_dual = (tuple(sorted({reps[i] for i in lift})) for lift in classes)
+    return ps, cusp, cusp_dual, tuple(sorted(set(ps).intersection(cusp, cusp_dual)))
 
 
-def intersection_sets(w: WeightClass) -> tuple[frozenset[int], ...]:
+def intersection_sets(w: WeightClass) -> tuple[tuple[int, ...], ...]:
     """Candidate orbit sets of the three large-span lifts at w, and their intersection."""
     if _branch_of(w.p, w.coords) != BRANCH_INTERSECTION:
         raise UnsupportedWeight(f"{w} is not in the large-span regime")
-    lift_sets, inter = _intersection_data(w.p, w.coords)
-    return (*(reps for _, reps in lift_sets), inter)
+    return _intersection_data(w.p, w.coords)
 
 
-def _decision(p: int, coords: tuple[int, int, int]) -> tuple[str, frozenset[int], tuple | None]:
-    """(branch, orbit representatives kept, lift_sets or None) at F(coords)."""
+def _decision(p: int, coords: tuple[int, int, int]) -> tuple[str, tuple[int, ...], tuple | None]:
+    """(branch, orbit representatives kept, the memoized (ps, cusp,
+    cusp_dual, inter) or None) at F(coords)."""
     if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
         # below the wall these are the types tau(xi, (x+2, y+1, z))
         return BRANCH_CRYSTALLINE, membership_reps(p, coords), None
-    lift_sets, inter = _intersection_data(p, coords)
-    return BRANCH_INTERSECTION, inter, lift_sets
+    sets = _intersection_data(p, coords)
+    return BRANCH_INTERSECTION, sets[3], sets
 
 
 def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
@@ -113,8 +127,9 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     if not t.is_irreducible():
         raise ValueError("elimination requires an irreducible niveau-3 type")
     rep = t.chars[0].rep
-    branch, allowed, lift_sets = _decision(w.p, w.coords)
+    branch, allowed, sets = _decision(w.p, w.coords)
     hit = rep in allowed
+    # sets is None on the crystalline branch; zip pairs its three lift sets
     return EliminationReport(w, t, branch, CONSISTENT if hit else ELIMINATED,
-                             rep if hit else None, lift_sets,
-                             None if lift_sets is None else allowed)
+                             rep if hit else None, sets and tuple(zip(LIFT_KINDS, sets)),
+                             sets and allowed)

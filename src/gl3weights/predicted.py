@@ -53,7 +53,7 @@ def _membership_rows(p: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def membership_reps(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
+def membership_reps(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
     """Orbit representatives a type must hit for the weight to be predicted:
     the per-prime table `_membership_rows`, its upper two rows only when
     x - z > p - 2, evaluated at (x, y, z)."""

@@ -180,10 +180,8 @@ def sweep_candidates(rng: random.Random, p: int, failures: list[dict]) -> None:
                 _fail(failures, params=list(params), kind=lift.kind,
                       value=value, reason="determinant digit sum")
     fwd = breuil.candidate_orbits(breuil.cuspidal(p, (-c, -b, -a)))
-    twisted = frozenset(
-        tt.dual_twist(tt.type_from_exponent(p, rep), 2).chars[0].rep for rep in fwd
-    )
-    if twisted != breuil.candidate_orbits(breuil.cuspidal_dual(p, params)):
+    twisted = {tt.dual_twist(tt.type_from_exponent(p, rep), 2).chars[0].rep for rep in fwd}
+    if twisted != set(breuil.candidate_orbits(breuil.cuspidal_dual(p, params))):
         _fail(failures, params=list(params), reason="cuspidal duality broken")
 
 
@@ -218,10 +216,10 @@ def sweep_elimination(rng: random.Random, p: int, failures: list[dict]) -> None:
     g2 = rng.randrange(max(8, p + 2 - g1), p - 5)
     z = rng.randrange(p - 1)
     w = wt.canonicalize((z + g1 + g2, z + g2, z), p)
-    sets = elimination.intersection_sets(w)
-    if not (sets[3] <= sets[0] and sets[3] <= sets[1] and sets[3] <= sets[2]):
+    *lift_sets, inter = elimination.intersection_sets(w)
+    if not all(set(inter) <= set(reps) for reps in lift_sets):
         _fail(failures, coords=list(w.coords), reason="intersection not minimal")
-    if sets[3] != predicted.membership_reps(p, w.coords):
+    if inter != predicted.membership_reps(p, w.coords):
         _fail(failures, coords=list(w.coords), reason="prediction mismatch")
     t = tt.type_from_exponent(p, rng.randrange(e))
     if t.is_irreducible():

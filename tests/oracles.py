@@ -289,8 +289,9 @@ def dualized_closure(g: CyclingGraph, t: TameType, start: WeightClass) -> Cyclin
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def surviving_family_reps(w: WeightClass) -> frozenset[int]:
-    """Closed form of the large-span intersection: two short families.
+def surviving_family_reps(w: WeightClass) -> tuple[int, ...]:
+    """Closed form of the large-span intersection: two short families,
+    as an orbit set (a sorted tuple of distinct representatives).
 
     tau((1 3 2), (y+b0, x-p+1+b1, z+b2)) for (b0, b1, b2) in
     {(1,2,0), (2,1,0)} together with tau((1 2 3), same coordinates) for
@@ -306,18 +307,18 @@ def surviving_family_reps(w: WeightClass) -> frozenset[int]:
         for b0, b1, b2 in triples:
             mu = (y + b0, x - p + 1 + b1, z + b2)
             reps.add(least_orbit_member(p, 3, tau_exponent(xi, mu, p)))
-    return frozenset(reps)
+    return tuple(sorted(reps))
 
 
-def membership_reps_by_tau(p: int, coords: tuple[int, int, int]) -> frozenset[int]:
-    """The orbit representatives of predicted.membership_reps, one
-    tau_exponent per membership row, each reduced by walking its orbit:
-    both cycles at (x+2, y+1, z) and, above the wall x - z > p - 2, also
-    at (z+p, y+1, x-p+2)."""
+def membership_reps_by_tau(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
+    """The orbit set of predicted.membership_reps, one tau_exponent per
+    membership row, each reduced by walking its orbit: both cycles at
+    (x+2, y+1, z) and, above the wall x - z > p - 2, also at
+    (z+p, y+1, x-p+2)."""
     x, y, z = coords
     mus = [(x + 2, y + 1, z)]
     if x - z > p - 2:
         mus.append((z + p, y + 1, x - p + 2))
-    return frozenset(
+    return tuple(sorted({
         least_orbit_member(p, 3, tau_exponent(xi, mu, p)) for mu in mus for xi in (XI_123, XI_132)
-    )
+    }))

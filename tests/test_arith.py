@@ -201,4 +201,4 @@ def test_orbit_rep_matches_orbit_walk(p, values):
         want = least_orbit_member(p, 3, v)
         assert orbit_rep(p, v) == orbit(exp_class(p, 3, v)).rep == want, (p, v)
         wants.add(want)
-    assert orbit_reps(p, [(0, 0, 0, v) for v in values], 0, 0, 0) == wants
+    assert orbit_reps(p, [(0, 0, 0, v) for v in values], 0, 0, 0) == tuple(sorted(wants))

@@ -114,7 +114,7 @@ def test_cuspidal_dual_is_twisted_dual_of_cuspidal():
     for p, (a, b, c) in ((17, (8, 4, 0)), (29, (14, 7, 0)), (29, (20, 12, 5))):
         fwd = candidate_orbits(cuspidal(p, (-c, -b, -a)))
         twisted = {dual_twist(type_from_exponent(p, rep), 2).orbit_rep() for rep in fwd}
-        assert twisted == candidate_orbits(cuspidal_dual(p, (a, b, c)))
+        assert twisted == set(candidate_orbits(cuspidal_dual(p, (a, b, c))))
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 29])
@@ -150,7 +150,8 @@ def test_candidate_rows_reproduce_the_tables(p):
             got = sorted(ka * a + kb * b + kc * c + offset for ka, kb, kc, offset in rows)
             table = candidate_exponents(t)
             assert got == sorted(table), (p, t)
-            assert candidate_orbits(t) == {least_orbit_member(p, 3, n) for n in table}, (p, t)
+            want = {least_orbit_member(p, 3, n) for n in table}
+            assert candidate_orbits(t) == tuple(sorted(want)), (p, t)
 
 
 def test_candidate_digit_sum_rule():

@@ -304,6 +304,34 @@ def test_cross_check_runs_once_per_distinct_implied_weight(monkeypatch, cold_mem
     assert len(seen) == 24
 
 
+def test_dual_frame_shares_the_direct_frame_and_refuses_a_type_that_fits_neither(
+        monkeypatch, cold_memos):
+    solved = []
+    real = cycling._table_parameter_solutions
+
+    def counting_solutions(u):
+        solved.append(u)
+        return real(u)
+
+    monkeypatch.setattr(cycling, "_table_parameter_solutions", counting_solutions)
+    t = table_type()
+    td = dual_twist(t, 2)
+    # a cold dual frame: its own solve, the pre-check, and the direct frame's solve
+    assert cycling._frame(td).case == CASE_DUAL
+    assert solved == [td, t, t]
+    # the direct frame it read is memoized, so the table type solves nothing
+    solved.clear()
+    assert cycling._frame(t).case == CASE_DIRECT
+    assert solved == []
+    # a type that fits neither table is refused after one solve per orientation
+    neither = type_from_exponent(29, 1)
+    with pytest.raises(ValueError) as err:
+        cycling._frame(neither)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "type does not fit any generic nine-weight table"
+    assert solved == [neither, dual_twist(neither, 2)]
+
+
 def test_forced_weight_outside_the_table_is_refused(monkeypatch, cold_memos):
     # a membership verdict for a weight the nine-weight table lacks means the
     # two encodings of the predicted set disagree

@@ -1,10 +1,11 @@
 """Weight elimination: branch selection, candidate intersections, verdicts."""
 
+import gc
 import random
 
 import pytest
 
-from gl3weights import breuil, elimination
+from gl3weights import arith, breuil, elimination, predicted
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -56,9 +57,9 @@ def test_lift_parameters():
 def test_intersection_example():
     w = weight(29, 32, 16, 0)
     set_ps, set_c, set_cd, inter = intersection_sets(w)
-    assert inter == frozenset({163, 499, 527, 1003})
+    assert inter == (163, 499, 527, 1003)
     for s in (set_ps, set_c, set_cd):
-        assert inter <= s
+        assert set(inter) <= set(s)
     assert len(set_ps) == 6
 
 
@@ -71,10 +72,11 @@ def test_intersection_matches_closed_form():
 
 def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     # the lifts' rows in the weight's coordinates are derived once per p from
-    # the candidate tables; an intersection miss then evaluates them and
-    # reduces each lift's 6, 10 and 10 candidates in one orbit_reps call
+    # the candidate tables and kept one per Frobenius class: 14 classes for
+    # the 6, 10 and 10 rows.  An intersection miss then reduces the 14 rows
+    # in one row_reps call and reads each lift's set off its class indices
     tables, reduced, lifts = [], [], []
-    real_table, real_reps = breuil.candidate_exponents, elimination.orbit_reps
+    real_table, real_reps = breuil.candidate_exponents, elimination.row_reps
 
     def counting_table(t):
         tables.append(t[0])
@@ -92,27 +94,66 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     # the dual table recurses through breuil's own name
     monkeypatch.setattr(breuil, "candidate_exponents", counting_table)
     monkeypatch.setattr(elimination, "candidate_exponents", counting_table)
-    monkeypatch.setattr(elimination, "orbit_reps", counting_reps)
+    monkeypatch.setattr(elimination, "row_reps", counting_reps)
     monkeypatch.setattr(LiftType, "__new__", staticmethod(counting_lift))
     elimination._lift_rows.cache_clear()
     elimination._intersection_data.cache_clear()
     intersection_sets(weight(29, 32, 16, 0))
     # origin and three unit vectors per lift; the dual table recurses once each
     assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 8 + [CUSPIDAL_DUAL] * 4)
-    assert reduced == [6, 10, 10]
+    assert reduced == [14]
     # the tables are evaluated at plain field tuples: no lift is built
     assert lifts == []
+    rows, classes = elimination._lift_rows(29)
+    assert len(rows) == 14 and [len(c) for c in classes] == [6, 10, 10]
+    assert len(set.intersection(*map(set, classes))) == 4
     for coords in ((33, 17, 1), (32, 16, 0)):
         tables.clear()
         reduced.clear()
         elimination._intersection_data.cache_clear()
         intersection_sets(weight(29, *coords))
         # a miss evaluates the rows at the weight's coordinates and builds no lift
-        assert tables == [] and reduced == [6, 10, 10] and lifts == []
-    assert intersection_sets(weight(29, 32, 16, 0))[3] == frozenset({163, 499, 527, 1003})
+        assert tables == [] and reduced == [14] and lifts == []
+    assert intersection_sets(weight(29, 32, 16, 0))[3] == (163, 499, 527, 1003)
     assert elimination._lift_rows.cache_info().misses == 1
     intersection_sets(weight(31, 34, 17, 0))
-    assert elimination._lift_rows.cache_info().misses == 2
+    assert elimination._lift_rows.cache_info().misses == 2 and reduced == [14, 14]
+
+
+def is_orbit_set(reps):
+    return (type(reps) is tuple and all(type(r) is int for r in reps)
+            and list(reps) == sorted(set(reps)))
+
+
+def test_orbit_sets_are_sorted_tuples_of_distinct_ints():
+    p, w = 29, weight(29, 32, 16, 0)
+    # 5 and 5*29 share an orbit, whose least member is 5; that of 900 is 872
+    rows = [(0, 0, 0, v) for v in (5, 5 * 29, 1, 900, 1)]
+    assert arith.orbit_reps(p, rows, 0, 0, 0) == (1, 5, 872)
+    assert is_orbit_set(candidate_orbits(breuil.cuspidal(17, (8, 4, 0))))
+    assert is_orbit_set(predicted.membership_reps(p, (43, 28, 8)))
+    assert all(is_orbit_set(reps) for reps in intersection_sets(w))
+    report = eliminate(w, type_from_exponent(p, 163))
+    assert [kind for kind, _ in report.lift_sets] == [PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL]
+    assert all(is_orbit_set(reps) for _, reps in report.lift_sets)
+    assert is_orbit_set(report.intersection)
+
+
+def test_memo_values_are_untracked_after_collection():
+    # memo values hold only ints and tuples of them, so the collector stops
+    # walking them: a tuple of ints is untracked at the first collection that
+    # sees it, and the intersection memo's 4-tuple of orbit sets, whose sets
+    # may still be tracked when it is examined, by the second
+    elimination._intersection_data.cache_clear()
+    predicted.membership_reps.cache_clear()
+    sets = intersection_sets(weight(29, 32, 16, 0))
+    below = predicted.membership_reps(29, (15, 8, 0))
+    above = predicted.membership_reps(29, (43, 28, 8))
+    gc.collect()
+    assert not any(gc.is_tracked(v) for v in (*sets, below, above))
+    gc.collect()
+    assert not gc.is_tracked(sets)
+    assert sets is intersection_sets(weight(29, 32, 16, 0))
 
 
 def gap_check_weights(p):
@@ -135,7 +176,9 @@ def gap_check_weights(p):
 def test_large_span_lifts_pass_the_gap_check(p):
     # elimination reads the lifts' rows and builds no lift, so it skips the
     # gap check of the checked constructor; the gaps depend on the differences
-    # only, and the rows carry a z coefficient
+    # only, and the rows carry a z coefficient.  The lifts' 26 rows fall in 14
+    # Frobenius classes
+    assert len(elimination._lift_rows(p)[0]) == 14
     for coords in gap_check_weights(p):
         w = weight(p, *coords)
         sets = intersection_sets(w)
@@ -155,7 +198,7 @@ def test_closed_form_families():
     for b0, b1, b2 in ((1, 1, 1), (2, 1, 0)):
         t = tau(XI_123, (y + b0, x - p + 1 + b1, z + b2), p)
         expected.add(t.orbit_rep())
-    assert surviving_family_reps(w) == frozenset(expected)
+    assert surviving_family_reps(w) == tuple(sorted(expected))
 
 
 def test_intersection_branch_verdicts():

@@ -3,10 +3,12 @@
 import concurrent.futures
 import multiprocessing
 import os
+import random
 
 import pytest
 
-from gl3weights.sweeps import COUNT_LIMIT, SUITES, run_suite
+from gl3weights import elimination
+from gl3weights.sweeps import COUNT_LIMIT, SUITES, run_suite, sweep_elimination
 
 SUITE_PRIMES = {
     "decompose": 7,
@@ -180,3 +182,20 @@ def test_sweep_bounds_admit_their_value(monkeypatch):
     # the largest prime itself is accepted; the 10 s walk is stubbed out
     monkeypatch.setitem(SUITES, "decompose", (lambda p: (p, []), 1021, 5))
     assert run_suite("decompose", 1021, 0, 3) == (1021, [])
+
+
+def test_sweep_elimination_compares_orbit_sets_as_sets(monkeypatch):
+    # orbit sets are sorted tuples, on which <= is lexicographic: an
+    # intersection with a rep below every lift's least one compares <= each
+    # lift's tuple, though no lift holds it
+    real = elimination.intersection_sets
+
+    def stray_rep(w):
+        *lift_sets, inter = real(w)
+        assert 0 not in set().union(*lift_sets)
+        return (*lift_sets, (0, *inter))
+
+    monkeypatch.setattr(elimination, "intersection_sets", stray_rep)
+    failures = []
+    sweep_elimination(random.Random(3), 29, failures)
+    assert "intersection not minimal" in [f["reason"] for f in failures]
