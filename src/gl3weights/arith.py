@@ -7,12 +7,12 @@ scaling (p^3 - 1)/(p - 1); so adding a multiple of p^2+p+1 to an exponent
 is a niveau-1 twist.  Everything here is plain modular arithmetic over
 Python ints, so all results are exact.
 
-Exponents affine in three coordinates are kept as rows (kx, ky, kz, k0):
-the candidate and membership tables are derived once per prime by
-`affine_rows`, and `row_reps` is the one loop that evaluates a table at
-a point and reduces each value to its Frobenius orbit's least member.
-An orbit set is a sorted tuple of distinct representatives (`orbit_reps`),
-so a memo value built of them holds no container the collector tracks.
+Exponent tables affine in three coordinates are kept as digit rows: each
+row is a power of p times x + p*y + p^2*z or x + p^2*y + p*z plus a
+constant, which `digit_rows` derives once per prime, and `row_reps` is the
+one loop that evaluates a table at a point and reduces each value to its
+Frobenius orbit's least member.  An orbit set is a sorted tuple of distinct
+representatives (`orbit_reps`), so a memo value holds nothing the collector tracks.
 """
 
 from __future__ import annotations
@@ -162,31 +162,42 @@ def orbit_of(p: int, d: int, value: int) -> FrobOrbit:
     return orbit(exp_class(p, d, value))
 
 
-def affine_rows(values_at) -> tuple[tuple[int, int, int, int], ...]:
-    """The rows (kx, ky, kz, k0) of an affine map to a list of exponents:
-    values_at((x, y, z))[i] = kx*x + ky*y + kz*z + k0.  The origin and
-    the unit vectors fix each row."""
+def digit_rows(p: int, values_at) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(rows, scales) of a table affine in three coordinates, values_at((x, y, z)),
+    fixed by the origin and the unit vectors.  A row must be p^j times form
+    0, x + p*y + p^2*z, or form 1, x + p^2*y + p*z, plus k0 mod p^3 - 1 (else
+    ValueError); times scale p^-j it is (form, k, p*k, p^2*k), k = p^-j*k0."""
+    e = p**3 - 1
     at = [values_at(v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return tuple((nx - n0, ny - n0, nz - n0, n0) for n0, nx, ny, nz in zip(*at))
+    out = []
+    for n0, nx, ny, nz in zip(*at):
+        # scale 0, where no power of p fits, matches no form
+        scale = next((q for q in (1, p, p * p) if (nx - n0) * q % e == 1), 0)
+        form = ((p, p * p), (p * p, p)).index(((ny - n0) * scale % e, (nz - n0) * scale % e))
+        k = n0 * scale % e
+        out.append(((form, k, k * p % e, k * p * p % e), scale))
+    return tuple(zip(*out))
 
 
 def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
-    """Least member of the Frobenius orbit, modulo p^3 - 1, of each row's
-    value kx*x + ky*y + kz*z + k0 at the point (x, y, z), in row order.
+    """Least member of the Frobenius orbit, modulo p^3 - 1, of each digit
+    row's value at the point (x, y, z), in row order: the orbit of form value
+    f plus k0 on the row (form, k0, k1, k2) is f + k0, p*f + k1, p^2*f + k2.
 
     Each equals type_from_exponent(p, value).chars[0].rep without building
     the class, orbit and type objects.  p is not validated: callers
     take it from an object whose construction already checked it.
     """
-    e = p**3 - 1
+    e, pp = p**3 - 1, p * p
+    f, g = (x + p * y + pp * z) % e, (x + pp * y + p * z) % e
+    forms = ((f, f * p % e, f * pp % e), (g, g * p % e, g * pp % e))
     reps = []
     add = reps.append
-    for kx, ky, kz, k0 in rows:
-        v = (kx * x + ky * y + kz * z + k0) % e
-        v1 = v * p % e
-        v2 = v1 * p % e
+    for form, k0, k1, k2 in rows:
+        f0, f1, f2 = forms[form]
+        v0, v1, v2 = (f0 + k0) % e, (f1 + k1) % e, (f2 + k2) % e
         # the least of the three, without the cost of a min() call
-        add(v if v < v1 and v < v2 else v1 if v1 < v2 else v2)
+        add(v0 if v0 < v1 and v0 < v2 else v1 if v1 < v2 else v2)
     return reps
 
 
@@ -197,7 +208,7 @@ def orbit_reps(p: int, rows, x: int, y: int, z: int) -> tuple[int, ...]:
 
 def orbit_rep(p: int, value: int) -> int:
     """Least member of the Frobenius orbit of value modulo p^3 - 1."""
-    (rep,) = row_reps(p, ((1, 0, 0, 0),), value, 0, 0)
+    (rep,) = row_reps(p, ((0, 0, 0, 0),), value, 0, 0)
     return rep
 
 

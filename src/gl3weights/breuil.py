@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .arith import (MEMO_SIZE, ExpClass, Record, affine_rows, check_niveau, check_prime,
+from .arith import (MEMO_SIZE, ExpClass, Record, check_niveau, check_prime, digit_rows,
                     exp_class, orbit_reps)
 
 PRINCIPAL_SERIES = "principal_series"
@@ -207,9 +207,9 @@ def candidate_exponents(lift: tuple) -> list[int]:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _candidate_rows(kind: str, p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The table of kind at p as rows (ka, kb, kc, offset): its candidates
-    at (a, b, c) are ka*a + kb*b + kc*c + offset."""
-    return affine_rows(lambda v: candidate_exponents((kind, p, *v)))
+    """The table of kind at p as digit rows (`arith.digit_rows`): at (a, b, c)
+    each takes a value in the Frobenius orbit of one candidate."""
+    return digit_rows(p, lambda v: candidate_exponents((kind, p, *v)))[0]
 
 
 def candidate_orbits(lift: tuple) -> tuple[int, ...]:

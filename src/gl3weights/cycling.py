@@ -71,6 +71,9 @@ class CyclingGraph(Record):
 # Memo bounds: callers that reuse a type run its starts close together,
 # so a few hundred types keep all the reuse.
 _TYPE_MEMO = 512
+# the flipped type and table parameters the last cold dual frame solved,
+# read by that type's build in the memo, so it does not solve them again
+_solved: list[tuple] = [(None, ())]
 
 
 def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
@@ -107,10 +110,11 @@ class _Frame(Record):
 
 @lru_cache(maxsize=_TYPE_MEMO)
 def _frame(t: TameType) -> _Frame:
-    direct = _table_parameter_solutions(t)
+    direct = _solved[0][1] if _solved[0][0] == t else _table_parameter_solutions(t)
     if not direct:
         flipped = dual_twist(t, 2)
-        if not _table_parameter_solutions(flipped):
+        _solved[0] = flipped, _table_parameter_solutions(flipped)
+        if not _solved[0][1]:
             raise ValueError("type does not fit any generic nine-weight table")
         return _dual_frame(_frame(flipped), t)
     params = direct[0]

@@ -10,18 +10,19 @@ intersection of the three sets survive.  Weights in neither regime are
 rejected rather than guessed at.
 
 The lifts' candidates are affine in the weight's coordinates, so the
-large-span branch reads one table of rows per prime, derived from
-`breuil.candidate_exponents`, and evaluates it at F(x, y, z).  Rows whose
-coefficients differ by a power of p take values in one Frobenius orbit at
-every point, so the table keeps one row per such class (14 for the lifts'
-26 rows, 4 of them shared by all three) and each lift's class indices.
+large-span branch reads one table of digit rows (`arith.digit_rows`) per
+prime, derived from `breuil.candidate_exponents`, at F(x, y, z).  Rows that
+differ by a power of p share a Frobenius orbit at every point and a digit
+row, so the table keeps one row per such class (14 for the lifts' 26 rows,
+4 of them shared by all three) and an index getter per lift.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
-from .arith import MEMO_SIZE, Record, affine_rows, row_reps
+from .arith import MEMO_SIZE, Record, digit_rows, row_reps
 from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
 from .predicted import membership_reps
 from .tame_types import TameType
@@ -71,19 +72,16 @@ def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, i
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _lift_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(rows, classes): one row (kx, ky, kz, k0) per Frobenius class of the
-    lifts' rows, and each lift's class indices; a lift's candidates at
-    F(x, y, z) lie in the orbits of kx*x + ky*y + kz*z + k0 over its classes."""
-    e = p**3 - 1
+def _lift_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[itemgetter, ...]]:
+    """(rows, lifts): one digit row per Frobenius class of the lifts' rows,
+    and per lift the getter of its classes; a lift's candidates at F(x, y, z)
+    lie in the orbits of its classes' values there."""
     index: dict[tuple[int, int, int, int], int] = {}
-    classes = []
+    lifts = []
     for i in range(3):
-        # a class is named by the least of its rows r, p*r and p^2*r mod p^3-1
-        names = (min(tuple(k * q % e for k in row) for q in (1, p, p * p))
-                 for row in affine_rows(lambda v: candidate_exponents(_lifts(p, v)[i])))
-        classes.append(tuple(index.setdefault(name, len(index)) for name in names))
-    return tuple(index), tuple(classes)
+        rows = digit_rows(p, lambda v: candidate_exponents(_lifts(p, v)[i]))[0]
+        lifts.append(itemgetter(*(index.setdefault(row, len(index)) for row in rows)))
+    return tuple(index), tuple(lifts)
 
 
 # the candidate orbit sets of the lifts, in LIFT_KINDS order, and their
@@ -91,10 +89,11 @@ def _lift_rows(p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ..
 # test_large_span_lifts_pass_the_gap_check shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
 def _intersection_data(p: int, coords: tuple) -> tuple[tuple[int, ...], ...]:
-    rows, classes = _lift_rows(p)
+    rows, (get_ps, get_cusp, get_cusp_dual) = _lift_rows(p)
     reps = row_reps(p, rows, *coords)
-    ps, cusp, cusp_dual = (tuple(sorted({reps[i] for i in lift})) for lift in classes)
-    return ps, cusp, cusp_dual, tuple(sorted(set(ps).intersection(cusp, cusp_dual)))
+    ps, cusp, cusp_dual = set(get_ps(reps)), set(get_cusp(reps)), set(get_cusp_dual(reps))
+    return (tuple(sorted(ps)), tuple(sorted(cusp)), tuple(sorted(cusp_dual)),
+            tuple(sorted(ps.intersection(cusp, cusp_dual))))
 
 
 def intersection_sets(w: WeightClass) -> tuple[tuple[int, ...], ...]:

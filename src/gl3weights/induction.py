@@ -138,5 +138,9 @@ def implied_coords(p: int, coords: tuple, j: int) -> tuple[tuple[int, int, int],
     """The canonical coordinates of `implied_weights`, distinct and sorted,
     for a weight and level that its checks pass."""
     m = p - 1
-    return tuple(sorted({(x - z + z % m, y - z + z % m, z % m) for x, y, z
-                         in _induced(SHAPE_2_1 if j == 1 else SHAPE_1_2, coords, p)[:-1]}))
+    if j == 1:  # the 2+1 constituents: (-w, -v, -u) for the 1+2 ones (u, v, w) of the dual
+        dual = (-coords[2], -coords[1], -coords[0])
+        return tuple(sorted({(u - w + c, u - v + c, c) for u, v, w
+                             in _induced(SHAPE_1_2, dual, p)[:-1] for c in (-u % m,)}))
+    return tuple(sorted({(x - z + c, y - z + c, c) for x, y, z
+                         in _induced(SHAPE_1_2, coords, p)[:-1] for c in (z % m,)}))

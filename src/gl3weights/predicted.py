@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, Record, affine_rows, check_prime, orbit_reps
+from .arith import MEMO_SIZE, Record, check_prime, digit_rows, orbit_reps, row_reps
 from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
 from .weights import WeightClass, canonical, reflect
 
@@ -45,11 +45,11 @@ def _mu(x: int, y: int, z: int, p: int, high: bool) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _membership_rows(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The exponent of F(x, y, z) on each of MEMBERSHIP_ROWS, as a row
-    (kx, ky, kz, k0): kx*x + ky*y + kz*z + k0 mod p^3-1."""
-    return affine_rows(lambda v: [tau_exponent(xi, _mu(*v, p, high), p)
-                                  for xi, high in MEMBERSHIP_ROWS])
+def _membership_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
+    """The exponent of F(x, y, z) on each of MEMBERSHIP_ROWS, as digit rows
+    and scales (`arith.digit_rows`)."""
+    return digit_rows(p, lambda v: [tau_exponent(xi, _mu(*v, p, high), p)
+                                    for xi, high in MEMBERSHIP_ROWS])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -58,8 +58,11 @@ def membership_reps(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
     the per-prime table `_membership_rows`, its upper two rows only when
     x - z > p - 2, evaluated at (x, y, z)."""
     x, y, z = coords
-    rows = _membership_rows(p)
-    return orbit_reps(p, rows if x - z > p - 2 else rows[:2], x, y, z)
+    rows = _membership_rows(p)[0]
+    if x - z > p - 2:
+        return orbit_reps(p, rows, x, y, z)
+    a, b = row_reps(p, rows[:2], x, y, z)
+    return (a, b) if a < b else (b, a) if b < a else (a,)
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
@@ -80,31 +83,32 @@ def is_member(p: int, coords: tuple[int, int, int], rep: int) -> bool:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _solvers(p: int) -> tuple[tuple[int, int, int, int, bool], ...]:
-    """(k0, k1, k2, u, swap) per membership row: the row's exponent of
-    F(g1+g2+z, g2+z, z) is k0 + k1*g1 + k2*g2 + z*(p^2+p+1) mod p^3-1, and
-    the base-(p+1) digits of (n-k0)*u mod p^2+p+1 are (g2, g1), or (g1, g2)
-    when swap."""
-    c2 = p * p + p + 1
-    out = []
-    for kx, ky, _, k0 in _membership_rows(p):
-        u = pow(kx, -1, c2)
-        slope = (kx + ky) * u % c2
-        # g1 + slope*g2 = (n-k0)*u: slope p+1 is the base-(p+1) split; for
-        # slope -p, as -p(p+1) = 1, split (p+1)*(n-k0)*u with the digits swapped
-        assert slope in (p + 1, c2 - p), slope
-        swap = slope == c2 - p
-        out.append((k0, kx, kx + ky, (p + 1) * u % c2 if swap else u, swap))
-    return tuple(out)
+def _solvers(p: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(q, k0, u, s, least) per membership row and power q of p, the row's
+    scale first: on F(g1+g2+z, g2+z, z) a digit row is g1 + s*g2 + k0 +
+    z*(p^2+p+1), so the base-(p+1) digits of (q*n-k0)*u mod p^2+p+1 are
+    (g2, g1) on form 0 (u = 1, s = p+1), and (g1, g2) on form 1 (u = p+1,
+    s = p^2+1, as -p(p+1) = 1); least is the least x - z of the row."""
+    e = p**3 - 1
+    rows, scales = _membership_rows(p)
+    return tuple((scale * q % e, k0, p + 1 if form else 1, p * p + 1 if form else p + 1,
+                  p - 1 if high else 0)
+                 for (form, k0, _, _), scale, (_, high) in zip(rows, scales, MEMBERSHIP_ROWS)
+                 for q in (1, p, p * p))
 
 
-def _solve(p: int, n: int, solver: tuple[int, int, int, int, bool]) -> tuple[int, int, int]:
-    k0, k1, k2, u, swap = solver
+def _solutions(p: int, n: int, solvers, top: int):
+    """Each solver's F(x, y, z), 0 <= z <= p-2, with q*n on its digit row,
+    when x - y and y - z are at most top and x - z at least least."""
     c2 = p * p + p + 1
-    g, h = divmod((n - k0) * u % c2, p + 1)
-    g1, g2 = (g, h) if swap else (h, g)
-    z = (n - k0 - k1 * g1 - k2 * g2) % (c2 * (p - 1)) // c2
-    return (g1 + g2 + z, g2 + z, z)
+    e, base = c2 * (p - 1), p + 1
+    for q, k0, u, s, least in solvers:
+        m = n * q - k0
+        g, h = divmod(m * u % c2, base)
+        g1, g2 = (h, g) if u == 1 else (g, h)
+        if g1 <= top and g2 <= top and g1 + g2 >= least:
+            z = (m - g1 - s * g2) % e // c2
+            yield g1 + g2 + z, g2 + z, z
 
 
 def membership_solution(p: int, n: int, xi: str, high: bool) -> tuple[int, int, int]:
@@ -116,7 +120,9 @@ def membership_solution(p: int, n: int, xi: str, high: bool) -> tuple[int, int, 
     the rest.  The digit split is injective on [0, p-3]^2, where it stays
     below (p+2)(p-3) < p^2+p+1, so every solution in that box is this one.
     """
-    return _solve(p, n, _solvers(p)[MEMBERSHIP_ROWS.index((xi, high))])
+    q, k0, u, s, _ = _solvers(p)[3 * MEMBERSHIP_ROWS.index((xi, high))]
+    # the digits of a split modulo p^2+p+1 are at most p; x - z is not bounded here
+    return next(_solutions(p, n, ((q, k0, u, s, 0),), p))
 
 
 def enumerate_predicted(t: TameType) -> PredictedSet:
@@ -124,18 +130,14 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
 
     Each Frobenius orbit member and membership row contribute at most
     one weight, the row's `membership_solution`, kept when both its
-    differences are at most p-3 (and x - z > p-2 on the upper rows).
+    differences are at most p-3 (and x - z > p-2 on the upper rows).  As
+    q*rep runs over the orbit, the 12 solves read only the representative.
     """
     p = t.p
-    _require_irreducible(t)
-    found: set[WeightClass] = set()
-    solvers = _solvers(p)
-    for n in t.chars[0].elements():
-        for (_, high), solver in zip(MEMBERSHIP_ROWS, solvers):
-            x, y, z = _solve(p, n, solver)
-            if x - y <= p - 3 and y - z <= p - 3 and (x - z > p - 2 or not high):
-                found.add(canonical((x, y, z), p))
-    return PredictedSet(p, frozenset(found), t)
+    rep = _require_irreducible(t)
+    found = frozenset(WeightClass.__new__(WeightClass, p, 3, xyz)
+                      for xyz in _solutions(p, rep, _solvers(p), p - 3))
+    return PredictedSet(p, found, t)
 
 
 def in_table_range(a: int, b: int, c: int, p: int) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl3weights import breuil, elimination, predicted
 from gl3weights.arith import (
     CASE_I,
     CASE_II,
@@ -20,7 +21,10 @@ from gl3weights.arith import (
     orbit_of,
     orbit_rep,
     orbit_reps,
+    row_reps,
 )
+from gl3weights.breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
+from gl3weights.tame_types import tau_exponent
 
 from oracles import least_orbit_member, orbit_elements, split_solutions
 
@@ -201,4 +205,74 @@ def test_orbit_rep_matches_orbit_walk(p, values):
         want = least_orbit_member(p, 3, v)
         assert orbit_rep(p, v) == orbit(exp_class(p, 3, v)).rep == want, (p, v)
         wants.add(want)
-    assert orbit_reps(p, [(0, 0, 0, v) for v in values], 0, 0, 0) == tuple(sorted(wants))
+    # one digit row (form 0, k, p*k, p^2*k) per value, at the origin
+    e = p**3 - 1
+    rows = [(0, v % e, v * p % e, v * p * p % e) for v in values]
+    assert orbit_reps(p, rows, 0, 0, 0) == tuple(sorted(wants))
+
+
+def affine_rows(values_at):
+    """The rows (kx, ky, kz, k0) of a table affine in three coordinates:
+    values_at((x, y, z))[i] = kx*x + ky*y + kz*z + k0."""
+    at = [values_at(v) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return [(nx - n0, ny - n0, nz - n0, n0) for n0, nx, ny, nz in zip(*at)]
+
+
+def package_tables(p):
+    """Each per-prime table of the package: its (kx, ky, kz, k0) rows, its
+    digit rows and their scales (None where the table keeps none).  The
+    membership rows are typed out from tau(xi, mu) by hand; a lift's digit
+    rows are its getter applied to the class table."""
+    for kind in (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL):
+        yield (affine_rows(lambda v: candidate_exponents((kind, p, *v))),
+               breuil._candidate_rows(kind, p), None)
+
+    def membership(v):
+        x, y, z = v
+        return [tau_exponent(xi, (z + p, y + 1, x - p + 2) if high else (x + 2, y + 1, z), p)
+                for xi, high in predicted.MEMBERSHIP_ROWS]
+
+    yield (affine_rows(membership), *predicted._membership_rows(p))
+    rows, lifts = elimination._lift_rows(p)
+    for i, lift in enumerate(lifts):
+        yield (affine_rows(lambda v: candidate_exponents(elimination._lifts(p, v)[i])),
+               lift(rows), None)
+
+
+def witness_primes():
+    """Every prime 5 <= p < 1000, then 20 seeded ones up to 65521."""
+    rng = random.Random("digit rows")
+    large = set()
+    while len(large) < 20:
+        n = rng.randrange(1000, P_LIMIT)
+        if is_prime(n):
+            large.add(n)
+    return [p for p in range(5, 1000) if is_prime(p)] + sorted(large)
+
+
+def test_every_table_row_is_a_power_of_p_times_a_digit_form():
+    # row (kx, ky, kz, k0) is p^j*(x + p*y + p^2*z) + k0 (form 0) or
+    # p^j*(x + p^2*y + p*z) + k0 (form 1) mod p^3 - 1; scaled by q = p^-j it
+    # is the digit row (form, q*k0, p*q*k0, p^2*q*k0), whose value at every
+    # point lies in the Frobenius orbit of the row's own
+    rng = random.Random("digit row points")
+    for p in witness_primes():
+        e = p**3 - 1
+        forms = ((p, p * p), (p * p, p))
+        count = 0
+        for affine, digit, scales in package_tables(p):
+            assert len(affine) == len(digit)
+            for i, ((kx, ky, kz, k0), (form, d0, d1, d2)) in enumerate(zip(affine, digit)):
+                (q,) = [q for q in (1, p, p * p) if kx * q % e == 1]
+                assert (ky * q % e, kz * q % e) == forms[form], (p, i)
+                assert (d0, d1, d2) == (k0 * q % e, k0 * q * p % e, k0 * q * p * p % e), (p, i)
+                assert scales is None or scales[i] == q, (p, i)
+            for _ in range(3):
+                x, y, z = (rng.randrange(-2 * p, 3 * p) for _ in range(3))
+                want = [least_orbit_member(p, 3, kx * x + ky * y + kz * z + k0)
+                        for kx, ky, kz, k0 in affine]
+                assert row_reps(p, digit, x, y, z) == want, (p, x, y, z)
+                assert orbit_reps(p, digit, x, y, z) == tuple(sorted(set(want)))
+            count += len(digit)
+        # 26 candidate rows, 4 membership rows and the lifts' 6 + 10 + 10 rows
+        assert count == 56, p

@@ -316,9 +316,10 @@ def test_dual_frame_shares_the_direct_frame_and_refuses_a_type_that_fits_neither
     monkeypatch.setattr(cycling, "_table_parameter_solutions", counting_solutions)
     t = table_type()
     td = dual_twist(t, 2)
-    # a cold dual frame: its own solve, the pre-check, and the direct frame's solve
+    # a cold dual frame: its own solve, then the flipped type's, which the
+    # direct frame's build takes instead of solving again
     assert cycling._frame(td).case == CASE_DUAL
-    assert solved == [td, t, t]
+    assert solved == [td, t]
     # the direct frame it read is memoized, so the table type solves nothing
     solved.clear()
     assert cycling._frame(t).case == CASE_DIRECT

@@ -72,18 +72,24 @@ def test_intersection_matches_closed_form():
 
 def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     # the lifts' rows in the weight's coordinates are derived once per p from
-    # the candidate tables and kept one per Frobenius class: 14 classes for
-    # the 6, 10 and 10 rows.  An intersection miss then reduces the 14 rows
-    # in one row_reps call and reads each lift's set off its class indices
-    tables, reduced, lifts = [], [], []
-    real_table, real_reps = breuil.candidate_exponents, elimination.row_reps
+    # the candidate tables, one digit_rows call per lift, and kept one digit
+    # row per Frobenius class: 14 classes for the 6, 10 and 10 rows.  An
+    # intersection miss then evaluates the 14 digit rows in one row_reps call
+    # and reads each lift's set through its index getter
+    tables, derived, evaluated, lifts = [], [], [], []
+    real_table, real_rows = breuil.candidate_exponents, elimination.digit_rows
+    real_reps = elimination.row_reps
 
     def counting_table(t):
         tables.append(t[0])
         return real_table(t)
 
+    def counting_rows(p, values_at):
+        derived.append(p)
+        return real_rows(p, values_at)
+
     def counting_reps(p, rows, *point):
-        reduced.append(len(rows))
+        evaluated.append(len(rows))
         return real_reps(p, rows, *point)
 
     def counting_lift(cls, *fields):
@@ -94,6 +100,7 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     # the dual table recurses through breuil's own name
     monkeypatch.setattr(breuil, "candidate_exponents", counting_table)
     monkeypatch.setattr(elimination, "candidate_exponents", counting_table)
+    monkeypatch.setattr(elimination, "digit_rows", counting_rows)
     monkeypatch.setattr(elimination, "row_reps", counting_reps)
     monkeypatch.setattr(LiftType, "__new__", staticmethod(counting_lift))
     elimination._lift_rows.cache_clear()
@@ -101,23 +108,25 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     intersection_sets(weight(29, 32, 16, 0))
     # origin and three unit vectors per lift; the dual table recurses once each
     assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 8 + [CUSPIDAL_DUAL] * 4)
-    assert reduced == [14]
+    assert derived == [29, 29, 29] and evaluated == [14]
     # the tables are evaluated at plain field tuples: no lift is built
     assert lifts == []
-    rows, classes = elimination._lift_rows(29)
-    assert len(rows) == 14 and [len(c) for c in classes] == [6, 10, 10]
-    assert len(set.intersection(*map(set, classes))) == 4
+    rows, getters = elimination._lift_rows(29)
+    assert len(rows) == 14 and {form for form, *_ in rows} == {0, 1}
+    classes = [set(get(range(14))) for get in getters]
+    assert [len(c) for c in classes] == [6, 10, 10] and len(set.intersection(*classes)) == 4
     for coords in ((33, 17, 1), (32, 16, 0)):
         tables.clear()
-        reduced.clear()
+        evaluated.clear()
         elimination._intersection_data.cache_clear()
         intersection_sets(weight(29, *coords))
         # a miss evaluates the rows at the weight's coordinates and builds no lift
-        assert tables == [] and reduced == [14] and lifts == []
+        assert tables == [] and evaluated == [14] and lifts == []
     assert intersection_sets(weight(29, 32, 16, 0))[3] == (163, 499, 527, 1003)
     assert elimination._lift_rows.cache_info().misses == 1
     intersection_sets(weight(31, 34, 17, 0))
-    assert elimination._lift_rows.cache_info().misses == 2 and reduced == [14, 14]
+    assert elimination._lift_rows.cache_info().misses == 2 and evaluated == [14, 14]
+    assert derived == [29, 29, 29, 31, 31, 31]
 
 
 def is_orbit_set(reps):
@@ -128,7 +137,8 @@ def is_orbit_set(reps):
 def test_orbit_sets_are_sorted_tuples_of_distinct_ints():
     p, w = 29, weight(29, 32, 16, 0)
     # 5 and 5*29 share an orbit, whose least member is 5; that of 900 is 872
-    rows = [(0, 0, 0, v) for v in (5, 5 * 29, 1, 900, 1)]
+    e = p**3 - 1
+    rows = [(0, v, v * p % e, v * p * p % e) for v in (5, 5 * 29, 1, 900, 1)]
     assert arith.orbit_reps(p, rows, 0, 0, 0) == (1, 5, 872)
     assert is_orbit_set(candidate_orbits(breuil.cuspidal(17, (8, 4, 0))))
     assert is_orbit_set(predicted.membership_reps(p, (43, 28, 8)))

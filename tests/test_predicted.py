@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gl3weights import predicted
+from gl3weights import arith, predicted
 from gl3weights.arith import orbit_rep
 from gl3weights.predicted import (
     LOWER_FAMILY,
@@ -86,38 +86,42 @@ def test_membership_reps_match_the_rows_by_tau(p):
 
 
 def test_membership_miss_reads_the_row_constants(monkeypatch):
-    # the membership rows and the solver rows are derived once per p; a
-    # membership miss then evaluates 2 or 4 rows at the weight's coordinates
-    # and reduces them in one orbit_reps call, and an enumeration solves
-    # from the solver rows alone
+    # the membership digit rows and the solver constants are derived once per
+    # p; a membership miss then evaluates 2 or 4 digit rows at the weight's
+    # coordinates in one row_reps call (the 4 through orbit_reps), and an
+    # enumeration solves from the solver constants alone
     p, below, above = 29, (15, 8, 0), (43, 28, 8)
-    taus, reduced = [], []
-    real_tau, real_reps = predicted.tau_exponent, predicted.orbit_reps
+    taus, evaluated = [], []
+    real_tau, real_reps = predicted.tau_exponent, arith.row_reps
 
     def counting_tau(*args):
         taus.append(args)
         return real_tau(*args)
 
     def counting_reps(p, rows, *point):
-        reduced.append(len(rows))
+        evaluated.append(len(rows))
         return real_reps(p, rows, *point)
 
     monkeypatch.setattr(predicted, "tau_exponent", counting_tau)
-    monkeypatch.setattr(predicted, "orbit_reps", counting_reps)
+    monkeypatch.setattr(predicted, "row_reps", counting_reps)
+    monkeypatch.setattr(arith, "row_reps", counting_reps)
     for memo in (predicted._membership_rows, predicted._solvers, membership_reps):
         memo.cache_clear()
     membership_reps(p, below)
     # origin and three unit vectors, four rows at each
-    assert len(taus) == 16 and reduced == [2]
+    assert len(taus) == 16 and evaluated == [2]
     taus.clear()
     membership_reps(p, above)
-    assert taus == [] and reduced == [2, 4]
+    assert taus == [] and evaluated == [2, 4]
     for abc in ((15, 8, 0), (16, 8, 1)):
         enumerate_predicted(the_table_type(p, abc))
-    assert taus == [] and reduced == [2, 4]
+    assert taus == [] and evaluated == [2, 4]
     membership_reps(31, below)
     assert predicted._membership_rows.cache_info().misses == 2
     assert predicted._solvers.cache_info().misses == 1
+    # three solver constants per row, each row's own scale first
+    assert len(predicted._solvers(p)) == 12
+    assert [c[0] for c in predicted._solvers(p)[::3]] == list(predicted._membership_rows(p)[1])
 
 
 def row_exponent(p, xi, high, x, y, z):
