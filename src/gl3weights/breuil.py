@@ -9,15 +9,15 @@ determined on inertia by a single exponent kappa_0, computed exactly.
 The second half tabulates, for the three relevant shapes of potentially
 crystalline rank-3 lifts, the finitely many niveau-3 exponents whose
 characters can appear in mod-p reductions of the lift's inertial type.
+The tables are written once, in `candidate_exponents`, which both
+`candidate_orbits` and the digit rows of `elimination` read.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
-from .arith import (MEMO_SIZE, ExpClass, Record, check_niveau, check_prime, digit_rows,
-                    exp_class, orbit_reps)
+from .arith import ExpClass, Record, check_niveau, check_prime, exp_class, orbit_rep
 
 PRINCIPAL_SERIES = "principal_series"
 CUSPIDAL = "cuspidal"
@@ -46,14 +46,19 @@ class BreuilModule(Record):
         return self.p**self.d - 1
 
 
-def validate(
-    p: int, d: int, r: int, heights: tuple[int, ...], exponents: tuple[int, ...]
-) -> BreuilModule:
-    """Check the defining inequalities and congruences; raise on failure."""
+def _check_parameters(p: int, d: int, r: int) -> None:
+    """Reject p, d and the weight bound r before any work modulo p^d - 1."""
     check_prime(p)
     check_niveau(d)
     if not 0 <= r <= p - 2:
         raise ValueError(f"weight bound r={r} must lie in [0, {p - 2}]")
+
+
+def validate(
+    p: int, d: int, r: int, heights: tuple[int, ...], exponents: tuple[int, ...]
+) -> BreuilModule:
+    """Check the defining inequalities and congruences; raise on failure."""
+    _check_parameters(p, d, r)
     if len(heights) != d or len(exponents) != d:
         raise ValueError(f"need {d} heights and {d} exponents")
     e = p**d - 1
@@ -75,6 +80,8 @@ def descent_exponents(p: int, d: int, k0: int, heights: tuple[int, ...]) -> tupl
     """The descent exponents k_i = p (k_{i-1} + r_{i-1}) mod p^d - 1 from k_0."""
     check_prime(p)
     check_niveau(d)
+    if len(heights) != d:
+        raise ValueError(f"need {d} heights, got {len(heights)}")
     e = p**d - 1
     ks = [k0]
     for i in range(1, d):
@@ -131,8 +138,7 @@ def random_module(rng: random.Random, p: int, d: int, r: int) -> BreuilModule:
     All but the last height are free; the last is chosen among the
     residues in [0, e*r] making the cyclic divisibility hold.
     """
-    check_prime(p)
-    check_niveau(d)
+    _check_parameters(p, d, r)
     e = p**d - 1
     heights = [rng.randrange(0, e * r + 1) for _ in range(d - 1)]
     partial = sum(h * p ** (d - 1 - j) for j, h in enumerate(heights))
@@ -205,13 +211,6 @@ def candidate_exponents(lift: tuple) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _candidate_rows(kind: str, p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The table of kind at p as digit rows (`arith.digit_rows`): at (a, b, c)
-    each takes a value in the Frobenius orbit of one candidate."""
-    return digit_rows(p, lambda v: candidate_exponents((kind, p, *v)))[0]
-
-
 def candidate_orbits(lift: tuple) -> tuple[int, ...]:
     """All inertial exponents of rank-one subquotients of reductions.
 
@@ -221,5 +220,4 @@ def candidate_orbits(lift: tuple) -> tuple[int, ...]:
     admissible digit patterns of the descent data contribute a family.
     The lift is a `LiftType` or its fields (kind, p, a, b, c).
     """
-    kind, p, a, b, c = lift
-    return orbit_reps(p, _candidate_rows(kind, p), a, b, c)
+    return tuple(sorted({orbit_rep(lift[1], n) for n in candidate_exponents(lift)}))

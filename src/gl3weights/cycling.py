@@ -35,15 +35,9 @@ from functools import lru_cache
 from .arith import Record
 from .elimination import is_consistent
 from .induction import implied_coords
-from .predicted import (
-    PredictedSet,
-    in_table_range,
-    is_member,
-    is_predicted,
-    membership_solution,
-    nine_weight_families,
-)
-from .tame_types import XI_123, TameType, dual_twist
+from .predicted import (PredictedSet, is_member, is_predicted, nine_weight_families,
+                        table_parameters)
+from .tame_types import TameType, dual_twist
 from .weights import WeightClass, canonical, dual, is_generic
 
 CASE_DIRECT = "direct"
@@ -76,13 +70,6 @@ _TYPE_MEMO = 512
 _solved: list[tuple] = [(None, ())]
 
 
-def _table_parameter_solutions(t: TameType) -> tuple[tuple[int, int, int], ...]:
-    """All (a, b, c) in the table range, last coordinate in [0, p-2],
-    whose attached type tau((1 2 3), (a+2, b+1, c)) is t."""
-    found = {membership_solution(t.p, n, XI_123, False) for n in t.chars[0].elements()}
-    return tuple(sorted(abc for abc in found if in_table_range(*abc, t.p)))
-
-
 def _checked_membership(t: TameType, rep: int, coords: tuple[int, int, int]) -> bool:
     """Membership of F(coords) for t, of orbit representative rep, with the
     elimination branch as a mandatory cross-check."""
@@ -110,10 +97,10 @@ class _Frame(Record):
 
 @lru_cache(maxsize=_TYPE_MEMO)
 def _frame(t: TameType) -> _Frame:
-    direct = _solved[0][1] if _solved[0][0] == t else _table_parameter_solutions(t)
+    direct = _solved[0][1] if _solved[0][0] == t else table_parameters(t)
     if not direct:
         flipped = dual_twist(t, 2)
-        _solved[0] = flipped, _table_parameter_solutions(flipped)
+        _solved[0] = flipped, table_parameters(flipped)
         if not _solved[0][1]:
             raise ValueError("type does not fit any generic nine-weight table")
         return _dual_frame(_frame(flipped), t)

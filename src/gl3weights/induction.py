@@ -14,10 +14,6 @@ from __future__ import annotations
 from .arith import Record, check_prime
 from .weights import WeightClass, canonical, canonicalize
 
-SHAPE_2_1 = "2+1"
-SHAPE_1_2 = "1+2"
-
-
 class AntidominantCochar(Record):
     """Cocharacter with non-decreasing 0/1 entries, e.g. (0, 0, 1)."""
 
@@ -81,24 +77,18 @@ def _check_generic_triple(a: int, b: int, c: int, p: int) -> None:
         )
 
 
-def _induced(
-    shape: str, coords: tuple[int, ...], p: int
-) -> tuple[tuple[int, int, int], ...]:
-    """Coordinate triples of the constituents of inducing the Levi weight
-    whose blocks, read left to right, have coordinates coords.
+def _induced(coords: tuple[int, ...], p: int) -> tuple[tuple[int, int, int], ...]:
+    """Coordinate triples of the constituents of inducing the GL_1 x GL_2
+    Levi weight F(x) x F(y, z), coords = (x, y, z).
 
-    For shape 1+2 the GL_1 exponent is lifted to the unique integer
-    window matching one of the two list shapes; a boundary exponent
-    (congruent to either GL_2 coordinate) admits neither and is
-    rejected.  Shape 2+1 reduces to shape 1+2 through the outer duality
-    of GL_3, which reverses blocks and negates and reverses each
-    constituent.  Only the classes of the blocks matter, and the last
-    triple is always coords up to a shift of all three by a multiple
-    of p - 1.
+    The GL_1 exponent is lifted to the unique integer window matching one
+    of the two list shapes; a boundary exponent (congruent to either GL_2
+    coordinate) admits neither and is rejected.  Only the classes of the
+    blocks matter, and the last triple is always coords up to a shift of
+    all three by a multiple of p - 1.  The GL_2 x GL_1 induction is its
+    image under the outer duality of GL_3; `implied_coords` reads it so.
     """
     x, y, z = coords
-    if shape == SHAPE_2_1:
-        return tuple((-w, -v, -u) for u, v, w in _induced(SHAPE_1_2, (-z, -y, -x), p))
     if y - z > 0:
         a = y + 1 + (x - y - 1) % (p - 1)
         if a < z + p - 1:
@@ -141,6 +131,6 @@ def implied_coords(p: int, coords: tuple, j: int) -> tuple[tuple[int, int, int],
     if j == 1:  # the 2+1 constituents: (-w, -v, -u) for the 1+2 ones (u, v, w) of the dual
         dual = (-coords[2], -coords[1], -coords[0])
         return tuple(sorted({(u - w + c, u - v + c, c) for u, v, w
-                             in _induced(SHAPE_1_2, dual, p)[:-1] for c in (-u % m,)}))
+                             in _induced(dual, p)[:-1] for c in (-u % m,)}))
     return tuple(sorted({(x - z + c, y - z + c, c) for x, y, z
-                         in _induced(SHAPE_1_2, coords, p)[:-1] for c in (z % m,)}))
+                         in _induced(coords, p)[:-1] for c in (z % m,)}))

@@ -5,6 +5,8 @@ is decided by comparing the type against tau(xi, (x+2, y+1, z)) for the
 two order-3 cycles, and additionally against tau(xi, (z+p, y+1, x-p+2))
 when x - z exceeds p - 2.  For generic parameters the resulting set has
 exactly nine classes, organised in three cyclically related families.
+One closed-form solve of the membership rows answers both inverse
+questions, `enumerate_predicted` and `table_parameters`.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ def _solvers(p: int) -> tuple[tuple[int, int, int, int, int], ...]:
 
 def _solutions(p: int, n: int, solvers, top: int):
     """Each solver's F(x, y, z), 0 <= z <= p-2, with q*n on its digit row,
-    when x - y and y - z are at most top and x - z at least least."""
+    when x - y and y - z are at most top and x - z at least least.  A step
+    in z adds p^2+p+1, so (x - y, y - z) solve one congruence modulo p^2+p+1,
+    by a base-(p+1) split that is injective on [0, p-3]^2, where it stays
+    below (p+2)(p-3) < p^2+p+1: for top <= p-3 no other weight has q*n."""
     c2 = p * p + p + 1
     e, base = c2 * (p - 1), p + 1
     for q, k0, u, s, least in solvers:
@@ -111,27 +116,13 @@ def _solutions(p: int, n: int, solvers, top: int):
             yield g1 + g2 + z, g2 + z, z
 
 
-def membership_solution(p: int, n: int, xi: str, high: bool) -> tuple[int, int, int]:
-    """The weight F(x, y, z), 0 <= z <= p-2, with exponent n on the row
-    (xi, high); it is the only one with both differences at most p-3.
-
-    Moving z by one adds p^2+p+1 to the exponent, so the differences
-    (g1, g2) solve one congruence modulo p^2+p+1 and z is the quotient of
-    the rest.  The digit split is injective on [0, p-3]^2, where it stays
-    below (p+2)(p-3) < p^2+p+1, so every solution in that box is this one.
-    """
-    q, k0, u, s, _ = _solvers(p)[3 * MEMBERSHIP_ROWS.index((xi, high))]
-    # the digits of a split modulo p^2+p+1 are at most p; x - z is not bounded here
-    return next(_solutions(p, n, ((q, k0, u, s, 0),), p))
-
-
 def enumerate_predicted(t: TameType) -> PredictedSet:
     """All weights in the validity strip predicted for the type.
 
     Each Frobenius orbit member and membership row contribute at most
-    one weight, the row's `membership_solution`, kept when both its
-    differences are at most p-3 (and x - z > p-2 on the upper rows).  As
-    q*rep runs over the orbit, the 12 solves read only the representative.
+    one weight, kept when both its differences are at most p-3 (and
+    x - z > p-2 on the upper rows).  As q*rep runs over the orbit, the
+    12 solves read only the representative.
     """
     p = t.p
     rep = _require_irreducible(t)
@@ -180,3 +171,12 @@ def nine_weight_table(a: int, b: int, c: int, p: int) -> PredictedSet:
     weights = frozenset(w for fam in fams.values() for w in fam)
     source = tau(XI_123, (a + 2, b + 1, c), p)
     return PredictedSet(p, weights, source)
+
+
+def table_parameters(t: TameType) -> tuple[tuple[int, int, int], ...]:
+    """The inverse of `nine_weight_table`: every (a, b, c) in the table range,
+    0 <= c <= p-2, with tau((1 2 3), (a+2, b+1, c)) = t, sorted.  These are
+    the solves on the membership row ((1 2 3), low), the first three."""
+    p = t.p
+    found = _solutions(p, _require_irreducible(t), _solvers(p)[:3], p - 3)
+    return tuple(sorted({abc for abc in found if in_table_range(*abc, p)}))

@@ -90,7 +90,7 @@ def weyl_dimension(x: int, y: int, z: int) -> int:
 
 
 # Two O(p) scans witnessing the closed-form solve of the library
-# (predicted.membership_solution): for each orbit member and each g2 they
+# (predicted._solutions): for each orbit member and each g2 they
 # solve the membership congruence for g1 alone, with the rows written out
 # by hand instead of derived from tau_exponent.
 

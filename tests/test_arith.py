@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3weights import breuil, elimination, predicted
+from gl3weights import elimination, predicted
 from gl3weights.arith import (
     CASE_I,
     CASE_II,
@@ -23,7 +23,7 @@ from gl3weights.arith import (
     orbit_reps,
     row_reps,
 )
-from gl3weights.breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
+from gl3weights.breuil import candidate_exponents
 from gl3weights.tame_types import tau_exponent
 
 from oracles import least_orbit_member, orbit_elements, split_solutions
@@ -223,9 +223,6 @@ def package_tables(p):
     digit rows and their scales (None where the table keeps none).  The
     membership rows are typed out from tau(xi, mu) by hand; a lift's digit
     rows are its getter applied to the class table."""
-    for kind in (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL):
-        yield (affine_rows(lambda v: candidate_exponents((kind, p, *v))),
-               breuil._candidate_rows(kind, p), None)
 
     def membership(v):
         x, y, z = v
@@ -274,5 +271,5 @@ def test_every_table_row_is_a_power_of_p_times_a_digit_form():
                 assert row_reps(p, digit, x, y, z) == want, (p, x, y, z)
                 assert orbit_reps(p, digit, x, y, z) == tuple(sorted(set(want)))
             count += len(digit)
-        # 26 candidate rows, 4 membership rows and the lifts' 6 + 10 + 10 rows
-        assert count == 56, p
+        # 4 membership rows and the lifts' 6 + 10 + 10 rows
+        assert count == 30, p

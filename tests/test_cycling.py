@@ -179,10 +179,9 @@ def test_every_memo_is_bounded():
             obj for obj in vars(mod).values()
             if hasattr(obj, "cache_info") and obj.__wrapped__.__module__ == mod.__name__
         ]
-    # arith.is_prime, breuil._candidate_rows, two in elimination (_lift_rows,
-    # _intersection_data) and three in predicted (_membership_rows,
-    # membership_reps, _solvers)
-    assert len(memos) >= len(cycling_memos()) + 7
+    # arith.is_prime, two in elimination (_lift_rows, _intersection_data)
+    # and three in predicted (_membership_rows, membership_reps, _solvers)
+    assert len(memos) >= len(cycling_memos()) + 6
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo
 
@@ -197,7 +196,7 @@ def test_table_parameters_match_scan(p):
     for rep in sorted({orbit_rep(p, v) for v in range(p**3 - 1) if v % c2}):
         t = type_from_exponent(p, rep)
         for u in (t, dual_twist(t, 2)):
-            assert cycling._table_parameter_solutions(u) == table_parameter_scan(u), rep
+            assert cycling.table_parameters(u) == table_parameter_scan(u), rep
 
 
 @pytest.mark.parametrize("dual_case", [False, True])
@@ -307,13 +306,13 @@ def test_cross_check_runs_once_per_distinct_implied_weight(monkeypatch, cold_mem
 def test_dual_frame_shares_the_direct_frame_and_refuses_a_type_that_fits_neither(
         monkeypatch, cold_memos):
     solved = []
-    real = cycling._table_parameter_solutions
+    real = cycling.table_parameters
 
     def counting_solutions(u):
         solved.append(u)
         return real(u)
 
-    monkeypatch.setattr(cycling, "_table_parameter_solutions", counting_solutions)
+    monkeypatch.setattr(cycling, "table_parameters", counting_solutions)
     t = table_type()
     td = dual_twist(t, 2)
     # a cold dual frame: its own solve, then the flipped type's, which the

@@ -5,8 +5,6 @@ import pytest
 from gl3weights import induction
 from gl3weights.induction import (
     AntidominantCochar,
-    SHAPE_1_2,
-    SHAPE_2_1,
     constituents_long,
     constituents_short,
     implied_weights,
@@ -16,10 +14,10 @@ from gl3weights.weights import alcove, canonicalize, dim_weight, dual, weight
 from oracles import implied_weight_tables
 
 
-def constituents(shape, p, left, right):
-    """The induction constituents of the Levi weight whose blocks have
-    these coordinates, read left to right."""
-    return tuple(canonicalize(v, p) for v in induction._induced(shape, left + right, p))
+def constituents(p, left, right):
+    """The induction constituents of the GL_1 x GL_2 Levi weight whose
+    blocks have these coordinates, read left to right."""
+    return tuple(canonicalize(v, p) for v in induction._induced(left + right, p))
 
 
 def test_cochar_validation():
@@ -65,10 +63,10 @@ def test_dimension_identities_small():
 
 def test_induction_shape_matching():
     # F(5) x F(3,1) at p=7 lifts into the short window with a=5
-    got = constituents(SHAPE_1_2, 7, (5,), (3, 1))
+    got = constituents(7, (5,), (3, 1))
     assert got == constituents_short(5, 3, 1, 7)
     # F(5) x F(7,3) only fits the long window: parameters (11, 9, 7)
-    got = constituents(SHAPE_1_2, 7, (5,), (7, 3))
+    got = constituents(7, (5,), (7, 3))
     assert got == constituents_long(11, 9, 7, 7)
     assert sum(dim_weight(w) for w in got) == 285
 
@@ -76,21 +74,7 @@ def test_induction_shape_matching():
 def test_induction_rejects_boundary():
     # alpha congruent to a GL_2 coordinate admits neither window
     with pytest.raises(ValueError, match="no generic shape"):
-        constituents(SHAPE_1_2, 7, (3,), (3, 1))
-
-
-def test_induction_2_1_duality():
-    for coords_two, alpha in (((3, 1), 5), ((4, 2), 0), ((5, 2), 1)):
-        p = 7
-        levi21 = (SHAPE_2_1, p, coords_two, (alpha,))
-        flipped = (SHAPE_1_2, p, (-alpha,), (-coords_two[1], -coords_two[0]))
-        try:
-            want = tuple(dual(v) for v in constituents(*flipped))
-        except ValueError:
-            with pytest.raises(ValueError):
-                constituents(*levi21)
-            continue
-        assert constituents(*levi21) == want
+        constituents(7, (3,), (3, 1))
 
 
 def test_implied_lower_example():
@@ -106,7 +90,7 @@ def test_implied_matches_induction_kernel():
     # constituents of inducing the restriction to the GL_1 x GL_2 Levi
     for coords in ((5, 3, 1), (4, 2, 1), (5, 4, 2)):
         w = weight(7, *coords)
-        consts = set(constituents(SHAPE_1_2, 7, coords[:1], coords[1:]))
+        consts = set(constituents(7, coords[:1], coords[1:]))
         assert implied_weights(w, 2) == frozenset(consts - {w})
 
 
@@ -167,6 +151,5 @@ def test_last_constituent_is_the_weight():
     for p in RANGE_PRIMES:
         for w in range_weights(p):
             x, y, z = w.coords
-            for shape in (SHAPE_2_1, SHAPE_1_2):
-                u, v, t = induction._induced(shape, w.coords, p)[-1]
-                assert u - x == v - y == t - z and (u - x) % (p - 1) == 0, (w, shape)
+            u, v, t = induction._induced(w.coords, p)[-1]
+            assert u - x == v - y == t - z and (u - x) % (p - 1) == 0, w

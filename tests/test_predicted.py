@@ -1,6 +1,5 @@
 """Predicted weight sets: membership, fast enumeration, nine-weight table."""
 
-import itertools
 import random
 
 import pytest
@@ -14,13 +13,12 @@ from gl3weights.predicted import (
     enumerate_predicted,
     is_predicted,
     membership_reps,
-    membership_solution,
     nine_weight_families,
     nine_weight_table,
+    table_parameters,
     theta,
 )
-from gl3weights.tame_types import (XI_123, XI_132, dual_twist, iso, tau, tau_exponent,
-                                   type_from_exponent)
+from gl3weights.tame_types import XI_123, XI_132, dual_twist, iso, tau, type_from_exponent
 from gl3weights.weights import WeightClass, alcove, dual, is_generic, shadow, weight
 
 from oracles import (
@@ -59,6 +57,14 @@ def test_membership_rejects_reducible_type():
     t = type_from_exponent(29, 0)
     with pytest.raises(ValueError, match="irreducible"):
         is_predicted(weight(29, 15, 8, 0), t)
+
+
+def test_both_inverse_solves_refuse_a_reducible_type():
+    # enumerate_predicted and table_parameters share one solve and its entry check
+    for solve in (enumerate_predicted, table_parameters):
+        with pytest.raises(ValueError) as info:
+            solve(type_from_exponent(29, 0))
+        assert str(info.value) == "predicted sets are computed for irreducible niveau-3 types"
 
 
 def strip_weights(p):
@@ -122,27 +128,6 @@ def test_membership_miss_reads_the_row_constants(monkeypatch):
     # three solver constants per row, each row's own scale first
     assert len(predicted._solvers(p)) == 12
     assert [c[0] for c in predicted._solvers(p)[::3]] == list(predicted._membership_rows(p)[1])
-
-
-def row_exponent(p, xi, high, x, y, z):
-    """The exponent of F(x, y, z) on the membership row (xi, high), by hand."""
-    return tau_exponent(xi, (z + p, y + 1, x - p + 2) if high else (x + 2, y + 1, z), p)
-
-
-def test_membership_solution_matches_box_search():
-    # every exponent on every row: the solution carries it, and it is the
-    # only weight of the box 0 <= z <= p-2, differences at most p-3, that does
-    for p, (xi, high) in itertools.product((5, 7, 11, 13), predicted.MEMBERSHIP_ROWS):
-        box = {}
-        for g1 in range(p - 2):
-            for g2 in range(p - 2):
-                for z in range(p - 1):
-                    xyz = (z + g1 + g2, z + g2, z)
-                    box.setdefault(row_exponent(p, xi, high, *xyz), []).append(xyz)
-        for n in range(p**3 - 1):
-            x, y, z = membership_solution(p, n, xi, high)
-            assert 0 <= z <= p - 2 and row_exponent(p, xi, high, x, y, z) == n
-            assert box.get(n, []) in ([], [(x, y, z)]), (p, xi, high, n)
 
 
 def test_nine_weight_families_example():

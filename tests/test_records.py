@@ -13,6 +13,7 @@ from gl3weights.arith import Record, decompose_exponent, exp_class, orbit_of
 from gl3weights.breuil import (
     cuspidal,
     cuspidal_dual,
+    descent_exponents,
     principal_series,
     random_module,
     validate,
@@ -151,6 +152,9 @@ def test_weight_hash_equals_field_hash():
     (lambda: validate(7, 3, 6, (0, 0, 0), (0, 0, 0)), "weight bound r=6 must lie in [0, 5]"),
     (lambda: random_module(random.Random(0), 1, 3, 2),
      "characteristic must be a prime >= 5, got 1"),
+    (lambda: random_module(random.Random(0), 7, 3, -1), "weight bound r=-1 must lie in [0, 5]"),
+    (lambda: descent_exponents(7, 3, 0, (0,)), "need 3 heights, got 1"),
+    (lambda: descent_exponents(7, 3, 0, (0, 0, 0, 0)), "need 3 heights, got 4"),
     (lambda: hodge_data(3, 1, 1, [(2, 1, 0), (2, 1, 0)], [0, 0, 0]),
      "need one tuple per embedding: 1, got 2"),
     (lambda: hodge_data(3, 1, 1, [(0, 1, 2)], [Fraction(1, 2), 0, 0]),
@@ -159,7 +163,8 @@ def test_weight_hash_equals_field_hash():
     (lambda: constituents_short(5, 3, 1, 1), "characteristic must be a prime >= 5, got 1"),
 ], ids=["weight", "weight-p", "canonicalize", "canonicalize-p1", "exp_class", "exp_class-p1",
         "tau", "tau_exponent-p1", "type_from_exponent", "principal_series", "cuspidal",
-        "cuspidal_dual", "cuspidal-gaps", "validate", "random_module-p1", "hodge_data",
+        "cuspidal_dual", "cuspidal-gaps", "validate", "random_module-p1", "random_module-r",
+        "descent_exponents-short", "descent_exponents-long", "hodge_data",
         "hodge_data-order", "nine_weight_table-p1", "constituents_short-p1"])
 def test_factory_refuses_invalid_input(make, message):
     with pytest.raises(ValueError) as info:
