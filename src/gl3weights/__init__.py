@@ -42,6 +42,10 @@ __all__ = list(_HOME)
 
 
 def __getattr__(name: str):
+    """Import a layer, or the home layer of an exported name, on first lookup.
+
+    `globals()[name] = value` is the lazy loader's cache, so later lookups
+    skip this hook; it stores into no named module-level object."""
     if name in _HOME:
         value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     elif name in _SUBMODULES:

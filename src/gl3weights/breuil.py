@@ -194,8 +194,10 @@ def candidate_exponents(lift: tuple) -> list[int]:
     """Candidate niveau-3 exponents of a lift, before reduction to orbit representatives.
 
     Those of the reversed digits at (a, b, c) are the twisted duals,
-    2(p^2+p+1) - n, of those n of the ascending digits at (-c, -b, -a)."""
+    2(p^2+p+1) - n, of those n of the ascending digits at (-c, -b, -a).
+    Plain fields get the prime and kind checks of `LiftType`, not its gap check."""
     kind, p, a, b, c = lift
+    check_prime(p)
     if kind == CUSPIDAL_DUAL:
         return [2 * (p * p + p + 1) - n for n in candidate_exponents((CUSPIDAL, p, -c, -b, -a))]
     out: list[int] = []
@@ -203,11 +205,13 @@ def candidate_exponents(lift: tuple) -> list[int]:
         for a0, a1, a2 in TRIPLES_SHORT_PS:
             out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
             out.append((a + 2 - a2) + p * (b + 2 - a1) + p * p * (c + 2 - a0))
-    else:
+    elif kind == CUSPIDAL:
         for a0, a1, a2 in TRIPLES_SHORT_CUSP:
             out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
         for a0, a1, a2 in TRIPLES_SUM3:
             out.append((a + a0) + p * (b + a2) + p * p * (c + a1))
+    else:
+        raise ValueError(f"unknown lift kind {kind!r}")
     return out
 
 

@@ -16,15 +16,16 @@ at p=29 and p=31, both read `predicted.membership_reps`.
 Everything that depends only on the type is computed once per type and
 kept in one bounded memo: a frame holding the table parameters, the
 nine-weight table and all 18 forced steps, in the orientation of the
-caller's type.  So each membership decision is cross-checked once per
-(type, weight), and the closure from each start is one BFS over the
-frame.  The direct frame reads coordinate triples through three kernels
+caller's type.  So each type cross-checks its own membership decisions,
+once per (type, weight), and the closure from each start is one BFS over
+the frame.  A frame reads coordinate triples through three kernels
 (`induction.implied_coords`, `predicted.is_member`,
 `elimination.is_consistent`) and builds records only for the table, so
 every forced weight is a table weight's own object.  A type in dual
-form reads the direct frame of its cyclotomic double-twisted dual,
-flipped once: duality swaps T1 and T2.  `cycle` maps the start to its
-table object, so the closure matches weights by identity.
+form takes the table of its cyclotomic double-twisted dual, each weight
+dualized, and visits the operators as (2, 1): duality swaps T1 and T2.
+`cycle` maps the start to its table object, so the closure matches
+weights by identity.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class CyclingGraph(Record):
 # Memo bounds: callers that reuse a type run its starts close together,
 # so a few hundred types keep all the reuse.
 _TYPE_MEMO = 512
-# the flipped type and table parameters the last cold dual frame solved,
-# read by that type's build in the memo, so it does not solve them again
-_solved: list[tuple] = [(None, ())]
 
 
 def _checked_membership(t: TameType, rep: int, coords: tuple[int, int, int]) -> bool:
@@ -85,10 +83,11 @@ class _Frame(Record):
 
     case and params: direct and the least table parameters (a, b, c) with
     t = tau((1 2 3), (a+2, b+1, c)), or dual and those of its cyclotomic
-    double-twisted dual; table: the nine weights by their coordinates;
-    order: the table by the coordinates of the direct orientation, which
-    decides the reported stuck node; steps: each table weight's
-    (operator, forced weights) pairs in visiting order.
+    double-twisted dual; table: the nine weights by their coordinates,
+    dualized in the dual case; order: the table by the coordinates of the
+    direct orientation, which decides the reported stuck node; steps: each
+    table weight's (operator, forced weights) pairs in visiting order, from
+    membership decisions cross-checked for t itself.
     """
 
     __slots__ = ()
@@ -97,26 +96,28 @@ class _Frame(Record):
 
 @lru_cache(maxsize=_TYPE_MEMO)
 def _frame(t: TameType) -> _Frame:
-    direct = _solved[0][1] if _solved[0][0] == t else table_parameters(t)
-    if not direct:
-        flipped = dual_twist(t, 2)
-        _solved[0] = flipped, table_parameters(flipped)
-        if not _solved[0][1]:
-            raise ValueError("type does not fit any generic nine-weight table")
-        return _dual_frame(_frame(flipped), t)
-    params = direct[0]
     p, rep = t.p, t.orbit_rep()
+    case, levels, params = CASE_DIRECT, (1, 2), table_parameters(t)
+    if not params:
+        # duality swaps T1 and T2: visiting them as (2, 1) makes the closure
+        # the dual, edge for edge, of its twisted dual's
+        case, levels, params = CASE_DUAL, (2, 1), table_parameters(dual_twist(t, 2))
+        if not params:
+            raise ValueError("type does not fit any generic nine-weight table")
+    params = params[0]
     fams = nine_weight_families(*params, p)
-    by_coords = {w.coords: w for fam in fams.values() for w in fam}
-    families = tuple(sorted(((w, name) for name, fam in fams.items() for w in fam),
-                            key=lambda pair: pair[0].coords))
-    order = tuple(by_coords[c] for c in sorted(by_coords))
+    named = sorted(((w, name) for name, fam in fams.items() for w in fam),
+                   key=lambda pair: pair[0].coords)
+    if case == CASE_DUAL:
+        named = [(dual(w), name) for w, name in named]
+    order = tuple(w for w, _ in named)
+    by_coords = {w.coords: w for w in order}
     # by coordinates: a forced weight is a table object (None if stray, refused below)
     member: dict[tuple[int, int, int], bool] = {}
     steps = {}
     for w in order:
         pairs = []
-        for j in (1, 2):
+        for j in levels:
             implied = implied_coords(p, w.coords, j)
             for v in implied:
                 if v not in member:
@@ -127,32 +128,9 @@ def _frame(t: TameType) -> _Frame:
     if stray:
         raise ConsistencyError(f"predicted weight {canonical(stray[0], p)} missing from the"
                                f" nine-weight table {params}")
-    return _Frame(CASE_DIRECT, params, by_coords, order,
-                  PredictedSet(p, frozenset(by_coords.values()), t), families, steps)
-
-
-def _dual_frame(inner: _Frame, t: TameType) -> _Frame:
-    """The frame of the type t whose dual case reads the direct frame inner.
-
-    Duality swaps the operators: the step (w, j) becomes (dual w, 3 - j),
-    and each node visits its operators in the order (2, 1), so one BFS
-    gives the dualized graph of the inner closure, edge for edge.
-    """
-    flip = {w: dual(w) for w in inner.predicted.weights}
-    return _Frame(
-        CASE_DUAL,
-        inner.params,
-        {v.coords: v for v in flip.values()},
-        tuple(flip[w] for w in inner.order),
-        PredictedSet(t.p, frozenset(flip.values()), t),
-        tuple(sorted(((flip[w], name) for w, name in inner.families),
-                     key=lambda pair: pair[0].coords)),
-        {
-            flip[w]: tuple((3 - j, tuple(sorted((flip[v] for v in vs), key=lambda u: u.coords)))
-                           for j, vs in pairs)
-            for w, pairs in inner.steps.items()
-        },
-    )
+    return _Frame(case, params, by_coords, order,
+                  PredictedSet(p, frozenset(by_coords.values()), t),
+                  tuple(sorted(named, key=lambda pair: pair[0].coords)), steps)
 
 
 def cycle(t: TameType, start: WeightClass) -> CyclingGraph:

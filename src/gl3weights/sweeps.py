@@ -179,10 +179,6 @@ def sweep_candidates(rng: random.Random, p: int, failures: list[dict]) -> None:
             if (value - (a + b + c + 3)) % (p - 1):
                 _fail(failures, params=list(params), kind=lift.kind,
                       value=value, reason="determinant digit sum")
-    fwd = breuil.candidate_orbits(breuil.cuspidal(p, (-c, -b, -a)))
-    twisted = {tt.dual_twist(tt.type_from_exponent(p, rep), 2).chars[0].rep for rep in fwd}
-    if twisted != set(breuil.candidate_orbits(breuil.cuspidal_dual(p, params))):
-        _fail(failures, params=list(params), reason="cuspidal duality broken")
 
 
 def sweep_predicted(rng: random.Random, p: int, failures: list[dict]) -> None:

@@ -171,6 +171,16 @@ def test_gap_hypothesis_enforced():
     assert LiftType.__new__(LiftType, CUSPIDAL, 17, 15, 8, 0).params == (15, 8, 0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (("bogus", 17, 8, 4, 0), "unknown lift kind 'bogus'"),
+    ((CUSPIDAL, 4, 8, 4, 0), "must be a prime >= 5, got 4"),
+])
+def test_plain_fields_get_the_prime_and_kind_checks(fields, message):
+    for read in (candidate_exponents, candidate_orbits):
+        with pytest.raises(ValueError, match=message):
+            read(fields)
+
+
 def test_random_module_is_valid():
     rng = random.Random(5)
     for _ in range(200):

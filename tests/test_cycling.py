@@ -217,21 +217,20 @@ def test_memoized_closure_matches_cold(dual_case):
 
 
 def test_cross_check_stays_on_the_path(monkeypatch):
-    flip_at = weight(29, 43, 28, 8)  # T1-implied by the start F(15,8,0)
+    # F(43,28,8) is T1-implied by the start F(15,8,0); the dual type checks
+    # its own weights, so there the lie sits at the dual weight
+    t, start, implied = table_type(), weight(29, 15, 8, 0), weight(29, 43, 28, 8)
     real = cycling.is_consistent
+    for u, s, flip_at in ((t, start, implied), (dual_twist(t, 2), dual(start), dual(implied))):
 
-    def lying_is_consistent(p, coords, rep):
-        verdict = real(p, coords, rep)
-        return not verdict if coords == flip_at.coords else verdict
+        def lying_is_consistent(p, coords, rep, flip_at=flip_at):
+            verdict = real(p, coords, rep)
+            return not verdict if coords == flip_at.coords else verdict
 
-    clear_cycling_memos()
-    monkeypatch.setattr(cycling, "is_consistent", lying_is_consistent)
-    with pytest.raises(ConsistencyError, match="disagree"):
-        cycle(table_type(), weight(29, 15, 8, 0))
-    # the dual case cross-checks the same decisions, on the inner type
-    clear_cycling_memos()
-    with pytest.raises(ConsistencyError, match=re.escape(f"disagree at {flip_at} ")):
-        cycle(dual_twist(table_type(), 2), dual(weight(29, 15, 8, 0)))
+        clear_cycling_memos()
+        monkeypatch.setattr(cycling, "is_consistent", lying_is_consistent)
+        with pytest.raises(ConsistencyError, match=re.escape(f"disagree at {flip_at} ")):
+            cycle(u, s)
 
 
 def test_dual_form_matches_witness():
@@ -260,9 +259,11 @@ def test_stuck_path_matches_witness(monkeypatch, cold_memos):
     # coordinates of the inner (direct) orientation, not of its own
     real = cycling.implied_coords
     dropped = weight(29, 36, 27, 16)
+    # each orientation reads its own implied weights: drop the weight in both
+    gone = {dropped.coords, dual(dropped).coords}
 
     def without_dropped(p, coords, j):
-        return tuple(v for v in real(p, coords, j) if v != dropped.coords)
+        return tuple(v for v in real(p, coords, j) if v not in gone)
 
     monkeypatch.setattr(cycling, "implied_coords", without_dropped)
     t, start, params = table_type(), weight(29, 15, 8, 0), (15, 8, 0)
@@ -289,21 +290,23 @@ def test_cross_check_runs_once_per_distinct_implied_weight(monkeypatch, cold_mem
     real = cycling.is_consistent
 
     def counting_is_consistent(p, coords, rep):
-        seen.append(coords)
+        seen.append((coords, rep))
         return real(p, coords, rep)
 
     monkeypatch.setattr(cycling, "is_consistent", counting_is_consistent)
     for start in table.sorted_weights():
         assert cycle(t, start).status == STATUS_COMPLETE
     assert len(implied) == 24
-    assert sorted(seen) == sorted(v.coords for v in implied)
-    # the dual case reads the same checked decisions
+    assert sorted(seen) == sorted((v.coords, t.orbit_rep()) for v in implied)
+    # the dual type checks its own decisions: the duals of the first 24
+    td = dual_twist(t, 2)
     for start in table.sorted_weights():
-        cycle(dual_twist(t, 2), dual(start))
-    assert len(seen) == 24
+        cycle(td, dual(start))
+    assert len(seen) == 48
+    assert sorted(seen[24:]) == sorted((dual(v).coords, td.orbit_rep()) for v in implied)
 
 
-def test_dual_frame_shares_the_direct_frame_and_refuses_a_type_that_fits_neither(
+def test_each_orientation_solves_its_own_frame_and_a_type_that_fits_neither_is_refused(
         monkeypatch, cold_memos):
     solved = []
     real = cycling.table_parameters
@@ -315,15 +318,17 @@ def test_dual_frame_shares_the_direct_frame_and_refuses_a_type_that_fits_neither
     monkeypatch.setattr(cycling, "table_parameters", counting_solutions)
     t = table_type()
     td = dual_twist(t, 2)
-    # a cold dual frame: its own solve, then the flipped type's, which the
-    # direct frame's build takes instead of solving again
+    # a cold dual frame: its own solve, then the flipped type's; it is the
+    # only frame built
     assert cycling._frame(td).case == CASE_DUAL
     assert solved == [td, t]
-    # the direct frame it read is memoized, so the table type solves nothing
+    assert cycling._frame.cache_info().currsize == 1
+    # the table type builds its own frame, with one solve
     solved.clear()
     assert cycling._frame(t).case == CASE_DIRECT
-    assert solved == []
+    assert solved == [t]
     # a type that fits neither table is refused after one solve per orientation
+    solved.clear()
     neither = type_from_exponent(29, 1)
     with pytest.raises(ValueError) as err:
         cycling._frame(neither)

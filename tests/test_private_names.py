@@ -1,4 +1,5 @@
-"""The package's modules do not reach into each other's _private names."""
+"""The package's modules do not reach into each other's _private names, and
+no function keeps hidden state in a module-level name."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,123 @@ def test_the_check_sees_both_forms():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_reads_a_sibling_private_name(path):
     assert private_reaches(path.read_text()) == []
+
+
+# methods of the builtin containers, and of deque, that change the receiver
+MUTATORS = frozenset(
+    "add append appendleft clear difference_update discard extend extendleft insert"
+    " intersection_update pop popitem popleft remove reverse rotate setdefault sort"
+    " symmetric_difference_update update".split())
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def module_names(tree):
+    """Names bound at module level, in top-level if and try blocks too."""
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack += [s for block in ("body", "orelse", "finalbody", "handlers")
+                      for s in getattr(node, block, ())]
+        else:
+            names.update(n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return names
+
+
+def own_scope(fn):
+    """The nodes of a function's body, not of the functions nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def root_name(node):
+    """The name an attribute and subscript chain starts from, else None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def hidden_state(source):
+    """Line and text of each place a function changes a module-level name:
+    a store or delete through a subscript or an attribute, a call of a
+    mutating method, or a rebinding under `global`.  `globals()[name] = v`
+    stores into the namespace the call returns, not into a named global."""
+    tree = ast.parse(source)
+    shared = module_names(tree)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, SCOPES):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        nodes = list(own_scope(fn))
+        declared = {g for n in nodes if isinstance(n, ast.Global) for g in n.names}
+        args = fn.args
+        local = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if a}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local |= {n.name for n in nodes if isinstance(n, SCOPES[:2])}
+        outer = (shared - local) | declared
+        for n in nodes:
+            if isinstance(n, ast.Global):
+                found += [(n.lineno, f"{name} rebinds {g}") for g in n.names if g in shared]
+            elif (isinstance(n, (ast.Attribute, ast.Subscript))
+                  and isinstance(n.ctx, (ast.Store, ast.Del)) and root_name(n.value) in outer):
+                found.append((n.lineno, f"{name} stores into {ast.unparse(n)}"))
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in MUTATORS and root_name(n.func.value) in outer):
+                found.append((n.lineno, f"{name} calls {ast.unparse(n.func)}"))
+    return sorted(found)
+
+
+def test_the_hidden_state_check_sees_each_form():
+    source = (
+        "import os\n"
+        "_memo = {}\n"
+        "_last: list = [None]\n"
+        "class K:\n"
+        "    pass\n"
+        "def f(x, local=[]):\n"
+        "    _memo[x] = 1\n"
+        "    _last[0] = x\n"
+        "    K.seen = x\n"
+        "    _memo.update(a=1)\n"
+        "    os.environ.setdefault('A', 'b')\n"
+        "    del _memo[x]\n"
+        "    local.append(x)\n"
+        "    _memo.get(x)\n"
+        "    globals()[x] = 1\n"
+        "    def g(_memo):\n"
+        "        _memo.clear()\n"
+        "    return lambda: _last.clear()\n"
+        "def h():\n"
+        "    _memo = {}\n"
+        "    _memo['a'] = 1\n"
+        "def k():\n"
+        "    global _last\n"
+        "    _last = []\n"
+    )
+    assert hidden_state(source) == [
+        (7, "f stores into _memo[x]"),
+        (8, "f stores into _last[0]"),
+        (9, "f stores into K.seen"),
+        (10, "f calls _memo.update"),
+        (11, "f calls os.environ.setdefault"),
+        (12, "f stores into _memo[x]"),
+        (18, "<lambda> calls _last.clear"),
+        (23, "k rebinds _last"),
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_function_changes_a_module_level_name(path):
+    assert hidden_state(path.read_text()) == []
