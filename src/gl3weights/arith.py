@@ -12,7 +12,8 @@ row is a power of p times x + p*y + p^2*z or x + p^2*y + p*z plus a
 constant, which `digit_rows` derives once per prime, and `row_reps` is the
 one loop that evaluates a table at a point and reduces each value to its
 Frobenius orbit's least member.  An orbit set is a sorted tuple of distinct
-representatives (`orbit_reps`), so a memo value holds nothing the collector tracks.
+representatives, `tuple(sorted(set(row_reps(...))))` where a table is
+evaluated, so a memo value holds nothing the collector tracks.
 """
 
 from __future__ import annotations
@@ -184,9 +185,9 @@ def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
     row's value at the point (x, y, z), in row order: the orbit of form value
     f plus k0 on the row (form, k0, k1, k2) is f + k0, p*f + k1, p^2*f + k2.
 
-    Each equals type_from_exponent(p, value).chars[0].rep without building
-    the class, orbit and type objects.  p is not validated: callers
-    take it from an object whose construction already checked it.
+    Each equals orbit_of(p, 3, value).rep without building the class and
+    orbit objects.  p is not validated: callers take it from an object
+    whose construction already checked it.
     """
     e, pp = p**3 - 1, p * p
     f, g = (x + p * y + pp * z) % e, (x + pp * y + p * z) % e
@@ -199,11 +200,6 @@ def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
         # the least of the three, without the cost of a min() call
         add(v0 if v0 < v1 and v0 < v2 else v1 if v1 < v2 else v2)
     return reps
-
-
-def orbit_reps(p: int, rows, x: int, y: int, z: int) -> tuple[int, ...]:
-    """The orbit set of the rows at (x, y, z): their distinct `row_reps`, sorted."""
-    return tuple(sorted(set(row_reps(p, rows, x, y, z))))
 
 
 def orbit_rep(p: int, value: int) -> int:
@@ -232,8 +228,6 @@ class Decomposition(Record):
 
     def value(self, p: int) -> int:
         """Reassemble the integer the split came from."""
-        if self.kind == DIVISIBLE:
-            raise ValueError("divisible split carries no coordinates")
         x, y, z = self.coords
         if self.kind == CASE_I:
             return x + p * y + p * p * z

@@ -144,8 +144,8 @@ def random_module(rng: random.Random, p: int, d: int, r: int) -> BreuilModule:
     partial = sum(h * p ** (d - 1 - j) for j, h in enumerate(heights))
     # the cyclic divisibility asks e | sum_j r_j p^(d-1-j); solve for the last
     residue = (-partial) % e
-    choices = range(residue, e * r + 1, e)
-    heights.append(rng.choice(list(choices)) if choices else 0)
+    # never empty: e*r >= e > residue for r >= 1, and residue = 0 for r = 0
+    heights.append(rng.choice(range(residue, e * r + 1, e)))
     ks = descent_exponents(p, d, rng.randrange(0, e), heights)
     return validate(p, d, r, tuple(heights), ks)
 

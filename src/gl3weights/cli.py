@@ -246,9 +246,12 @@ def _value(name: str, kind: str, value: Any, d: int | None) -> Any:
         cls, want = SCALARS[kind]
         ok = type(value) is cls
     else:
-        n = 3 if kind == "triple" else d
-        want = f"a list of {n} integers"
-        ok = (isinstance(value, list) and len(value) == n
+        from .arith import SUPPORTED_NIVEAUX  # each command with a list loads arith
+
+        # the count of an unsupported d is left to the library's niveau error
+        n = 3 if kind == "triple" else d if d in SUPPORTED_NIVEAUX else None
+        want = f"a list of {n} integers" if n else "a list of integers"
+        ok = (isinstance(value, list) and (n is None or len(value) == n)
               and all(type(v) is int for v in value))
         value = tuple(value) if ok else value
     if not ok:

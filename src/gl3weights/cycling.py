@@ -138,10 +138,9 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
 
     The type is located in a nine-weight table, directly or in dual form
     (the graph's case and params).  The start must be 4-generic, which
-    covers all nine table weights (some just miss 6-genericity).
+    covers all nine table weights (some just miss 6-genericity); a
+    reducible type is refused by the membership check of the start.
     """
-    if not t.is_irreducible():
-        raise ValueError("cycling requires an irreducible niveau-3 type")
     if not is_generic(start):
         raise ValueError(f"start weight {start} is not 4-generic")
     if not is_predicted(start, t):

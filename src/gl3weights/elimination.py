@@ -123,9 +123,7 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     """Decide whether modularity of w is consistent with the type t."""
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
-    if not t.is_irreducible():
-        raise ValueError("elimination requires an irreducible niveau-3 type")
-    rep = t.chars[0].rep
+    rep = t.orbit_rep()
     branch, allowed, sets = _decision(w.p, w.coords)
     hit = rep in allowed
     # sets is None on the crystalline branch; zip pairs its three lift sets

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import MEMO_SIZE, Record, check_prime, digit_rows, orbit_reps, row_reps
+from .arith import MEMO_SIZE, Record, check_prime, digit_rows, row_reps
 from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
 from .weights import WeightClass, canonical, reflect
 
@@ -30,12 +30,6 @@ class PredictedSet(Record):
 
     def sorted_weights(self) -> tuple[WeightClass, ...]:
         return tuple(sorted(self.weights, key=lambda w: w.coords))
-
-
-def _require_irreducible(t: TameType) -> int:
-    if not t.is_irreducible():
-        raise ValueError("predicted sets are computed for irreducible niveau-3 types")
-    return t.chars[0].rep
 
 
 # membership rows (xi, above the wall); the upper two apply when x - z > p - 2
@@ -56,22 +50,19 @@ def _membership_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tup
 
 @lru_cache(maxsize=MEMO_SIZE)
 def membership_reps(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
-    """Orbit representatives a type must hit for the weight to be predicted:
-    the per-prime table `_membership_rows`, its upper two rows only when
-    x - z > p - 2, evaluated at (x, y, z)."""
+    """Orbit set (sorted, distinct) a type must hit for the weight to be
+    predicted: the per-prime table `_membership_rows`, its upper two rows
+    only when x - z > p - 2, evaluated at (x, y, z) in one `row_reps` call."""
     x, y, z = coords
     rows = _membership_rows(p)[0]
-    if x - z > p - 2:
-        return orbit_reps(p, rows, x, y, z)
-    a, b = row_reps(p, rows[:2], x, y, z)
-    return (a, b) if a < b else (b, a) if b < a else (a,)
+    return tuple(sorted(set(row_reps(p, rows if x - z > p - 2 else rows[:2], x, y, z))))
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
     """Whether the weight lies in the predicted set of the type."""
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
-    return is_member(w.p, w.coords, _require_irreducible(t))
+    return is_member(w.p, w.coords, t.orbit_rep())
 
 
 def is_member(p: int, coords: tuple[int, int, int], rep: int) -> bool:
@@ -99,14 +90,14 @@ def _solvers(p: int) -> tuple[tuple[int, int, int, int, int], ...]:
                  for q in (1, p, p * p))
 
 
-def _solutions(p: int, n: int, solvers, top: int):
+def _solutions(p: int, n: int, solvers):
     """Each solver's F(x, y, z), 0 <= z <= p-2, with q*n on its digit row,
-    when x - y and y - z are at most top and x - z at least least.  A step
-    in z adds p^2+p+1, so (x - y, y - z) solve one congruence modulo p^2+p+1,
-    by a base-(p+1) split that is injective on [0, p-3]^2, where it stays
-    below (p+2)(p-3) < p^2+p+1: for top <= p-3 no other weight has q*n."""
+    when x - y and y - z are at most top = p-3 (the strip) and x - z at least
+    least.  A step in z adds p^2+p+1, so (x - y, y - z) solve one congruence
+    modulo p^2+p+1, by a base-(p+1) split that is injective on [0, p-3]^2,
+    where it stays below (p+2)(p-3) < p^2+p+1: no other strip weight has q*n."""
     c2 = p * p + p + 1
-    e, base = c2 * (p - 1), p + 1
+    e, base, top = c2 * (p - 1), p + 1, p - 3
     for q, k0, u, s, least in solvers:
         m = n * q - k0
         g, h = divmod(m * u % c2, base)
@@ -124,10 +115,9 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
     x - z > p-2 on the upper rows).  As q*rep runs over the orbit, the
     12 solves read only the representative.
     """
-    p = t.p
-    rep = _require_irreducible(t)
+    p, rep = t.p, t.orbit_rep()
     found = frozenset(WeightClass.__new__(WeightClass, p, 3, xyz)
-                      for xyz in _solutions(p, rep, _solvers(p), p - 3))
+                      for xyz in _solutions(p, rep, _solvers(p)))
     return PredictedSet(p, found, t)
 
 
@@ -178,5 +168,5 @@ def table_parameters(t: TameType) -> tuple[tuple[int, int, int], ...]:
     0 <= c <= p-2, with tau((1 2 3), (a+2, b+1, c)) = t, sorted.  These are
     the solves on the membership row ((1 2 3), low), the first three."""
     p = t.p
-    found = _solutions(p, _require_irreducible(t), _solvers(p)[:3], p - 3)
+    found = _solutions(p, t.orbit_rep(), _solvers(p)[:3])
     return tuple(sorted({abc for abc in found if in_table_range(*abc, p)}))

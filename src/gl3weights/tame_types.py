@@ -40,8 +40,11 @@ class TameType(Record):
         return len(self.chars) == 1
 
     def orbit_rep(self) -> int:
-        if not self.is_irreducible():
-            raise ValueError("orbit representative needs an irreducible type")
+        """The least exponent of an irreducible type's orbit.  Every layer reads
+        a type through it, so it is the one refusal of a reducible type (tested
+        inline, not by a call: `eliminate` reads it once per weight)."""
+        if len(self.chars) != 1:
+            raise ValueError(f"type {self} is not an irreducible niveau-3 type")
         return self.chars[0].rep
 
     def __str__(self) -> str:

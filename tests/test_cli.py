@@ -366,6 +366,20 @@ def test_huge_niveau_is_refused_quickly(capsys, given):
     assert json.loads(out)["error"]["message"] == "niveau must be one of (1, 2, 3), got 16000"
 
 
+@pytest.mark.parametrize("d", [-1, 4])
+@pytest.mark.parametrize("by_flags", [True, False], ids=["flags", "envelope"])
+def test_unsupported_niveau_is_a_domain_error_whatever_the_count(capsys, d, by_flags):
+    # three heights, as for d = 3: the niveau is refused, not the count
+    if by_flags:
+        code, out = outcome(capsys, ["breuil", "--p", "7", "--d", str(d), "--heights", "1,2,3",
+                                     "--k0", "0"])
+    else:
+        params = {"p": 7, "d": d, "heights": [1, 2, 3], "k0": 0}
+        code, out = outcome(capsys, ["query"], envelope("breuil", params))
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == f"niveau must be one of (1, 2, 3), got {d}"
+
+
 def outcome(capsys, argv, stdin=None):
     """(exit code, stdout) of one invocation, an argparse exit included."""
     try:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gl3weights import arith, breuil, elimination, predicted
+from gl3weights import breuil, elimination, predicted
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -136,11 +136,9 @@ def is_orbit_set(reps):
 
 def test_orbit_sets_are_sorted_tuples_of_distinct_ints():
     p, w = 29, weight(29, 32, 16, 0)
-    # 5 and 5*29 share an orbit, whose least member is 5; that of 900 is 872
-    e = p**3 - 1
-    rows = [(0, v, v * p % e, v * p * p % e) for v in (5, 5 * 29, 1, 900, 1)]
-    assert arith.orbit_reps(p, rows, 0, 0, 0) == (1, 5, 872)
     assert is_orbit_set(candidate_orbits(breuil.cuspidal(17, (8, 4, 0))))
+    # below the wall (2 rows) and above it (4 rows)
+    assert is_orbit_set(predicted.membership_reps(p, (15, 8, 0)))
     assert is_orbit_set(predicted.membership_reps(p, (43, 28, 8)))
     assert all(is_orbit_set(reps) for reps in intersection_sets(w))
     report = eliminate(w, type_from_exponent(p, 163))

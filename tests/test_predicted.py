@@ -59,12 +59,18 @@ def test_membership_rejects_reducible_type():
         is_predicted(weight(29, 15, 8, 0), t)
 
 
-def test_both_inverse_solves_refuse_a_reducible_type():
-    # enumerate_predicted and table_parameters share one solve and its entry check
-    for solve in (enumerate_predicted, table_parameters):
+def test_every_entry_refuses_a_reducible_type_with_one_message():
+    # TameType.orbit_rep is the one gate: cycle reaches it through is_predicted
+    from gl3weights.cycling import cycle
+    from gl3weights.elimination import eliminate
+
+    w = weight(29, 15, 8, 0)
+    entries = (lambda t: is_predicted(w, t), enumerate_predicted, table_parameters,
+               lambda t: eliminate(w, t), lambda t: cycle(t, w))
+    for entry in entries:
         with pytest.raises(ValueError) as info:
-            solve(type_from_exponent(29, 0))
-        assert str(info.value) == "predicted sets are computed for irreducible niveau-3 types"
+            entry(type_from_exponent(29, 0))
+        assert str(info.value) == "type [0]+[0]+[0] is not an irreducible niveau-3 type"
 
 
 def strip_weights(p):
@@ -94,8 +100,8 @@ def test_membership_reps_match_the_rows_by_tau(p):
 def test_membership_miss_reads_the_row_constants(monkeypatch):
     # the membership digit rows and the solver constants are derived once per
     # p; a membership miss then evaluates 2 or 4 digit rows at the weight's
-    # coordinates in one row_reps call (the 4 through orbit_reps), and an
-    # enumeration solves from the solver constants alone
+    # coordinates in one row_reps call, and an enumeration solves from the
+    # solver constants alone
     p, below, above = 29, (15, 8, 0), (43, 28, 8)
     taus, evaluated = [], []
     real_tau, real_reps = predicted.tau_exponent, arith.row_reps
