@@ -9,11 +9,11 @@ Python ints, so all results are exact.
 
 Exponent tables affine in three coordinates are kept as digit rows: each
 row is a power of p times x + p*y + p^2*z or x + p^2*y + p*z plus a
-constant, which `digit_rows` derives once per prime, and `row_reps` is the
-one loop that evaluates a table at a point and reduces each value to its
-Frobenius orbit's least member.  An orbit set is a sorted tuple of distinct
-representatives, `tuple(sorted(set(row_reps(...))))` where a table is
-evaluated, so a memo value holds nothing the collector tracks.
+constant, which `digit_rows` derives once per prime; `row_reps` reduces a
+table's values at a point to their Frobenius orbits' least members, and
+`row_hits` tests them against one orbit.  An orbit set is a sorted tuple of
+distinct representatives (`row_reps` sorted, deduplicated where rows can
+share an orbit), so a memo value holds nothing the collector tracks.
 """
 
 from __future__ import annotations
@@ -200,6 +200,15 @@ def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
         # the least of the three, without the cost of a min() call
         add(v0 if v0 < v1 and v0 < v2 else v1 if v1 < v2 else v2)
     return reps
+
+
+def row_hits(p: int, rows, x: int, y: int, z: int, rep: int) -> list[bool]:
+    """`[r == rep for r in row_reps(p, rows, x, y, z)]` for an orbit's least
+    member rep, unreduced: a row hits when f + k0 lies in {rep, p*rep, p^2*rep}."""
+    e = p**3 - 1
+    forms = ((x + p * y + p * p * z) % e, (x + p * p * y + p * z) % e)
+    orbit = {rep, rep * p % e, rep * p * p % e}
+    return [(forms[form] + k0) % e in orbit for form, k0, _, _ in rows]
 
 
 def orbit_rep(p: int, value: int) -> int:

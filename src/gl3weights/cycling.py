@@ -8,10 +8,10 @@ in turn.  For generic parameters this closure reaches all nine
 predicted weights.  The engine re-checks every membership decision
 against the elimination branch and refuses to continue on any
 disagreement.  Only at large-span weights are these two independent
-computations (membership rows against the intersection of the three
-lifts' reduction candidates), so only there does a completed graph
-certify both; at small-span weights, 15 of the 24 checks of each frame
-at p=29 and p=31, both read `predicted.membership_reps`.
+computations (the membership orbit set against a hit test of the type's
+orbit on each of the three lifts' candidate rows), so only there does a
+completed graph certify both; at small-span weights, 15 of the 24 checks
+of each frame at p=29 and p=31, both read `predicted.membership_reps`.
 
 Everything that depends only on the type is computed once per type and
 kept in one bounded memo: a frame holding the table parameters, the

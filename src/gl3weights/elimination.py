@@ -14,7 +14,9 @@ large-span branch reads one table of digit rows (`arith.digit_rows`) per
 prime, derived from `breuil.candidate_exponents`, at F(x, y, z).  Rows that
 differ by a power of p share a Frobenius orbit at every point and a digit
 row, so the table keeps one row per such class (14 for the lifts' 26 rows,
-4 of them shared by all three) and an index getter per lift.
+4 of them shared by all three) and an index getter per lift.  `eliminate`
+reports the lifts' orbit sets, memoized per weight; `is_consistent` tests
+one type's orbit against the same rows (`arith.row_hits`), building no set.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .arith import MEMO_SIZE, Record, digit_rows, row_reps
+from .arith import MEMO_SIZE, Record, digit_rows, row_hits, row_reps
 from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
 from .predicted import membership_reps
 from .tame_types import TameType
@@ -103,20 +105,15 @@ def intersection_sets(w: WeightClass) -> tuple[tuple[int, ...], ...]:
     return _intersection_data(w.p, w.coords)
 
 
-def _decision(p: int, coords: tuple[int, int, int]) -> tuple[str, tuple[int, ...], tuple | None]:
-    """(branch, orbit representatives kept, the memoized (ps, cusp,
-    cusp_dual, inter) or None) at F(coords)."""
-    if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
-        # below the wall these are the types tau(xi, (x+2, y+1, z))
-        return BRANCH_CRYSTALLINE, membership_reps(p, coords), None
-    sets = _intersection_data(p, coords)
-    return BRANCH_INTERSECTION, sets[3], sets
-
-
 def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
     """The verdict of `eliminate` for F(coords) and the type of orbit
-    representative rep, past its entry checks."""
-    return rep in _decision(p, coords)[1]
+    representative rep, past its entry checks.  At large span no set is
+    built: each lift must have a row whose value lies in rep's orbit."""
+    if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
+        return rep in membership_reps(p, coords)
+    rows, (get_ps, get_cusp, get_cusp_dual) = _lift_rows(p)
+    hits = row_hits(p, rows, *coords, rep)
+    return any(get_ps(hits)) and any(get_cusp(hits)) and any(get_cusp_dual(hits))
 
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
@@ -124,7 +121,10 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
     rep = t.orbit_rep()
-    branch, allowed, sets = _decision(w.p, w.coords)
+    branch = _branch_of(w.p, w.coords)
+    sets = _intersection_data(w.p, w.coords) if branch == BRANCH_INTERSECTION else None
+    # below the wall these are the types tau(xi, (x+2, y+1, z))
+    allowed = sets[3] if sets else membership_reps(w.p, w.coords)
     hit = rep in allowed
     # sets is None on the crystalline branch; zip pairs its three lift sets
     return EliminationReport(w, t, branch, CONSISTENT if hit else ELIMINATED,

@@ -52,10 +52,16 @@ def _membership_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tup
 def membership_reps(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
     """Orbit set (sorted, distinct) a type must hit for the weight to be
     predicted: the per-prime table `_membership_rows`, its upper two rows
-    only when x - z > p - 2, evaluated at (x, y, z) in one `row_reps` call."""
+    only when x - z > p - 2, evaluated at (x, y, z) in one `row_reps` call.
+    Below the wall mu = (x+2, y+1, z) is strictly decreasing of span at most
+    p, so by tame rigidity (`sweeps.sweep_tame`) its two rows never collide."""
     x, y, z = coords
     rows = _membership_rows(p)[0]
-    return tuple(sorted(set(row_reps(p, rows if x - z > p - 2 else rows[:2], x, y, z))))
+    if x - z > p - 2:
+        return tuple(sorted(set(row_reps(p, rows, x, y, z))))
+    reps = row_reps(p, rows[:2], x, y, z)
+    reps.sort()
+    return tuple(reps)
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:

@@ -267,8 +267,8 @@ def sweep_slopes(rng: random.Random, p: int, failures: list[dict]) -> None:
 # takes p and returns (checks, failures); its work grows like p^2, so its
 # row names the largest prime it accepts (decompose: about 10 s at 1021).
 # A randomized check (None there) checks the instance its rng draws, and at
-# most COUNT_LIMIT run (cycling, the slowest: about 25 s at p = 29, 2 min at
-# p = 1009 and 2.5 min at p = 65521).  Below the smallest prime, a randomized
+# most COUNT_LIMIT run (cycling, the slowest: about 30 s at p = 29 and 75 s
+# at p = 1009 and at p = 65521).  Below the smallest prime, a randomized
 # suite's draws (such as the table triples of `cycling`) have empty ranges.
 SUITES = {
     "decompose": (sweep_decompose, 1021, 5),

@@ -20,6 +20,7 @@ from gl3weights.arith import (
     orbit,
     orbit_of,
     orbit_rep,
+    row_hits,
     row_reps,
 )
 from gl3weights.breuil import candidate_exponents
@@ -244,6 +245,24 @@ def witness_primes():
         if is_prime(n):
             large.add(n)
     return [p for p in range(5, 1000) if is_prime(p)] + sorted(large)
+
+
+def test_row_hits_match_row_reps():
+    # row_hits tests each row's value against one orbit, unreduced; it reads
+    # as row_reps compared with the orbit's least member, at seeded points
+    # and rows at every prime below 1000 and at 65521, for each row's own
+    # rep (so some rows hit) and a seeded one
+    rng = random.Random("row hits")
+    for p in [p for p in range(5, 1000) if is_prime(p)] + [65521]:
+        e = p**3 - 1
+        rows = [(form, k, k * p % e, k * p * p % e)
+                for form in (0, 1) for k in (rng.randrange(e) for _ in range(4))]
+        for _ in range(3):
+            x, y, z = (rng.randrange(-2 * p, 3 * p) for _ in range(3))
+            reps = row_reps(p, rows, x, y, z)
+            for rep in (*reps, orbit_rep(p, rng.randrange(e))):
+                want = [r == rep for r in reps]
+                assert row_hits(p, rows, x, y, z, rep) == want, (p, x, y, z, rep)
 
 
 def test_every_table_row_is_a_power_of_p_times_a_digit_form():

@@ -8,7 +8,7 @@ import re
 import pytest
 
 import gl3weights
-from gl3weights import cli, cycling
+from gl3weights import cli, cycling, elimination
 from gl3weights.arith import Record, orbit_rep
 from gl3weights.cycling import (
     CASE_DIRECT,
@@ -20,7 +20,7 @@ from gl3weights.cycling import (
     emit_dot,
 )
 from gl3weights.elimination import eliminate
-from gl3weights.induction import implied_weights
+from gl3weights.induction import implied_coords, implied_weights
 from gl3weights.predicted import (
     LOWER_FAMILY,
     SHADOW_FAMILY,
@@ -181,9 +181,35 @@ def test_every_memo_is_bounded():
         ]
     # arith.is_prime, two in elimination (_lift_rows, _intersection_data)
     # and three in predicted (_membership_rows, membership_reps, _solvers)
-    assert len(memos) >= len(cycling_memos()) + 6
+    assert len(memos) == len(cycling_memos()) + 6
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo
+
+
+@pytest.mark.parametrize("dual_case", [False, True])
+def test_a_cold_frame_tests_each_large_span_weight_once(monkeypatch, dual_case):
+    # the cross-check at a large-span implied weight tests the type's orbit
+    # against the lifts' rows, one row_hits call per distinct weight, and
+    # leaves the intersection memo as it was.  A built frame has no weight in
+    # neither regime, so x - z >= p - 3 picks out the large-span ones
+    p, points = 29, []
+    real_hits = elimination.row_hits
+
+    def counting_hits(p, rows, *point):
+        points.append(point[:3])
+        return real_hits(p, rows, *point)
+
+    monkeypatch.setattr(elimination, "row_hits", counting_hits)
+    t = table_type(p, (20, 9, 3))
+    if dual_case:
+        t = dual_twist(t, 2)
+    clear_cycling_memos()
+    before = elimination._intersection_data.cache_info().currsize
+    frame = cycling._frame(t)
+    assert elimination._intersection_data.cache_info().currsize == before
+    implied = {v for w in frame.order for j in (1, 2) for v in implied_coords(p, w.coords, j)}
+    large = [v for v in implied if v[0] - v[2] >= p - 3]
+    assert large and sorted(points) == sorted(large)
 
 
 def test_one_memo_per_type():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from gl3weights import breuil, elimination, predicted
+from gl3weights.arith import orbit_rep
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -21,6 +22,7 @@ from gl3weights.elimination import (
     UnsupportedWeight,
     eliminate,
     intersection_sets,
+    is_consistent,
 )
 from gl3weights.predicted import is_predicted
 from gl3weights.tame_types import XI_123, XI_132, tau, type_from_exponent
@@ -192,6 +194,33 @@ def test_large_span_lifts_pass_the_gap_check(p):
         sets = intersection_sets(w)
         checked = tuple(LiftType(*fields) for fields in elimination._lifts(p, w.coords))
         assert sets[:3] == tuple(candidate_orbits(lift) for lift in checked), w.coords
+
+
+@pytest.mark.parametrize("p", [19, 23])
+def test_is_consistent_reads_the_intersection(p):
+    # at large span is_consistent tests one orbit against the lifts' rows and
+    # builds no set; it must read as membership in the intersection of the
+    # three lift sets.  Every large-span weight at z in {0, 1, p//2, p-2},
+    # each against the union of its lift sets and 20 seeded irreducible reps
+    rng = random.Random(f"consistent:{p}")
+    e, c2 = p**3 - 1, p * p + p + 1
+    patterns = set()
+    for coords in gap_check_weights(p):
+        sets = intersection_sets(weight(p, *coords))
+        reps = set().union(*sets[:3])
+        seeded = set()
+        while len(seeded) < 20:
+            v = rng.randrange(e)
+            if v % c2:  # a multiple of p^2+p+1 is a reducible type's
+                seeded.add(orbit_rep(p, v))
+        for rep in sorted(reps | seeded):
+            assert is_consistent(p, coords, rep) == (rep in sets[3]), (coords, rep)
+            patterns.add(tuple(rep in s for s in sets[:3]))
+    # reps in exactly one lift set, and in exactly each two of them: a test
+    # that any lift hits, or one that drops a lift, reads some as consistent.
+    # The principal series set lies in the union of the cuspidal ones
+    assert patterns == {(a, b, c) for a in (False, True) for b in (False, True)
+                        for c in (False, True)} - {(True, False, False)}
 
 
 def test_closed_form_families():

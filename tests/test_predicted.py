@@ -90,6 +90,27 @@ def seeded_strip_weights(p, count):
     return found[False] + found[True]
 
 
+def test_the_two_membership_rows_never_collide_below_the_wall():
+    # membership_reps sorts its two below-wall reps without a set: mu =
+    # (x+2, y+1, z) is strictly decreasing of span at most p there, so tame
+    # rigidity gives the two cycles different types.  Every below-wall strip
+    # point up to p = 31, then 200 seeded ones at 20 seeded primes and 65521
+    rng = random.Random("below the wall")
+    large = {65521}
+    while len(large) < 21:
+        n = rng.randrange(32, arith.P_LIMIT)
+        if arith.is_prime(n):
+            large.add(n)
+    for p in [p for p in range(5, 32) if arith.is_prime(p)] + sorted(large):
+        rows = predicted._membership_rows(p)[0][:2]
+        below = ([xyz for xyz in strip_weights(p) if xyz[0] - xyz[2] <= p - 2] if p < 32
+                 else seeded_strip_weights(p, 400)[:200])
+        for x, y, z in below:
+            a, b = arith.row_reps(p, rows, x, y, z)
+            assert a != b, (p, x, y, z)
+        assert membership_reps(p, below[-1]) == tuple(sorted((a, b))), p
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 53, 1009, 65521])
 def test_membership_reps_match_the_rows_by_tau(p):
     # the whole strip up to p = 13, then 2,000 seeded weights
