@@ -204,11 +204,14 @@ def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
 
 def row_hits(p: int, rows, x: int, y: int, z: int, rep: int) -> list[bool]:
     """`[r == rep for r in row_reps(p, rows, x, y, z)]` for an orbit's least
-    member rep, unreduced: a row hits when f + k0 lies in {rep, p*rep, p^2*rep}."""
-    e = p**3 - 1
-    forms = ((x + p * y + p * p * z) % e, (x + p * p * y + p * z) % e)
-    orbit = {rep, rep * p % e, rep * p * p % e}
-    return [(forms[form] + k0) % e in orbit for form, k0, _, _ in rows]
+    member rep, unreduced: a row hits when f + k0 lies in {rep, p*rep, p^2*rep},
+    that is when k0 is one of the three offsets o - f of its form f."""
+    e, pp = p**3 - 1, p * p
+    f, g = x + p * y + pp * z, x + pp * y + p * z
+    o1, o2 = rep * p % e, rep * pp % e
+    offsets = ({(rep - f) % e, (o1 - f) % e, (o2 - f) % e},
+               {(rep - g) % e, (o1 - g) % e, (o2 - g) % e})
+    return [k0 in offsets[form] for form, k0, _, _ in rows]
 
 
 def orbit_rep(p: int, value: int) -> int:

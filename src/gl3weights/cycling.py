@@ -8,20 +8,25 @@ in turn.  For generic parameters this closure reaches all nine
 predicted weights.  The engine re-checks every membership decision
 against the elimination branch and refuses to continue on any
 disagreement.  Only at large-span weights are these two independent
-computations (the membership orbit set against a hit test of the type's
-orbit on each of the three lifts' candidate rows), so only there does a
-completed graph certify both; at small-span weights, 15 of the 24 checks
-of each frame at p=29 and p=31, both read `predicted.membership_reps`.
+computations (a hit test of the type's orbit on the membership rows
+against one on each of the three lifts' candidate rows), so only there
+does a completed graph certify both; at small-span weights, 15 of the 24
+checks of each frame at p=29 and p=31, elimination answers with the
+membership kernel itself.
 
 Everything that depends only on the type is computed once per type and
 kept in one bounded memo: a frame holding the table parameters, the
-nine-weight table and all 18 forced steps, in the orientation of the
-caller's type.  So each type cross-checks its own membership decisions,
-once per (type, weight), and the closure from each start is one BFS over
-the frame.  A frame reads coordinate triples through three kernels
-(`induction.implied_coords`, `predicted.is_member`,
-`elimination.is_consistent`) and builds records only for the table, so
-every forced weight is a table weight's own object.  A type in dual
+nine-weight table, all 18 forced steps and the membership decisions, in
+the orientation of the caller's type.  So each type cross-checks its own
+membership decisions, once per (type, weight), and the closure from each
+start is one BFS over the frame.  A frame reads coordinate triples
+through three kernels: `induction.implied_coords` per table weight and
+level, then, on the distinct implied weights in check order, one call of
+the batched membership kernel `predicted.are_members` and one of the
+batched elimination kernel `elimination.are_consistent`, compared point
+by point.  It builds records only for the table, so every forced weight
+is a table weight's own object, and `cycle` reads the start's membership
+from the frame's decisions, which hold every table weight.  A type in dual
 form takes the table of its cyclotomic double-twisted dual, each weight
 dualized, and visits the operators as (2, 1): duality swaps T1 and T2.
 `cycle` maps the start to its table object, so the closure matches
@@ -34,9 +39,9 @@ from collections import deque
 from functools import lru_cache
 
 from .arith import Record
-from .elimination import is_consistent
+from .elimination import are_consistent
 from .induction import implied_coords
-from .predicted import (PredictedSet, is_member, is_predicted, nine_weight_families,
+from .predicted import (PredictedSet, are_members, is_predicted, nine_weight_families,
                         table_parameters)
 from .tame_types import TameType, dual_twist
 from .weights import WeightClass, canonical, dual, is_generic
@@ -68,16 +73,6 @@ class CyclingGraph(Record):
 _TYPE_MEMO = 512
 
 
-def _checked_membership(t: TameType, rep: int, coords: tuple[int, int, int]) -> bool:
-    """Membership of F(coords) for t, of orbit representative rep, with the
-    elimination branch as a mandatory cross-check."""
-    member = is_member(t.p, coords, rep)
-    if is_consistent(t.p, coords, rep) != member:
-        raise ConsistencyError("membership and elimination disagree at"
-                               f" {canonical(coords, t.p)} for type {t}")
-    return member
-
-
 class _Frame(Record):
     """Everything a closure reads, in the orientation of the caller's type.
 
@@ -86,17 +81,47 @@ class _Frame(Record):
     double-twisted dual; table: the nine weights by their coordinates,
     dualized in the dual case; order: the table by the coordinates of the
     direct orientation, which decides the reported stuck node; steps: each
-    table weight's (operator, forced weights) pairs in visiting order, from
-    membership decisions cross-checked for t itself.
+    table weight's (operator, forced weights) pairs in visiting order;
+    decided: the membership of each distinct implied weight for t itself,
+    by coordinates, cross-checked against elimination.
     """
 
     __slots__ = ()
-    _fields = ("case", "params", "table", "order", "predicted", "families", "steps")
+    _fields = ("case", "params", "table", "order", "predicted", "families", "steps",
+               "decided")
+
+
+def _decide(t: TameType, points: tuple[tuple[int, int, int], ...]) -> list[bool]:
+    """Membership of each point for t, cross-checked against elimination by
+    one call of each kernel; the first disagreement in points' order raises.
+    A point that a kernel refuses raises the error of the first such point,
+    the membership (strip) check's before elimination's."""
+    p, rep = t.p, t.orbit_rep()
+    try:
+        member = are_members(p, points, rep)
+        consistent = are_consistent(p, points, rep)
+    except ValueError:
+        for v in points:  # one by one, for the first point's error
+            are_members(p, (v,), rep)
+            are_consistent(p, (v,), rep)
+        raise
+    if member != consistent:
+        v = next(v for v, m, c in zip(points, member, consistent) if m != c)
+        raise ConsistencyError("membership and elimination disagree at"
+                               f" {canonical(v, p)} for type {t}")
+    return member
+
+
+def _check_start(start: WeightClass, t: TameType, member: bool | None = None) -> None:
+    """Refuse a start that is not predicted for t; member is its decision
+    from the frame, else None, and is_predicted answers."""
+    if not (is_predicted(start, t) if member is None else member):
+        raise ValueError(f"start weight {start} is not predicted for the type")
 
 
 @lru_cache(maxsize=_TYPE_MEMO)
 def _frame(t: TameType) -> _Frame:
-    p, rep = t.p, t.orbit_rep()
+    p = t.p
     case, levels, params = CASE_DIRECT, (1, 2), table_parameters(t)
     if not params:
         # duality swaps T1 and T2: visiting them as (2, 1) makes the closure
@@ -112,25 +137,22 @@ def _frame(t: TameType) -> _Frame:
         named = [(dual(w), name) for w, name in named]
     order = tuple(w for w, _ in named)
     by_coords = {w.coords: w for w in order}
-    # by coordinates: a forced weight is a table object (None if stray, refused below)
-    member: dict[tuple[int, int, int], bool] = {}
-    steps = {}
-    for w in order:
-        pairs = []
-        for j in levels:
-            implied = implied_coords(p, w.coords, j)
-            for v in implied:
-                if v not in member:
-                    member[v] = _checked_membership(t, rep, v)
-            pairs.append((j, tuple(by_coords.get(v) for v in implied if member[v])))
-        steps[w] = tuple(pairs)
-    stray = [v for v, m in member.items() if m and v not in by_coords]
+    # per table weight, its implied weights at each level in visiting order;
+    # points: the distinct ones in check order, first seen over order x levels
+    implied = [[implied_coords(p, w.coords, j) for j in levels] for w in order]
+    points = tuple(dict.fromkeys(v for pair in implied for vs in pair for v in vs))
+    decided = dict(zip(points, _decide(t, points)))
+    stray = [v for v in points if decided[v] and v not in by_coords]
     if stray:
         raise ConsistencyError(f"predicted weight {canonical(stray[0], p)} missing from the"
                                f" nine-weight table {params}")
+    # by coordinates: a forced weight is a table object
+    steps = {w: tuple((j, tuple([by_coords[v] for v in vs if decided[v]]))
+                      for j, vs in zip(levels, pair))
+             for w, pair in zip(order, implied)}
     return _Frame(case, params, by_coords, order,
                   PredictedSet(p, frozenset(by_coords.values()), t),
-                  tuple(sorted(named, key=lambda pair: pair[0].coords)), steps)
+                  tuple(sorted(named, key=lambda pair: pair[0].coords)), steps, decided)
 
 
 def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
@@ -138,14 +160,21 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
 
     The type is located in a nine-weight table, directly or in dual form
     (the graph's case and params).  The start must be 4-generic, which
-    covers all nine table weights (some just miss 6-genericity); a
-    reducible type is refused by the membership check of the start.
+    covers all nine table weights (some just miss 6-genericity), and
+    predicted for the type: its membership is read from the frame's
+    cross-checked decisions, which hold every table weight, and asked of
+    `is_predicted` only for a start the frame did not decide or a type the
+    frame refuses, so a reducible type gets the refusal of its orbit
+    representative after the genericity check.
     """
     if not is_generic(start):
         raise ValueError(f"start weight {start} is not 4-generic")
-    if not is_predicted(start, t):
-        raise ValueError(f"start weight {start} is not predicted for the type")
-    frame = _frame(t)
+    try:
+        frame = _frame(t)
+    except Exception:
+        _check_start(start, t)  # the start's refusal comes before the type's
+        raise
+    _check_start(start, t, frame.decided.get(start.coords) if start.p == t.p else None)
     table = frame.table
     if start.coords not in table:
         raise ConsistencyError(

@@ -15,8 +15,11 @@ prime, derived from `breuil.candidate_exponents`, at F(x, y, z).  Rows that
 differ by a power of p share a Frobenius orbit at every point and a digit
 row, so the table keeps one row per such class (14 for the lifts' 26 rows,
 4 of them shared by all three) and an index getter per lift.  `eliminate`
-reports the lifts' orbit sets, memoized per weight; `is_consistent` tests
-one type's orbit against the same rows (`arith.row_hits`), building no set.
+reports the lifts' orbit sets, memoized per weight; `are_consistent` gives
+the bare verdict for one type at a batch of weights (`is_consistent` is its
+one-point call): at large span it tests the type's orbit against the same
+rows (`arith.row_hits`), building no set, and at small span it asks the
+membership kernel `predicted.are_members` once for all such weights.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from operator import itemgetter
 
 from .arith import MEMO_SIZE, Record, digit_rows, row_hits, row_reps
 from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
-from .predicted import membership_reps
+from .predicted import are_members, membership_reps
 from .tame_types import TameType
 from .weights import WeightClass
 
@@ -107,13 +110,30 @@ def intersection_sets(w: WeightClass) -> tuple[tuple[int, ...], ...]:
 
 def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
     """The verdict of `eliminate` for F(coords) and the type of orbit
-    representative rep, past its entry checks.  At large span no set is
-    built: each lift must have a row whose value lies in rep's orbit."""
-    if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
-        return rep in membership_reps(p, coords)
+    representative rep, past its entry checks: the one-point call of
+    `are_consistent`."""
+    return are_consistent(p, (coords,), rep)[0]
+
+
+def are_consistent(p: int, points, rep: int) -> list[bool]:
+    """`is_consistent` at each of points, in order, for one orbit's least
+    member rep; a point in neither regime raises `UnsupportedWeight`.  At
+    large span no set is built: each lift must have a row whose value lies
+    in rep's orbit (`arith.row_hits`).  The small-span points are answered
+    by one `are_members` call, the membership of tau(xi, (x+2, y+1, z))."""
     rows, (get_ps, get_cusp, get_cusp_dual) = _lift_rows(p)
-    hits = row_hits(p, rows, *coords, rep)
-    return any(get_ps(hits)) and any(get_cusp(hits)) and any(get_cusp_dual(hits))
+    out, small = [], []
+    for coords in points:
+        if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
+            small.append(coords)
+            out.append(None)
+        else:
+            hits = row_hits(p, rows, *coords, rep)
+            out.append(any(get_ps(hits)) and any(get_cusp(hits)) and any(get_cusp_dual(hits)))
+    if small:
+        verdicts = iter(are_members(p, small, rep))
+        out = [next(verdicts) if v is None else v for v in out]
+    return out
 
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:

@@ -128,9 +128,19 @@ def implied_coords(p: int, coords: tuple, j: int) -> tuple[tuple[int, int, int],
     """The canonical coordinates of `implied_weights`, distinct and sorted,
     for a weight and level that its checks pass."""
     m = p - 1
+    out = []
     if j == 1:  # the 2+1 constituents: (-w, -v, -u) for the 1+2 ones (u, v, w) of the dual
-        dual = (-coords[2], -coords[1], -coords[0])
-        return tuple(sorted({(u - w + c, u - v + c, c) for u, v, w
-                             in _induced(dual, p)[:-1] for c in (-u % m,)}))
-    return tuple(sorted({(x - z + c, y - z + c, c) for x, y, z
-                         in _induced(coords, p)[:-1] for c in (z % m,)}))
+        x, y, z = coords
+        for u, v, w in _induced((-z, -y, -x), p)[:-1]:
+            c = -u % m
+            t = (u - w + c, u - v + c, c)
+            if t not in out:
+                out.append(t)
+    else:
+        for x, y, z in _induced(coords, p)[:-1]:
+            c = z % m
+            t = (x - z + c, y - z + c, c)
+            if t not in out:
+                out.append(t)
+    out.sort()
+    return tuple(out)

@@ -5,8 +5,12 @@ is decided by comparing the type against tau(xi, (x+2, y+1, z)) for the
 two order-3 cycles, and additionally against tau(xi, (z+p, y+1, x-p+2))
 when x - z exceeds p - 2.  For generic parameters the resulting set has
 exactly nine classes, organised in three cyclically related families.
-One closed-form solve of the membership rows answers both inverse
-questions, `enumerate_predicted` and `table_parameters`.
+The comparisons are the per-prime membership digit rows: `are_members`
+tests one type's orbit against them at a batch of weights (`is_member` is
+its one-point call), and `membership_reps` reduces them to the orbit set a
+type must hit, memoized per weight, for `eliminate`'s report and the
+sweeps.  One closed-form solve of the membership rows answers both
+inverse questions, `enumerate_predicted` and `table_parameters`.
 """
 
 from __future__ import annotations
@@ -73,12 +77,30 @@ def is_predicted(w: WeightClass, t: TameType) -> bool:
 
 def is_member(p: int, coords: tuple[int, int, int], rep: int) -> bool:
     """`is_predicted` for F(coords) and the type of orbit representative
-    rep, past its entry checks: the strip check, then the membership rows."""
-    x, y, z = coords
-    if not (x - y <= p - 3 and y - z <= p - 3):
-        raise ValueError(f"F({x},{y},{z}) has a difference above p-3;"
-                         " membership is undefined there")
-    return rep in membership_reps(p, coords)
+    rep, past its entry checks: the one-point call of `are_members`."""
+    return are_members(p, (coords,), rep)[0]
+
+
+def are_members(p: int, points, rep: int) -> list[bool]:
+    """`is_member` at each of points, in order, for one orbit's least member
+    rep: the strip check, then a hit test of the membership rows (the upper
+    two only when x - z > p - 2).  A row hits when its digit-row value
+    f + k0 lies in {rep, p*rep, p^2*rep}, so the answer is
+    `rep in membership_reps(p, coords)` without reducing a row, sorting an
+    orbit set or adding a memo entry."""
+    e, pp = p**3 - 1, p * p
+    orbit = {rep, rep * p % e, rep * pp % e}
+    (fa, ka, _, _), (fb, kb, _, _), (fc, kc, _, _), (fd, kd, _, _) = _membership_rows(p)[0]
+    out = []
+    for x, y, z in points:
+        if not (x - y <= p - 3 and y - z <= p - 3):
+            raise ValueError(f"F({x},{y},{z}) has a difference above p-3;"
+                             " membership is undefined there")
+        forms = (x + p * y + pp * z, x + pp * y + p * z)
+        out.append((forms[fa] + ka) % e in orbit or (forms[fb] + kb) % e in orbit
+                   or x - z > p - 2 and ((forms[fc] + kc) % e in orbit
+                                         or (forms[fd] + kd) % e in orbit))
+    return out
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -196,9 +196,10 @@ def sweep_predicted(rng: random.Random, p: int, failures: list[dict]) -> None:
     if frozenset(wt.dual(w) for w in fast.weights) != dual_set.weights:
         _fail(failures, rep=t.orbit_rep(), reason="duality mismatch")
     if p <= 13:
-        strip = (wt.WeightClass(p, 3, (z + g1 + g2, z + g2, z))
-                 for g1 in range(p - 2) for g2 in range(p - 2) for z in range(p - 1))
-        if {w for w in strip if predicted.is_predicted(w, t)} != fast.weights:
+        strip = [(z + g1 + g2, z + g2, z)
+                 for g1 in range(p - 2) for g2 in range(p - 2) for z in range(p - 1)]
+        member = predicted.are_members(p, strip, t.orbit_rep())
+        if {wt.WeightClass(p, 3, v) for v, m in zip(strip, member) if m} != fast.weights:
             _fail(failures, rep=t.orbit_rep(), reason="solver/scan mismatch")
 
 

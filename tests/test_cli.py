@@ -79,6 +79,22 @@ def test_eliminate(capsys):
     }
 
 
+def test_eliminate_at_the_small_span_edge(capsys):
+    # x - z = p - 4 is the widest small-span weight; x - z = p - 3 is in
+    # neither regime
+    code, out, _ = invoke(capsys, "eliminate", "--p", "29", "--F", "25,10,0",
+                          "--orbit-rep", "100")
+    assert code == 0
+    assert json.loads(out)["branch"] == "crystalline"
+    code, out, _ = invoke(capsys, "eliminate", "--p", "29", "--F", "26,10,0",
+                          "--orbit-rep", "100")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "message": "F(26,10,0) falls in neither the small-span nor the large-span regime",
+        "type": "UnsupportedWeight",
+    }
+
+
 def test_cycle_json(capsys):
     code, out, _ = invoke(
         capsys, "cycle", "--p", "29", "--start", "15,8,0",

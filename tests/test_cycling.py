@@ -8,7 +8,7 @@ import re
 import pytest
 
 import gl3weights
-from gl3weights import cli, cycling, elimination
+from gl3weights import cli, cycling, elimination, predicted
 from gl3weights.arith import Record, orbit_rep
 from gl3weights.cycling import (
     CASE_DIRECT,
@@ -85,13 +85,30 @@ def test_normalize_dual():
 
 
 def test_normalize_guards():
+    # the start's refusals come first, in order (4-generic, then predicted),
+    # then the type's: a reducible type's, or a type that fits no table
     t = table_type()
     with pytest.raises(ValueError, match="4-generic"):
         cycle(t, weight(29, 5, 3, 1))
     with pytest.raises(ValueError, match="predicted"):
         cycle(t, weight(29, 16, 9, 1))
+    with pytest.raises(ValueError, match="different characteristics"):
+        cycle(t, weight(31, 15, 8, 0))
+    reducible = type_from_exponent(29, 0)
+    with pytest.raises(ValueError, match="4-generic"):
+        cycle(reducible, weight(29, 5, 3, 1))
     with pytest.raises(ValueError, match="irreducible"):
-        cycle(type_from_exponent(29, 0), weight(29, 15, 8, 0))
+        cycle(reducible, weight(29, 15, 8, 0))
+    # orbit rep 125 fits neither table; F(59,36,27) is predicted for it
+    untabled = type_from_exponent(29, 125)
+    with pytest.raises(ValueError, match="not predicted for the type"):
+        cycle(untabled, weight(29, 15, 8, 0))
+    assert is_predicted(weight(29, 59, 36, 27), untabled)
+    with pytest.raises(ValueError, match="does not fit any generic nine-weight table"):
+        cycle(untabled, weight(29, 59, 36, 27))
+    for u in (t, dual_twist(t, 2)):
+        with pytest.raises(ValueError, match="not predicted for the type"):
+            cycle(u, weight(29, 16, 9, 1))
 
 
 def test_cycle_complete_from_each_start():
@@ -186,12 +203,33 @@ def test_every_memo_is_bounded():
         assert memo.cache_info().maxsize is not None, memo
 
 
+def record_batches(monkeypatch):
+    """Patch cycling's two batched kernels to record each call as (kernel,
+    points, rep); the list of calls is returned."""
+    calls = []
+    for name in ("are_members", "are_consistent"):
+
+        def recording(p, points, rep, name=name, real=getattr(cycling, name)):
+            calls.append((name, tuple(points), rep))
+            return real(p, points, rep)
+
+        monkeypatch.setattr(cycling, name, recording)
+    return calls
+
+
+def frame_points(frame, p):
+    """The distinct implied weights of a frame's table, by coordinates."""
+    return {v for w in frame.order for j in (1, 2) for v in implied_coords(p, w.coords, j)}
+
+
 @pytest.mark.parametrize("dual_case", [False, True])
 def test_a_cold_frame_tests_each_large_span_weight_once(monkeypatch, dual_case):
-    # the cross-check at a large-span implied weight tests the type's orbit
-    # against the lifts' rows, one row_hits call per distinct weight, and
-    # leaves the intersection memo as it was.  A built frame has no weight in
-    # neither regime, so x - z >= p - 3 picks out the large-span ones
+    # a cold frame hands its 24 distinct implied weights to each batched
+    # kernel once; the elimination kernel tests the type's orbit against the
+    # lifts' rows at each large-span weight, one row_hits call per weight,
+    # and the frame leaves the intersection and membership memos as they
+    # were.  A built frame has no weight in neither regime, so
+    # x - z >= p - 3 picks out the large-span ones
     p, points = 29, []
     real_hits = elimination.row_hits
 
@@ -200,14 +238,20 @@ def test_a_cold_frame_tests_each_large_span_weight_once(monkeypatch, dual_case):
         return real_hits(p, rows, *point)
 
     monkeypatch.setattr(elimination, "row_hits", counting_hits)
+    calls = record_batches(monkeypatch)
     t = table_type(p, (20, 9, 3))
     if dual_case:
         t = dual_twist(t, 2)
     clear_cycling_memos()
-    before = elimination._intersection_data.cache_info().currsize
+    memos = (elimination._intersection_data, predicted.membership_reps)
+    before = [memo.cache_info().currsize for memo in memos]
     frame = cycling._frame(t)
-    assert elimination._intersection_data.cache_info().currsize == before
-    implied = {v for w in frame.order for j in (1, 2) for v in implied_coords(p, w.coords, j)}
+    assert [memo.cache_info().currsize for memo in memos] == before
+    implied = frame_points(frame, p)
+    assert len(implied) == 24
+    assert [name for name, _, _ in calls] == ["are_members", "are_consistent"]
+    for _, batch, rep in calls:
+        assert len(batch) == 24 and set(batch) == implied and rep == t.orbit_rep()
     large = [v for v in implied if v[0] - v[2] >= p - 3]
     assert large and sorted(points) == sorted(large)
 
@@ -244,19 +288,27 @@ def test_memoized_closure_matches_cold(dual_case):
 
 def test_cross_check_stays_on_the_path(monkeypatch):
     # F(43,28,8) is T1-implied by the start F(15,8,0); the dual type checks
-    # its own weights, so there the lie sits at the dual weight
+    # its own weights, so there the lie sits at the dual weight.  A lie in
+    # either kernel is caught, and a second lie later in the check order
+    # does not change the weight named
     t, start, implied = table_type(), weight(29, 15, 8, 0), weight(29, 43, 28, 8)
-    real = cycling.is_consistent
-    for u, s, flip_at in ((t, start, implied), (dual_twist(t, 2), dual(start), dual(implied))):
+    for kernel in ("are_members", "are_consistent"):
+        real = getattr(cycling, kernel)
+        for u, s, flip_at in ((t, start, implied),
+                              (dual_twist(t, 2), dual(start), dual(implied))):
+            clear_cycling_memos()
+            checked = list(cycling._frame(u).decided)  # in check order
+            flips = {flip_at.coords, checked[-1]}
+            assert checked.index(flip_at.coords) < len(checked) - 1
 
-        def lying_is_consistent(p, coords, rep, flip_at=flip_at):
-            verdict = real(p, coords, rep)
-            return not verdict if coords == flip_at.coords else verdict
+            def lying(p, points, rep, flips=flips, real=real):
+                return [m != (v in flips) for v, m in zip(points, real(p, points, rep))]
 
-        clear_cycling_memos()
-        monkeypatch.setattr(cycling, "is_consistent", lying_is_consistent)
-        with pytest.raises(ConsistencyError, match=re.escape(f"disagree at {flip_at} ")):
-            cycle(u, s)
+            clear_cycling_memos()
+            monkeypatch.setattr(cycling, kernel, lying)
+            with pytest.raises(ConsistencyError, match=re.escape(f"disagree at {flip_at} ")):
+                cycle(u, s)
+            monkeypatch.undo()
 
 
 def test_dual_form_matches_witness():
@@ -309,27 +361,27 @@ def test_stuck_path_matches_witness(monkeypatch, cold_memos):
 
 
 def test_cross_check_runs_once_per_distinct_implied_weight(monkeypatch, cold_memos):
+    # all nine starts of a type share one frame: each kernel decides each of
+    # its 24 distinct implied weights once, in one call
     t = table_type()
     table = nine_weight_table(15, 8, 0, 29)
     implied = {v for w in table.weights for j in (1, 2) for v in implied_weights(w, j)}
-    seen = []
-    real = cycling.is_consistent
-
-    def counting_is_consistent(p, coords, rep):
-        seen.append((coords, rep))
-        return real(p, coords, rep)
-
-    monkeypatch.setattr(cycling, "is_consistent", counting_is_consistent)
+    calls = record_batches(monkeypatch)
     for start in table.sorted_weights():
         assert cycle(t, start).status == STATUS_COMPLETE
     assert len(implied) == 24
-    assert sorted(seen) == sorted((v.coords, t.orbit_rep()) for v in implied)
+    want = sorted(v.coords for v in implied)
+    assert [(name, sorted(batch), rep) for name, batch, rep in calls] == [
+        ("are_members", want, t.orbit_rep()), ("are_consistent", want, t.orbit_rep())]
     # the dual type checks its own decisions: the duals of the first 24
     td = dual_twist(t, 2)
     for start in table.sorted_weights():
         cycle(td, dual(start))
-    assert len(seen) == 48
-    assert sorted(seen[24:]) == sorted((dual(v).coords, td.orbit_rep()) for v in implied)
+    assert len(calls) == 4
+    want = sorted(dual(v).coords for v in implied)
+    assert [(name, sorted(batch), rep) for name, batch, rep in calls[2:]] == [
+        ("are_members", want, td.orbit_rep()), ("are_consistent", want, td.orbit_rep())]
+    assert all(len(set(batch)) == len(batch) for _, batch, _ in calls)
 
 
 def test_each_orientation_solves_its_own_frame_and_a_type_that_fits_neither_is_refused(
@@ -365,10 +417,51 @@ def test_each_orientation_solves_its_own_frame_and_a_type_that_fits_neither_is_r
 
 def test_forced_weight_outside_the_table_is_refused(monkeypatch, cold_memos):
     # a membership verdict for a weight the nine-weight table lacks means the
-    # two encodings of the predicted set disagree
-    monkeypatch.setattr(cycling, "_checked_membership", lambda t, rep, coords: True)
+    # two encodings of the predicted set disagree; here both kernels say yes
+    # everywhere, so they agree with each other
+    for kernel in ("are_members", "are_consistent"):
+        monkeypatch.setattr(cycling, kernel, lambda p, points, rep: [True] * len(points))
     with pytest.raises(ConsistencyError, match="missing from the nine-weight table"):
         cycle(table_type(), weight(29, 15, 8, 0))
+
+
+def test_every_table_weight_is_decided_by_its_frame(cold_memos):
+    # cycle reads the start's membership from the frame: every table weight
+    # of every p=29 table type, in both forms, is one of the frame's decided
+    # weights, decided as is_predicted decides it
+    for a, b, c in _table_triples(29):
+        t = table_type(29, (a, b, c))
+        for u in (t, dual_twist(t, 2)):
+            frame = cycling._frame(u)
+            for w in frame.order:
+                want = is_predicted(w, u)
+                assert want and frame.decided[w.coords] == want, (a, b, c, w)
+            assert set(frame.decided) == frame_points(frame, 29)
+        clear_cycling_memos()
+
+
+def test_one_batch_per_kernel_and_a_warm_start_evaluates_nothing(monkeypatch, cold_memos):
+    # a cold frame makes exactly one call to each batched kernel; a warm
+    # closure from any table weight evaluates no membership or lift row
+    t = table_type()
+    starts = nine_weight_table(15, 8, 0, 29).sorted_weights()
+    calls = record_batches(monkeypatch)
+    for u, ss in ((t, starts), (dual_twist(t, 2), tuple(map(dual, starts)))):
+        calls.clear()
+        cycle(u, ss[0])
+        assert [name for name, _, _ in calls] == ["are_members", "are_consistent"]
+        with monkeypatch.context() as m:
+
+            def evaluated(*args):
+                raise AssertionError("a warm start evaluated a row")
+
+            for module, name in ((cycling, "are_members"), (cycling, "are_consistent"),
+                                 (cycling, "is_predicted"), (predicted, "are_members"),
+                                 (predicted, "row_reps"), (elimination, "are_members"),
+                                 (elimination, "row_hits"), (elimination, "row_reps")):
+                m.setattr(module, name, evaluated)
+            for start in ss:
+                assert cycle(u, weight(29, *start.coords)).status == STATUS_COMPLETE
 
 
 def test_direct_form_matches_witness():
@@ -405,6 +498,25 @@ def test_kernel_errors_match_the_record_entries(monkeypatch, cold_memos, coords,
     assert str(w) in str(want.value)
     monkeypatch.setattr(cycling, "implied_coords", lambda p, c, j: (coords,))
     for u, s in ((t, start), (dual_twist(t, 2), dual(start))):
+        clear_cycling_memos()
+        with pytest.raises(ValueError) as got:
+            cycle(u, s)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("first, entry, second", [
+    ((27, 13, 0), eliminate, (30, 2, 0)),     # in the strip, in neither regime
+    ((30, 2, 0), is_predicted, (27, 13, 0)),  # off the strip
+])
+def test_the_first_refused_point_names_the_error(monkeypatch, cold_memos, first, entry, second):
+    # a batch holding two malformed points raises the error of the first in
+    # check order, as checking the points one by one does
+    t = table_type()
+    with pytest.raises(ValueError) as want:
+        entry(weight(29, *first), t)
+    monkeypatch.setattr(cycling, "implied_coords", lambda p, c, j: (first, second))
+    for u, s in ((t, weight(29, 15, 8, 0)), (dual_twist(t, 2), dual(weight(29, 15, 8, 0)))):
         clear_cycling_memos()
         with pytest.raises(ValueError) as got:
             cycle(u, s)

@@ -2,11 +2,12 @@
 
 import gc
 import random
+import re
 
 import pytest
 
 from gl3weights import breuil, elimination, predicted
-from gl3weights.arith import orbit_rep
+from gl3weights.arith import P_LIMIT, is_prime, orbit_rep
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -20,11 +21,12 @@ from gl3weights.elimination import (
     CONSISTENT,
     ELIMINATED,
     UnsupportedWeight,
+    are_consistent,
     eliminate,
     intersection_sets,
     is_consistent,
 )
-from gl3weights.predicted import is_predicted
+from gl3weights.predicted import are_members, is_predicted, membership_reps
 from gl3weights.tame_types import XI_123, XI_132, tau, type_from_exponent
 from gl3weights.weights import weight
 
@@ -290,3 +292,101 @@ def test_reducible_type_rejected():
     w = weight(29, 5, 3, 1)
     with pytest.raises(ValueError, match="irreducible"):
         eliminate(w, type_from_exponent(29, 0))
+
+
+# each inequality of the regimes on both sides of its edge at p = 29:
+# (supported coordinates, branch), then the first coordinates past the edge
+REGIME_EDGES = [
+    ((25, 10, 0), BRANCH_CRYSTALLINE, (26, 10, 0)),     # x - z < p - 3
+    ((33, 10, 0), BRANCH_INTERSECTION, (34, 10, 0)),    # x - y < p - 5
+    ((33, 23, 0), BRANCH_INTERSECTION, (34, 24, 0)),    # y - z < p - 5
+    ((31, 15, 0), BRANCH_INTERSECTION, (30, 15, 0)),    # x - z > p + 1
+]
+
+
+@pytest.mark.parametrize("inside, branch, outside", REGIME_EDGES)
+def test_regime_edges(inside, branch, outside):
+    # the one-point and the batched consistency kernel agree with eliminate
+    # on the supported side of each edge, and refuse the weight past it
+    p, reps = 29, (100, 163, 527)
+    w = weight(p, *inside)
+    verdicts = [eliminate(w, type_from_exponent(p, rep)) for rep in reps]
+    assert {report.branch for report in verdicts} == {branch}
+    for rep, report in zip(reps, verdicts):
+        want = report.verdict == CONSISTENT
+        assert is_consistent(p, inside, rep) == want, rep
+        assert are_consistent(p, (inside, inside), rep) == [want, want], rep
+    with pytest.raises(UnsupportedWeight):
+        eliminate(weight(p, *outside), type_from_exponent(p, 163))
+    named = re.escape("F(%d,%d,%d)" % outside)
+    with pytest.raises(UnsupportedWeight, match=named):
+        is_consistent(p, outside, 163)
+    with pytest.raises(UnsupportedWeight, match=named):
+        are_consistent(p, (inside, outside, inside), 163)
+
+
+def kernel_primes():
+    """Every prime 5 <= p < 200, then 20 seeded ones up to 65521."""
+    rng = random.Random("batched kernels")
+    large = set()
+    while len(large) < 20:
+        n = rng.randrange(200, P_LIMIT)
+        if is_prime(n):
+            large.add(n)
+    return [p for p in range(5, 200) if is_prime(p)] + sorted(large)
+
+
+def kernel_points(p, rng):
+    """Seeded strip weights: (below the wall, above it, small span, large span)."""
+    def draw(keep, count=6):
+        found, tries = [], 0
+        while len(found) < count and tries < 2000:
+            tries += 1
+            g1, g2, z = rng.randrange(p - 2), rng.randrange(p - 2), rng.randrange(p - 1)
+            if keep(g1, g2):
+                found.append((z + g1 + g2, z + g2, z))
+        return found
+    return (draw(lambda g1, g2: g1 + g2 <= p - 2), draw(lambda g1, g2: g1 + g2 > p - 2),
+            draw(lambda g1, g2: g1 + g2 < p - 3),
+            draw(lambda g1, g2: g1 < p - 5 and g2 < p - 5 and g1 + g2 > p + 1))
+
+
+def test_batched_kernels_match_the_orbit_sets():
+    # are_members against membership_reps, on both sides of the wall
+    # x - z = p - 2, and are_consistent against eliminate's verdict, on both
+    # regimes, point by point, for seeded representatives and for members of
+    # the points' own orbit sets (so that some points hit)
+    for p in kernel_primes():
+        rng = random.Random(f"batched kernels:{p}")
+        e, c2 = p**3 - 1, p * p + p + 1
+        below, above, small, large = kernel_points(p, rng)
+        strip, regimes = below + above, small + large
+        assert below and above and small and (large or p < 17), p
+        seeded = set()
+        while len(seeded) < 3:
+            v = rng.randrange(e)
+            if v % c2:  # a multiple of p^2+p+1 is a reducible type's
+                seeded.add(orbit_rep(p, v))
+        members = {rep for v in strip for rep in membership_reps(p, v)}
+        for rep in sorted(seeded | set(rng.sample(sorted(members), 6))):
+            got = are_members(p, strip, rep)
+            assert got == [rep in membership_reps(p, v) for v in strip], (p, rep)
+        survivors = {rep for v in small for rep in membership_reps(p, v)}
+        survivors |= {rep for v in large
+                      for rep in intersection_sets(weight(p, *v))[3]}
+        hits = 0
+        for rep in sorted(seeded | set(rng.sample(sorted(survivors), 6))):
+            t = type_from_exponent(p, rep)
+            want = [eliminate(weight(p, *v), t).verdict == CONSISTENT for v in regimes]
+            assert are_consistent(p, regimes, rep) == want, (p, rep)
+            hits += sum(want)
+        assert hits, p
+
+
+def test_a_grey_zone_point_inside_a_batch_is_refused():
+    p, rep = 29, 163
+    batch = [(25, 10, 0), (32, 16, 0), (27, 14, 0), (31, 15, 0)]
+    with pytest.raises(UnsupportedWeight, match=re.escape("F(27,14,0)")):
+        are_consistent(p, batch, rep)
+    assert are_consistent(p, batch[:2] + batch[3:], rep) == [
+        is_consistent(p, v, rep) for v in batch[:2] + batch[3:]]

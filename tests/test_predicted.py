@@ -1,6 +1,7 @@
 """Predicted weight sets: membership, fast enumeration, nine-weight table."""
 
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,9 @@ from gl3weights.predicted import (
     LOWER_FAMILY,
     SHADOW_FAMILY,
     UPPER_FAMILY,
+    are_members,
     enumerate_predicted,
+    is_member,
     is_predicted,
     membership_reps,
     nine_weight_families,
@@ -51,6 +54,23 @@ def test_membership_requires_strip():
     t = the_table_type()
     with pytest.raises(ValueError, match="p-3"):
         is_predicted(weight(29, 28, 0, 0), t)
+
+
+@pytest.mark.parametrize("inside, outside", [
+    ((26, 0, 0), (27, 0, 0)),     # x - y <= p - 3
+    ((26, 26, 0), (27, 27, 0)),   # y - z <= p - 3
+])
+def test_membership_strip_edges(inside, outside):
+    # the one-point and the batched membership kernel answer on each edge
+    # of the strip and refuse the weight just past it, inside a batch too
+    p, rep = 29, the_table_type().orbit_rep()
+    assert is_member(p, inside, rep) == (rep in membership_reps(p, inside))
+    assert are_members(p, (inside, inside), rep) == [is_member(p, inside, rep)] * 2
+    named = re.escape("F(%d,%d,%d) has a difference above p-3" % outside)
+    with pytest.raises(ValueError, match=named):
+        is_member(p, outside, rep)
+    with pytest.raises(ValueError, match=named):
+        are_members(p, (inside, outside), rep)
 
 
 def test_membership_rejects_reducible_type():
