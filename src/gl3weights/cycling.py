@@ -29,14 +29,15 @@ is a table weight's own object, and `cycle` reads the start's membership
 from the frame's decisions, which hold every table weight.  A type in dual
 form takes the table of its cyclotomic double-twisted dual, each weight
 dualized, and visits the operators as (2, 1): duality swaps T1 and T2.
-`cycle` maps the start to its table object, so the closure matches
-weights by identity.
+The frame holds the closure graph by table index, so `cycle` looks up the
+start's index once and walks integers: a warm closure hashes no weight
+record.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
+from itertools import chain
 
 from .arith import Record
 from .elimination import are_consistent
@@ -78,12 +79,14 @@ class _Frame(Record):
 
     case and params: direct and the least table parameters (a, b, c) with
     t = tau((1 2 3), (a+2, b+1, c)), or dual and those of its cyclotomic
-    double-twisted dual; table: the nine weights by their coordinates,
-    dualized in the dual case; order: the table by the coordinates of the
-    direct orientation, which decides the reported stuck node; steps: each
-    table weight's (operator, forced weights) pairs in visiting order;
-    decided: the membership of each distinct implied weight for t itself,
-    by coordinates, cross-checked against elimination.
+    double-twisted dual; order: the nine table weights, dualized in the
+    dual case, by the coordinates of the direct orientation, which decides
+    the reported stuck node; table: each weight's index in order, by its
+    coordinates; predicted: the set of order; steps: by index, the
+    weight's singleton edges (w, v, operator), their targets' indices and
+    its stalls (w, operator, forced weights), in visiting order, with table
+    objects for weights; decided: the membership of each distinct implied
+    weight for t itself, by coordinates, cross-checked against elimination.
     """
 
     __slots__ = ()
@@ -136,23 +139,30 @@ def _frame(t: TameType) -> _Frame:
     if case == CASE_DUAL:
         named = [(dual(w), name) for w, name in named]
     order = tuple(w for w, _ in named)
-    by_coords = {w.coords: w for w in order}
-    # per table weight, its implied weights at each level in visiting order;
-    # points: the distinct ones in check order, first seen over order x levels
-    implied = [[implied_coords(p, w.coords, j) for j in levels] for w in order]
-    points = tuple(dict.fromkeys(v for pair in implied for vs in pair for v in vs))
+    table = {w.coords: i for i, w in enumerate(order)}
+    # per table weight and level in visiting order, its implied weights;
+    # points: the distinct ones in check order
+    implied = [implied_coords(p, w.coords, j) for w in order for j in levels]
+    points = tuple(dict.fromkeys(chain.from_iterable(implied)))
     decided = dict(zip(points, _decide(t, points)))
-    stray = [v for v in points if decided[v] and v not in by_coords]
+    stray = [v for v in points if decided[v] and v not in table]
     if stray:
         raise ConsistencyError(f"predicted weight {canonical(stray[0], p)} missing from the"
                                f" nine-weight table {params}")
-    # by coordinates: a forced weight is a table object
-    steps = {w: tuple((j, tuple([by_coords[v] for v in vs if decided[v]]))
-                      for j, vs in zip(levels, pair))
-             for w, pair in zip(order, implied)}
-    return _Frame(case, params, by_coords, order,
-                  PredictedSet(p, frozenset(by_coords.values()), t),
-                  tuple(sorted(named, key=lambda pair: pair[0].coords)), steps, decided)
+    steps = []
+    for i, w in enumerate(order):
+        out, targets, stuck = [], [], []
+        for j, vs in zip(levels, implied[2 * i:2 * i + 2]):
+            forced = [table[v] for v in vs if decided[v]]
+            if len(forced) == 1:
+                out.append((w, order[forced[0]], j))
+                targets += forced
+            elif forced:
+                stuck.append((w, j, tuple([order[k] for k in forced])))
+        steps.append((tuple(out), tuple(targets), tuple(stuck)))
+    return _Frame(case, params, table, order, PredictedSet(p, frozenset(order), t),
+                  tuple(sorted(named, key=lambda pair: pair[0].coords)), tuple(steps),
+                  decided)
 
 
 def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
@@ -165,7 +175,9 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
     cross-checked decisions, which hold every table weight, and asked of
     `is_predicted` only for a start the frame did not decide or a type the
     frame refuses, so a reducible type gets the refusal of its orbit
-    representative after the genericity check.
+    representative after the genericity check.  The closure is a BFS over
+    table indices from the start's, joining each reached index's
+    precomputed edges and stalls, so it hashes no weight record.
     """
     if not is_generic(start):
         raise ValueError(f"start weight {start} is not 4-generic")
@@ -175,35 +187,33 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
         _check_start(start, t)  # the start's refusal comes before the type's
         raise
     _check_start(start, t, frame.decided.get(start.coords) if start.p == t.p else None)
-    table = frame.table
-    if start.coords not in table:
+    i = frame.table.get(start.coords)
+    if i is None:
         raise ConsistencyError(
             f"predicted start {start} missing from the nine-weight table {frame.params}"
         )
-    start = table[start.coords]  # the table's object: the closure matches by identity
-    steps = frame.steps
-    nodes = {start}
+    order, steps = frame.order, frame.steps
+    start = order[i]  # the table's object
+    reached = [False] * len(order)
+    reached[i] = True
+    queue = [i]  # iterated while it grows: a FIFO queue
     edges: list[tuple[WeightClass, WeightClass, int]] = []
     stalls: list[tuple[WeightClass, int, tuple[WeightClass, ...]]] = []
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for j, forced in steps[w]:
-            if len(forced) == 1:
-                v = forced[0]
-                edges.append((w, v, j))
-                if v not in nodes:
-                    nodes.add(v)
-                    queue.append(v)
-            elif forced:
-                stalls.append((w, j, forced))
-    if len(nodes) == len(table):
-        status, stuck_node, reason = STATUS_COMPLETE, None, None
+    for i in queue:
+        out, targets, stuck = steps[i]
+        edges += out
+        stalls += stuck
+        for k in targets:
+            if not reached[k]:
+                reached[k] = True
+                queue.append(k)
+    if len(queue) == len(order):
+        status, nodes, stuck_node, reason = STATUS_COMPLETE, frame.predicted.weights, None, None
     else:
-        status = STATUS_STUCK
-        stuck_node = next(v for v in frame.order if v not in nodes)
-        reason = f"closure reached {len(nodes)} of {len(table)} predicted weights"
-    return CyclingGraph(t.p, frame.case, frame.params, t, start, frozenset(nodes),
+        status, nodes = STATUS_STUCK, frozenset([order[k] for k in queue])
+        stuck_node = order[reached.index(False)]
+        reason = f"closure reached {len(queue)} of {len(order)} predicted weights"
+    return CyclingGraph(t.p, frame.case, frame.params, t, start, nodes,
                         tuple(edges), tuple(stalls), frame.families, frame.predicted, status,
                         stuck_node, reason)
 

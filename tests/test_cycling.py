@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import pkgutil
+import random
 import re
 
 import pytest
@@ -29,7 +30,7 @@ from gl3weights.predicted import (
     nine_weight_table,
 )
 from gl3weights.tame_types import XI_123, dual_twist, tau, type_from_exponent
-from gl3weights.weights import dual, weight
+from gl3weights.weights import WeightClass, dual, weight
 
 from oracles import closure_bfs, dualized_closure, table_parameter_scan
 from test_acceptance import _table_triples
@@ -474,16 +475,53 @@ def test_direct_form_matches_witness():
         assert got == closure_bfs(t, start, table_parameter_scan(t)[0]), (a, b, c)
 
 
+def _seeded_table_triples(p, count):
+    """count seeded (a, b, c) with a-b > 5, b-c > 4, a-c < p-7, c in [0, p-2]."""
+    rng = random.Random(f"table triples {p}")
+    for _ in range(count):
+        g1 = rng.randint(6, p - 13)
+        g2 = rng.randint(5, p - 8 - g1)
+        c = rng.randint(0, p - 2)
+        yield (c + g1 + g2, c + g2, c)
+
+
+@pytest.mark.parametrize("p", [101, 1009, 65521])
+def test_warm_closures_match_witness(p, cold_memos):
+    # every start of seeded table types, in both forms, once the frame is
+    # built: the warm index walk against a plain BFS and its dualization
+    for a, b, c in _seeded_table_triples(p, 10):
+        t = table_type(p, (a, b, c))
+        params = cycling.table_parameters(t)
+        assert (a, b, c) in params  # table_parameters is held to the scan at p = 29, 31
+        starts = nine_weight_table(a, b, c, p).sorted_weights()
+        td = dual_twist(t, 2)
+        cycle(t, starts[0])
+        cycle(td, dual(starts[0]))
+        for start in starts:
+            want = closure_bfs(t, start, params[0])
+            assert want.status == STATUS_COMPLETE, (a, b, c, start)
+            assert cycle(t, start) == want, (a, b, c, start)
+            got = cycle(td, dual(start))
+            assert got == dualized_closure(want, td, dual(start)), (a, b, c, start)
+
+
 @pytest.mark.parametrize("p, abc", [(29, (15, 8, 0)), (31, (20, 9, 3))])
 def test_forced_weights_are_the_tables_objects(p, abc, cold_memos):
     t = table_type(p, abc)
     for u in (t, dual_twist(t, 2)):
         frame = cycling._frame(u)
-        table = {id(w) for w in frame.table.values()}
-        forced = [v for pairs in frame.steps.values() for _, vs in pairs for v in vs]
+        order = frame.order
+        table = {id(w) for w in order}
+        assert len(table) == 9 and frame.table == {w.coords: i for i, w in enumerate(order)}
+        assert len(frame.steps) == 9
+        forced = []
+        for i, (out, targets, stuck) in enumerate(frame.steps):
+            # each edge's target index names the edge's target object
+            assert [order[k] for k in targets] == [v for _, v, _ in out]
+            assert all(w is order[i] for w, _, _ in out + stuck)
+            forced += [v for _, v, _ in out] + [v for _, _, vs in stuck for v in vs]
         assert len(forced) == 30
         assert all(id(v) in table for v in forced)
-        assert all(id(w) in table for w in frame.steps)
 
 
 @pytest.mark.parametrize("coords, entry", [
@@ -544,8 +582,16 @@ def test_graph_bytes_are_frozen():
 
 
 def test_warm_closure_matches_weights_by_identity(monkeypatch):
-    # cycle maps the caller's start to the table's own object, so a warm
-    # closure from a fresh start object compares no two records
+    # cycle maps the caller's start to its table index and walks indices, so
+    # a warm closure from a fresh start object compares and hashes no weight
+    # record, and a complete closure's nodes are its frame's predicted set
+    hashed = []
+    real_hash = WeightClass.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return real_hash(self)
+
     t = table_type()
     for u, s in ((t, weight(29, 15, 8, 0)), (dual_twist(t, 2), dual(weight(29, 15, 8, 0)))):
         cycle(u, s)
@@ -557,10 +603,15 @@ def test_warm_closure_matches_weights_by_identity(monkeypatch):
             return real(self, other)
 
         monkeypatch.setattr(Record, "__eq__", counting_eq)
+        monkeypatch.setattr(WeightClass, "__hash__", counting_hash)
         fresh = weight(29, *s.coords)
+        hashed.clear()
         g = cycle(u, fresh)
         monkeypatch.undo()
-        assert calls == []
-        table = cycling._frame(u).table
-        assert g.start is table[fresh.coords] and g.start is not fresh
-        assert all(v is table[v.coords] for v in g.nodes)
+        assert calls == [] and hashed == []
+        frame = cycling._frame(u)
+        order = frame.order
+        assert g.start is order[frame.table[fresh.coords]] and g.start is not fresh
+        assert g.status == STATUS_COMPLETE and g.nodes is g.predicted.weights
+        assert g.predicted is frame.predicted
+        assert all(v is order[frame.table[v.coords]] for v in g.nodes)

@@ -53,7 +53,7 @@ RECORDS = {
     "_Frame": lambda: cycling._frame.__wrapped__(T()),
     "HodgeData": lambda: hodge_data(3, 1, 1, [(2, 1, 0)], [0, 1, 2]),
 }
-UNHASHABLE = {"_Frame"}  # its steps field is a dict
+UNHASHABLE = {"_Frame"}  # its table and decided fields are dicts
 
 
 @pytest.mark.parametrize("name", RECORDS)
