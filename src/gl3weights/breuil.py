@@ -9,13 +9,18 @@ determined on inertia by a single exponent kappa_0, computed exactly.
 The second half tabulates, for the three relevant shapes of potentially
 crystalline rank-3 lifts, the finitely many niveau-3 exponents whose
 characters can appear in mod-p reductions of the lift's inertial type.
-The tables are written once, in `candidate_exponents`, which both
-`candidate_orbits` and the digit rows of `elimination` read.
+`LIFT_HEIGHTS` holds them as data of the first half: each is the inertial
+character of a module with d = 3, r = 2, k_0 a digit order of (a, b, c)
+and heights h*e, h in {0, 1, 2}^3.  As p = 1 mod p - 1, a candidate and
+its digits are a + b + c + h_0 + h_1 + h_2 mod p - 1, and every h sums to
+3, the determinant condition: hence acceptance 7's digit sum a + b + c + 3.
+Which vectors of sum 3 each (kind, digit order) admits is not derived here.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .arith import ExpClass, Record, check_niveau, check_prime, exp_class, orbit_rep
 
@@ -23,16 +28,18 @@ PRINCIPAL_SERIES = "principal_series"
 CUSPIDAL = "cuspidal"
 CUSPIDAL_DUAL = "cuspidal_dual"
 
-# parameter triples (a0, a1, a2) entering the candidate tables
-TRIPLES_SHORT_PS = ((1, 1, 1), (1, 2, 0), (2, 1, 0))
-TRIPLES_SHORT_CUSP = ((0, 2, 1), (1, 1, 1), (1, 2, 0))
-TRIPLES_SUM3 = tuple(
-    (a0, a1, a2)
-    for a0 in range(3)
-    for a1 in range(3)
-    for a2 in range(3)
-    if a0 + a1 + a2 == 3
-)
+# per kind, its candidates in order: (digit order (i, j, k) of (a, b, c), h);
+# the cuspidal dual's are 2(p^2+p+1) - n of the cuspidal n at (-c, -b, -a)
+LIFT_HEIGHTS = {
+    PRINCIPAL_SERIES: (((0, 2, 1), (1, 1, 1)), ((0, 1, 2), (1, 1, 1)),
+                       ((0, 2, 1), (1, 2, 0)), ((0, 1, 2), (2, 1, 0)),
+                       ((0, 2, 1), (2, 1, 0)), ((0, 1, 2), (2, 0, 1))),
+    CUSPIDAL: tuple(((0, 2, 1), h) for h in ((0, 2, 1), (1, 1, 1), (1, 2, 0)))
+    + tuple(((0, 1, 2), h) for h in product(range(3), repeat=3) if sum(h) == 3),
+}
+LIFT_HEIGHTS[CUSPIDAL_DUAL] = tuple((tuple(2 - i for i in order), tuple(2 - x for x in h))
+                                    for order, h in LIFT_HEIGHTS[CUSPIDAL])
+LIFT_KINDS = tuple(LIFT_HEIGHTS)
 
 
 class BreuilModule(Record):
@@ -150,6 +157,13 @@ def random_module(rng: random.Random, p: int, d: int, r: int) -> BreuilModule:
     return validate(p, d, r, tuple(heights), ks)
 
 
+def _check_lift(kind: str, p: int) -> None:
+    """The prime check, then the kind check, by comparison: an unhashable kind is unknown too."""
+    check_prime(p)
+    if kind not in LIFT_KINDS:
+        raise ValueError(f"unknown lift kind {kind!r}")
+
+
 class LiftType(Record):
     """Inertial type of a potentially crystalline rank-3 lift.
 
@@ -164,9 +178,7 @@ class LiftType(Record):
     _fields = ("kind", "p", "a", "b", "c")
 
     def __init__(self, kind: str, p: int, a: int, b: int, c: int) -> None:
-        check_prime(p)
-        if kind not in (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL):
-            raise ValueError(f"unknown lift kind {kind!r}")
+        _check_lift(kind, p)
         if not (a - b > 2 and b - c > 2 and a - c < p - 3):
             raise ValueError(
                 f"parameters {(a, b, c)} violate a-b > 2, b-c > 2, a-c < p-3 at p={p}"
@@ -193,26 +205,14 @@ def cuspidal_dual(p: int, params: tuple[int, int, int]) -> LiftType:
 def candidate_exponents(lift: tuple) -> list[int]:
     """Candidate niveau-3 exponents of a lift, before reduction to orbit representatives.
 
-    Those of the reversed digits at (a, b, c) are the twisted duals,
-    2(p^2+p+1) - n, of those n of the ascending digits at (-c, -b, -a).
-    Plain fields get the prime and kind checks of `LiftType`, not its gap check."""
-    kind, p, a, b, c = lift
-    check_prime(p)
-    if kind == CUSPIDAL_DUAL:
-        return [2 * (p * p + p + 1) - n for n in candidate_exponents((CUSPIDAL, p, -c, -b, -a))]
-    out: list[int] = []
-    if kind == PRINCIPAL_SERIES:
-        for a0, a1, a2 in TRIPLES_SHORT_PS:
-            out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
-            out.append((a + 2 - a2) + p * (b + 2 - a1) + p * p * (c + 2 - a0))
-    elif kind == CUSPIDAL:
-        for a0, a1, a2 in TRIPLES_SHORT_CUSP:
-            out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
-        for a0, a1, a2 in TRIPLES_SUM3:
-            out.append((a + a0) + p * (b + a2) + p * p * (c + a1))
-    else:
-        raise ValueError(f"unknown lift kind {kind!r}")
-    return out
+    Row (i, j, k), h of the kind's `LIFT_HEIGHTS` is k_0 = v_i + p v_j + p^2 v_k,
+    v = (a, b, c), plus `fractional_shift` of heights h*e: p (h_0 p^2 + h_1 p + h_2)
+    = h_0 + p h_2 + p^2 h_1 mod p^3 - 1.  Plain fields get the prime and kind
+    checks of `LiftType`, not its gap check."""
+    kind, p, *v = lift
+    _check_lift(kind, p)
+    return [v[i] + h0 + p * (v[j] + h2) + p * p * (v[k] + h1)
+            for (i, j, k), (h0, h1, h2) in LIFT_HEIGHTS[kind]]
 
 
 def candidate_orbits(lift: tuple) -> tuple[int, ...]:
@@ -220,8 +220,7 @@ def candidate_orbits(lift: tuple) -> tuple[int, ...]:
 
     Each candidate is the niveau-3 exponent of a character that can
     occur in a reduction of a lattice in the lift; candidates are
-    collected as Frobenius orbit representatives, a sorted tuple.  Both
-    admissible digit patterns of the descent data contribute a family.
-    The lift is a `LiftType` or its fields (kind, p, a, b, c).
+    collected as Frobenius orbit representatives, a sorted tuple.  The
+    lift is a `LiftType` or its fields (kind, p, a, b, c).
     """
     return tuple(sorted({orbit_rep(lift[1], n) for n in candidate_exponents(lift)}))

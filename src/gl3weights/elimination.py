@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .arith import MEMO_SIZE, Record, digit_rows, row_hits, row_reps
-from .breuil import CUSPIDAL, CUSPIDAL_DUAL, PRINCIPAL_SERIES, candidate_exponents
+from .breuil import CUSPIDAL, CUSPIDAL_DUAL, LIFT_KINDS, PRINCIPAL_SERIES, candidate_exponents
 from .predicted import are_members, membership_reps
 from .tame_types import TameType
 from .weights import WeightClass
@@ -38,8 +38,6 @@ BRANCH_INTERSECTION = "intersection"
 
 CONSISTENT = "consistent"
 ELIMINATED = "eliminated"
-
-LIFT_KINDS = (PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL)
 
 
 class UnsupportedWeight(ValueError):

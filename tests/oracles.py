@@ -19,8 +19,9 @@ from gl3weights.weights import WeightClass, canonicalize, dual
 
 # The library derives two tables from smaller data: the nine-weight
 # families as three forms rotated by theta (predicted.nine_weight_families)
-# and the cuspidal-dual candidates as the twisted dual of the cuspidal ones
-# (breuil.candidate_exponents).  These are the tables typed out by hand.
+# and the lifts' candidates as rank-one Breuil height data, the cuspidal-dual
+# rows reflected from the cuspidal ones (breuil.LIFT_HEIGHTS).  These are the
+# tables typed out by hand, the lifts' as digit formulas over parameter triples.
 
 
 def nine_weight_triples(a: int, b: int, c: int, p: int) -> dict[str, tuple]:
@@ -35,13 +36,35 @@ def nine_weight_triples(a: int, b: int, c: int, p: int) -> dict[str, tuple]:
     }
 
 
+# parameter triples (a0, a1, a2) of the lifts' digit formulas
+SHORT_PS = ((1, 1, 1), (1, 2, 0), (2, 1, 0))
+SHORT_CUSP = ((0, 2, 1), (1, 1, 1), (1, 2, 0))
+SUM3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def principal_series_exponents(p: int, a: int, b: int, c: int) -> list[int]:
+    """The candidate exponents of the principal-series lift at (a, b, c):
+    two digit formulas per short triple, interleaved."""
+    out = []
+    for a0, a1, a2 in SHORT_PS:
+        out.append((a + a0) + p * (c + a2) + p * p * (b + a1))
+        out.append((a + 2 - a2) + p * (b + 2 - a1) + p * p * (c + 2 - a0))
+    return out
+
+
+def cuspidal_exponents(p: int, a: int, b: int, c: int) -> list[int]:
+    """The candidate exponents of the cuspidal lift at (a, b, c): digits
+    (a, c, b) over the short triples, then (a, b, c) over those of sum 3."""
+    out = [(a + a0) + p * (c + a2) + p * p * (b + a1) for a0, a1, a2 in SHORT_CUSP]
+    out += [(a + a0) + p * (b + a2) + p * p * (c + a1) for a0, a1, a2 in SUM3]
+    return out
+
+
 def cuspidal_dual_exponents(p: int, a: int, b: int, c: int) -> list[int]:
     """The candidate exponents of the cuspidal-dual lift at (a, b, c): the
     digits of the cuspidal table reversed and reflected, term by term."""
-    short = ((0, 2, 1), (1, 1, 1), (1, 2, 0))
-    sum3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-    out = [(c + 2 - a0) + p * (a + 2 - a2) + p * p * (b + 2 - a1) for a0, a1, a2 in short]
-    out += [(c + 2 - a0) + p * (b + 2 - a2) + p * p * (a + 2 - a1) for a0, a1, a2 in sum3]
+    out = [(c + 2 - a0) + p * (a + 2 - a2) + p * p * (b + 2 - a1) for a0, a1, a2 in SHORT_CUSP]
+    out += [(c + 2 - a0) + p * (b + 2 - a2) + p * p * (a + 2 - a1) for a0, a1, a2 in SUM3]
     return out
 
 

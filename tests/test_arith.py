@@ -1,6 +1,7 @@
 """Digit arithmetic: exponent classes, Frobenius orbits, the 3-digit split."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +291,44 @@ def test_every_table_row_is_a_power_of_p_times_a_digit_form():
             count += len(digit)
         # 4 membership rows and the lifts' 6 + 10 + 10 rows
         assert count == 30, p
+
+
+def signed_digits(p, k):
+    """The (d0, d1, d2), each |d_i| <= 4, with d0 + p*d1 + p^2*d2 = k mod p^3 - 1.
+    From p = 11 on there is at most one: two readings differ in value by at
+    most 8(p^2+p+1) < p^3 - 1, so their values are equal, and then their
+    digits, which differ by at most 8 < p, are equal too."""
+    e = p**3 - 1
+    (digits,) = [d for d in product(range(-4, 5), repeat=3)
+                 if (d[0] + p * d[1] + p * p * d[2] - k) % e == 0]
+    return digits
+
+
+def evaluate_template(p, template):
+    """The digit rows (form, k, p*k, p^2*k) at p of (form, signed digits) rows."""
+    e = p**3 - 1
+    ks = [(form, (d0 + p * d1 + p * p * d2) % e) for form, (d0, d1, d2) in template]
+    return tuple((form, k, k * p % e, k * p * p % e) for form, k in ks)
+
+
+def test_digit_row_tables_are_one_template_at_every_prime():
+    # read at p = 11, each table row is (form, signed digit shifts), the lift
+    # rows' shifts being the Breuil height data; with the lifts' class indices
+    # and the membership scales' powers of p this template, evaluated at every
+    # prime below 2^16, is what the uncached builders derive there.  At p = 5
+    # and 7 some shift has more than one reading, but the template read at 11
+    # evaluates to their tables all the same, so they need no case of their own
+    rows, getters = elimination._lift_rows.__wrapped__(11)
+    lift_template = [(form, signed_digits(11, k)) for form, k, _, _ in rows]
+    classes = [get(range(len(rows))) for get in getters]
+    member_rows, scales = predicted._membership_rows.__wrapped__(11)
+    member_template = [(form, signed_digits(11, k)) for form, k, _, _ in member_rows]
+    powers = [(1, 11, 121).index(q) for q in scales]
+    # the determinant condition: every row's shifts sum to 3
+    assert all(sum(d) == 3 for _, d in lift_template + member_template)
+    for p in (p for p in range(5, P_LIMIT) if is_prime(p)):
+        rows, getters = elimination._lift_rows.__wrapped__(p)
+        assert rows == evaluate_template(p, lift_template), p
+        assert [get(range(len(rows))) for get in getters] == classes, p
+        want = (evaluate_template(p, member_template), tuple(p**j for j in powers))
+        assert predicted._membership_rows.__wrapped__(p) == want, p

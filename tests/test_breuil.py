@@ -1,17 +1,24 @@
 """Rank-one modules: validity, kappa invariants, reduction candidate tables."""
 
 import random
+import re
 
 import pytest
 
+from gl3weights.arith import is_prime
 from gl3weights.breuil import (
     CUSPIDAL,
+    CUSPIDAL_DUAL,
+    LIFT_HEIGHTS,
+    LIFT_KINDS,
+    PRINCIPAL_SERIES,
     BreuilModule,
     LiftType,
     candidate_exponents,
     candidate_orbits,
     cuspidal,
     cuspidal_dual,
+    descent_exponents,
     fractional_shift,
     inertial_character,
     is_maximal,
@@ -23,7 +30,15 @@ from gl3weights.breuil import (
 )
 from gl3weights.tame_types import dual_twist, type_from_exponent
 
-from oracles import cuspidal_dual_exponents, least_orbit_member
+from oracles import (
+    cuspidal_dual_exponents,
+    cuspidal_exponents,
+    least_orbit_member,
+    principal_series_exponents,
+)
+
+HAND_TABLES = {PRINCIPAL_SERIES: principal_series_exponents, CUSPIDAL: cuspidal_exponents,
+               CUSPIDAL_DUAL: cuspidal_dual_exponents}
 
 
 def test_validate_examples():
@@ -114,15 +129,51 @@ def test_cuspidal_dual_is_twisted_dual_of_cuspidal():
         assert twisted == set(candidate_orbits(cuspidal_dual(p, (a, b, c))))
 
 
+@pytest.mark.parametrize("kind", LIFT_KINDS)
 @pytest.mark.parametrize("p", [11, 13, 17, 29])
-def test_cuspidal_dual_matches_the_hand_written_table(p):
-    # every gap triple a-b > 2, b-c > 2, a-c < p-3 over two periods of c
+def test_candidates_match_the_hand_written_tables(p, kind):
+    # every gap triple a-b > 2, b-c > 2, a-c < p-3 over two periods of c: the
+    # height data give the digit formulas exactly, unreduced and in order
     for g1 in range(3, p):
         for g2 in range(3, p - 3 - g1):
             for c in range(-p, p):
                 a, b = c + g1 + g2, c + g2
-                got = candidate_exponents(cuspidal_dual(p, (a, b, c)))
-                assert got == cuspidal_dual_exponents(p, a, b, c), (p, a, b, c)
+                got = candidate_exponents(LiftType(kind, p, a, b, c))
+                assert got == HAND_TABLES[kind](p, a, b, c), (p, a, b, c)
+
+
+def module_witness_primes():
+    """Every prime 11 <= p < 1000, 20 seeded ones up to 65521, and 65521."""
+    rng = random.Random("module witness")
+    large = set()
+    while len(large) < 20:
+        n = rng.randrange(1000, 65521)
+        if is_prime(n):
+            large.add(n)
+    return [p for p in range(11, 1000) if is_prime(p)] + sorted(large) + [65521]
+
+
+def test_candidates_are_inertial_characters_of_rank_one_modules():
+    # each row (i, j, k), h of a kind's table is the module with d = 3, r = 2,
+    # heights h*e and k_0 = v_i + p v_j + p^2 v_k, v = (a, b, c): its inertial
+    # character is the candidate mod e.  Below p = 11 no gap triple exists
+    assert all(sum(h) == 3 for rows in LIFT_HEIGHTS.values() for _, h in rows)
+    for p in module_witness_primes():
+        e = p**3 - 1
+        rng = random.Random(f"module witness:{p}")
+        for _ in range(10):
+            g1 = rng.randrange(3, p - 6)
+            g2 = rng.randrange(3, p - 3 - g1)
+            c = rng.randrange(-p, p)
+            v = (c + g1 + g2, c + g2, c)
+            for kind in LIFT_KINDS:
+                want = []
+                for (i, j, k), h in LIFT_HEIGHTS[kind]:
+                    heights = tuple(x * e for x in h)
+                    ks = descent_exponents(p, 3, v[i] + p * v[j] + p * p * v[k], heights)
+                    want.append(inertial_character(validate(p, 3, 2, heights, ks)).value)
+                got = candidate_exponents(LiftType(kind, p, *v))
+                assert [n % e for n in got] == want, (p, kind, v)
 
 
 @pytest.mark.parametrize("p", [11, 13, 29, 53, 1009, 65521])
@@ -174,6 +225,7 @@ def test_gap_hypothesis_enforced():
 @pytest.mark.parametrize("fields, message", [
     (("bogus", 17, 8, 4, 0), "unknown lift kind 'bogus'"),
     ((CUSPIDAL, 4, 8, 4, 0), "must be a prime >= 5, got 4"),
+    (([], 17, 8, 4, 0), re.escape("unknown lift kind []")),
 ])
 def test_plain_fields_get_the_prime_and_kind_checks(fields, message):
     for read in (candidate_exponents, candidate_orbits):

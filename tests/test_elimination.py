@@ -101,7 +101,6 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
         return real_lift(cls, *fields)
 
     real_lift = LiftType.__new__
-    # the dual table recurses through breuil's own name
     monkeypatch.setattr(breuil, "candidate_exponents", counting_table)
     monkeypatch.setattr(elimination, "candidate_exponents", counting_table)
     monkeypatch.setattr(elimination, "digit_rows", counting_rows)
@@ -110,8 +109,8 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     elimination._lift_rows.cache_clear()
     elimination._intersection_data.cache_clear()
     intersection_sets(weight(29, 32, 16, 0))
-    # origin and three unit vectors per lift; the dual table recurses once each
-    assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 8 + [CUSPIDAL_DUAL] * 4)
+    # origin and three unit vectors per lift
+    assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 4 + [CUSPIDAL_DUAL] * 4)
     assert derived == [29, 29, 29] and evaluated == [14]
     # the tables are evaluated at plain field tuples: no lift is built
     assert lifts == []
