@@ -11,7 +11,8 @@ Exponent tables affine in three coordinates are kept as digit rows: each
 row is a power of p times x + p*y + p^2*z or x + p^2*y + p*z plus a
 constant, which `digit_rows` derives once per prime; `row_reps` reduces a
 table's values at a point to their Frobenius orbits' least members, and
-`row_hits` tests them against one orbit.  An orbit set is a sorted tuple of
+`row_masks` finds the rows valued in one orbit by six dict probes a point,
+reducing none.  An orbit set is a sorted tuple of
 distinct representatives (`row_reps` sorted, deduplicated where rows can
 share an orbit), so a memo value holds nothing the collector tracks.
 """
@@ -202,16 +203,20 @@ def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
     return reps
 
 
-def row_hits(p: int, rows, x: int, y: int, z: int, rep: int) -> list[bool]:
-    """`[r == rep for r in row_reps(p, rows, x, y, z)]` for an orbit's least
-    member rep, unreduced: a row hits when f + k0 lies in {rep, p*rep, p^2*rep},
-    that is when k0 is one of the three offsets o - f of its form f."""
-    e, pp = p**3 - 1, p * p
-    f, g = x + p * y + pp * z, x + pp * y + p * z
-    o1, o2 = rep * p % e, rep * pp % e
-    offsets = ({(rep - f) % e, (o1 - f) % e, (o2 - f) % e},
-               {(rep - g) % e, (o1 - g) % e, (o2 - g) % e})
-    return [k0 in offsets[form] for form, k0, _, _ in rows]
+def row_masks(p: int, masks, points, rep: int) -> list[int]:
+    """Per point (x, y, z), in order, the OR of the bits of the digit rows valued
+    there in the orbit {rep, p*rep, p^2*rep} of a least member rep: masks maps
+    per form a row's k0 to its bits, and a row of form f hits when k0 is one of
+    the offsets o - f, so six probes answer for any table, reducing no row."""
+    pp = p * p
+    e, o1, o2 = pp * p - 1, rep * p, rep * pp
+    at_f, at_g = masks[0].get, masks[1].get
+    out = []
+    for x, y, z in points:
+        f, g = x + p * y + pp * z, x + pp * y + p * z
+        out.append(at_f((rep - f) % e, 0) | at_f((o1 - f) % e, 0) | at_f((o2 - f) % e, 0)
+                   | at_g((rep - g) % e, 0) | at_g((o1 - g) % e, 0) | at_g((o2 - g) % e, 0))
+    return out
 
 
 def orbit_rep(p: int, value: int) -> int:

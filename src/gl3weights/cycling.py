@@ -9,7 +9,7 @@ predicted weights.  The engine re-checks every membership decision
 against the elimination branch and refuses to continue on any
 disagreement.  Only at large-span weights are these two independent
 computations (a hit test of the type's orbit on the membership rows
-against one on each of the three lifts' candidate rows), so only there
+against a probe of the three lifts' candidate rows for it), so only there
 does a completed graph certify both; at small-span weights, 15 of the 24
 checks of each frame at p=29 and p=31, elimination answers with the
 membership kernel itself.
@@ -136,8 +136,10 @@ def _frame(t: TameType) -> _Frame:
     fams = nine_weight_families(*params, p)
     named = sorted(((w, name) for name, fam in fams.items() for w in fam),
                    key=lambda pair: pair[0].coords)
+    families = named  # by coordinates, which dualizing does not keep
     if case == CASE_DUAL:
         named = [(dual(w), name) for w, name in named]
+        families = sorted(named, key=lambda pair: pair[0].coords)
     order = tuple(w for w, _ in named)
     table = {w.coords: i for i, w in enumerate(order)}
     # per table weight and level in visiting order, its implied weights;
@@ -161,8 +163,7 @@ def _frame(t: TameType) -> _Frame:
                 stuck.append((w, j, tuple([order[k] for k in forced])))
         steps.append((tuple(out), tuple(targets), tuple(stuck)))
     return _Frame(case, params, table, order, PredictedSet(p, frozenset(order), t),
-                  tuple(sorted(named, key=lambda pair: pair[0].coords)), tuple(steps),
-                  decided)
+                  tuple(families), tuple(steps), decided)
 
 
 def cycle(t: TameType, start: WeightClass) -> CyclingGraph:

@@ -14,12 +14,13 @@ large-span branch reads one table of digit rows (`arith.digit_rows`) per
 prime, derived from `breuil.candidate_exponents`, at F(x, y, z).  Rows that
 differ by a power of p share a Frobenius orbit at every point and a digit
 row, so the table keeps one row per such class (14 for the lifts' 26 rows,
-4 of them shared by all three) and an index getter per lift.  `eliminate`
-reports the lifts' orbit sets, memoized per weight; `are_consistent` gives
-the bare verdict for one type at a batch of weights (`is_consistent` is its
-one-point call): at large span it tests the type's orbit against the same
-rows (`arith.row_hits`), building no set, and at small span it asks the
-membership kernel `predicted.are_members` once for all such weights.
+4 of them shared by all three), an index getter per lift, and per digit form
+a dict from a class row's constant to the bits of the lifts owning it.
+`eliminate` reports the lifts' orbit sets, memoized per weight;
+`are_consistent` gives the bare verdict for one type at a batch of weights
+(`is_consistent` is its one-point call): at large span all three lifts must
+hit the type's orbit, six probes of the dicts a weight (`arith.row_masks`),
+building no set, and at small span it asks `predicted.are_members` once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .arith import MEMO_SIZE, Record, digit_rows, row_hits, row_reps
+from .arith import MEMO_SIZE, Record, digit_rows, row_masks, row_reps
 from .breuil import CUSPIDAL, CUSPIDAL_DUAL, LIFT_KINDS, PRINCIPAL_SERIES, candidate_exponents
 from .predicted import are_members, membership_reps
 from .tame_types import TameType
@@ -75,16 +76,18 @@ def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, i
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _lift_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[itemgetter, ...]]:
-    """(rows, lifts): one digit row per Frobenius class of the lifts' rows,
-    and per lift the getter of its classes; a lift's candidates at F(x, y, z)
-    lie in the orbits of its classes' values there."""
+def _lift_rows(p: int) -> tuple[tuple, tuple[itemgetter, ...], tuple[dict, dict]]:
+    """(rows, lifts, masks): one digit row per Frobenius class of the lifts' rows, per lift
+    the getter of its classes, whose values at F(x, y, z) hold its candidates' orbits, and
+    per form a dict (read only) from a class row's k0 to the bits 1 << i of its lifts i."""
     index: dict[tuple[int, int, int, int], int] = {}
-    lifts = []
+    lifts, masks = [], ({}, {})
     for i in range(3):
         rows = digit_rows(p, lambda v: candidate_exponents(_lifts(p, v)[i]))[0]
         lifts.append(itemgetter(*(index.setdefault(row, len(index)) for row in rows)))
-    return tuple(index), tuple(lifts)
+        for form, k0, _, _ in rows:
+            masks[form][k0] = masks[form].get(k0, 0) | 1 << i
+    return tuple(index), tuple(lifts), masks
 
 
 # the candidate orbit sets of the lifts, in LIFT_KINDS order, and their
@@ -92,7 +95,7 @@ def _lift_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[ite
 # test_large_span_lifts_pass_the_gap_check shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
 def _intersection_data(p: int, coords: tuple) -> tuple[tuple[int, ...], ...]:
-    rows, (get_ps, get_cusp, get_cusp_dual) = _lift_rows(p)
+    rows, (get_ps, get_cusp, get_cusp_dual), _ = _lift_rows(p)
     reps = row_reps(p, rows, *coords)
     ps, cusp, cusp_dual = set(get_ps(reps)), set(get_cusp(reps)), set(get_cusp_dual(reps))
     return (tuple(sorted(ps)), tuple(sorted(cusp)), tuple(sorted(cusp_dual)),
@@ -116,22 +119,21 @@ def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
 def are_consistent(p: int, points, rep: int) -> list[bool]:
     """`is_consistent` at each of points, in order, for one orbit's least
     member rep; a point in neither regime raises `UnsupportedWeight`.  At
-    large span no set is built: each lift must have a row whose value lies
-    in rep's orbit (`arith.row_hits`).  The small-span points are answered
-    by one `are_members` call, the membership of tau(xi, (x+2, y+1, z))."""
-    rows, (get_ps, get_cusp, get_cusp_dual) = _lift_rows(p)
-    out, small = [], []
+    large span no set is built: the lifts with a class row valued in rep's
+    orbit (`arith.row_masks`) must be all three, as (form, k0) fixes a class
+    row.  The small-span points are answered by one `are_members` call,
+    the membership of tau(xi, (x+2, y+1, z))."""
+    small, large, flags = [], [], []
     for coords in points:
         if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
             small.append(coords)
-            out.append(None)
+            flags.append(True)
         else:
-            hits = row_hits(p, rows, *coords, rep)
-            out.append(any(get_ps(hits)) and any(get_cusp(hits)) and any(get_cusp_dual(hits)))
-    if small:
-        verdicts = iter(are_members(p, small, rep))
-        out = [next(verdicts) if v is None else v for v in out]
-    return out
+            large.append(coords)
+            flags.append(False)
+    members = iter(are_members(p, small, rep))
+    lifts = iter(row_masks(p, _lift_rows(p)[2], large, rep))
+    return [next(members) if s else next(lifts) == 0b111 for s in flags]
 
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:

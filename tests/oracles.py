@@ -11,6 +11,7 @@ from collections import deque
 from functools import lru_cache
 
 from gl3weights.arith import MEMO_SIZE
+from gl3weights.breuil import candidate_orbits, cuspidal, cuspidal_dual, principal_series
 from gl3weights.cycling import CASE_DIRECT, CASE_DUAL, STATUS_COMPLETE, STATUS_STUCK, CyclingGraph
 from gl3weights.induction import implied_weights
 from gl3weights.predicted import PredictedSet, is_predicted, nine_weight_families
@@ -345,3 +346,20 @@ def membership_reps_by_tau(p: int, coords: tuple[int, int, int]) -> tuple[int, .
     return tuple(sorted({
         least_orbit_member(p, 3, tau_exponent(xi, mu, p)) for mu in mus for xi in (XI_123, XI_132)
     }))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _built_lift_orbits(p: int, coords: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """The candidate orbit sets of the three large-span lifts at F(coords),
+    principal series, cuspidal, cuspidal dual, each lift built by its
+    checked factory (so its gaps are checked)."""
+    x, y, z = coords
+    return (candidate_orbits(principal_series(p, (y, x - p + 1, z))),
+            candidate_orbits(cuspidal(p, (y + 1, x - p + 1, z - 1))),
+            candidate_orbits(cuspidal_dual(p, (x + 1, z + p - 1, y - 1))))
+
+
+def lift_hits(p: int, coords: tuple[int, int, int], rep: int) -> int:
+    """The bits 1 << i of the large-span lifts i at F(coords), in the order
+    of `_built_lift_orbits`, whose candidate orbit set holds rep."""
+    return sum(1 << i for i, reps in enumerate(_built_lift_orbits(p, coords)) if rep in reps)

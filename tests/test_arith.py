@@ -21,7 +21,7 @@ from gl3weights.arith import (
     orbit,
     orbit_of,
     orbit_rep,
-    row_hits,
+    row_masks,
     row_reps,
 )
 from gl3weights.breuil import candidate_exponents
@@ -231,7 +231,7 @@ def package_tables(p):
                 for xi, high in predicted.MEMBERSHIP_ROWS]
 
     yield (affine_rows(membership), *predicted._membership_rows(p))
-    rows, lifts = elimination._lift_rows(p)
+    rows, lifts, _ = elimination._lift_rows(p)
     for i, lift in enumerate(lifts):
         yield (affine_rows(lambda v: candidate_exponents(elimination._lifts(p, v)[i])),
                lift(rows), None)
@@ -248,22 +248,32 @@ def witness_primes():
     return [p for p in range(5, 1000) if is_prime(p)] + sorted(large)
 
 
-def test_row_hits_match_row_reps():
-    # row_hits tests each row's value against one orbit, unreduced; it reads
-    # as row_reps compared with the orbit's least member, at seeded points
-    # and rows at every prime below 1000 and at 65521, for each row's own
-    # rep (so some rows hit) and a seeded one
+def test_row_masks_match_row_reps():
+    # row_masks probes each form's dict of row bits at the point's six
+    # offsets, reducing no row; it reads as the OR of the bits of the rows
+    # whose row_reps value is the orbit's least member, at seeded points and
+    # rows at every prime below 1000 and at 65521, for each row's own rep (so
+    # some rows hit) and a seeded one, one point at a time and as one batch
     rng = random.Random("row hits")
     for p in [p for p in range(5, 1000) if is_prime(p)] + [65521]:
         e = p**3 - 1
         rows = [(form, k, k * p % e, k * p * p % e)
                 for form in (0, 1) for k in (rng.randrange(e) for _ in range(4))]
+        masks = ({}, {})
+        for i, (form, k0, _, _) in enumerate(rows):
+            masks[form][k0] = masks[form].get(k0, 0) | 1 << i
+        points, reps_seen = [], set()
         for _ in range(3):
             x, y, z = (rng.randrange(-2 * p, 3 * p) for _ in range(3))
+            points.append((x, y, z))
             reps = row_reps(p, rows, x, y, z)
             for rep in (*reps, orbit_rep(p, rng.randrange(e))):
-                want = [r == rep for r in reps]
-                assert row_hits(p, rows, x, y, z, rep) == want, (p, x, y, z, rep)
+                reps_seen.add(rep)
+                want = sum(1 << i for i, r in enumerate(reps) if r == rep)
+                assert row_masks(p, masks, [(x, y, z)], rep) == [want], (p, x, y, z, rep)
+        for rep in reps_seen:
+            assert row_masks(p, masks, points, rep) == [
+                row_masks(p, masks, [v], rep)[0] for v in points], (p, rep)
 
 
 def test_every_table_row_is_a_power_of_p_times_a_digit_form():
@@ -318,7 +328,7 @@ def test_digit_row_tables_are_one_template_at_every_prime():
     # prime below 2^16, is what the uncached builders derive there.  At p = 5
     # and 7 some shift has more than one reading, but the template read at 11
     # evaluates to their tables all the same, so they need no case of their own
-    rows, getters = elimination._lift_rows.__wrapped__(11)
+    rows, getters, _ = elimination._lift_rows.__wrapped__(11)
     lift_template = [(form, signed_digits(11, k)) for form, k, _, _ in rows]
     classes = [get(range(len(rows))) for get in getters]
     member_rows, scales = predicted._membership_rows.__wrapped__(11)
@@ -327,7 +337,7 @@ def test_digit_row_tables_are_one_template_at_every_prime():
     # the determinant condition: every row's shifts sum to 3
     assert all(sum(d) == 3 for _, d in lift_template + member_template)
     for p in (p for p in range(5, P_LIMIT) if is_prime(p)):
-        rows, getters = elimination._lift_rows.__wrapped__(p)
+        rows, getters, _ = elimination._lift_rows.__wrapped__(p)
         assert rows == evaluate_template(p, lift_template), p
         assert [get(range(len(rows))) for get in getters] == classes, p
         want = (evaluate_template(p, member_template), tuple(p**j for j in powers))

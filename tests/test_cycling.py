@@ -9,7 +9,7 @@ import re
 import pytest
 
 import gl3weights
-from gl3weights import cli, cycling, elimination, predicted
+from gl3weights import arith, cli, cycling, elimination, predicted
 from gl3weights.arith import Record, orbit_rep
 from gl3weights.cycling import (
     CASE_DIRECT,
@@ -226,19 +226,19 @@ def frame_points(frame, p):
 @pytest.mark.parametrize("dual_case", [False, True])
 def test_a_cold_frame_tests_each_large_span_weight_once(monkeypatch, dual_case):
     # a cold frame hands its 24 distinct implied weights to each batched
-    # kernel once; the elimination kernel tests the type's orbit against the
-    # lifts' rows at each large-span weight, one row_hits call per weight,
+    # kernel once; the elimination kernel probes the lifts' masks for the
+    # type's orbit at each large-span weight once, in one row_masks call,
     # and the frame leaves the intersection and membership memos as they
     # were.  A built frame has no weight in neither regime, so
     # x - z >= p - 3 picks out the large-span ones
-    p, points = 29, []
-    real_hits = elimination.row_hits
+    p, probes = 29, []
+    real_masks = elimination.row_masks
 
-    def counting_hits(p, rows, *point):
-        points.append(point[:3])
-        return real_hits(p, rows, *point)
+    def counting_masks(p, masks, points, rep):
+        probes.append(list(points))
+        return real_masks(p, masks, points, rep)
 
-    monkeypatch.setattr(elimination, "row_hits", counting_hits)
+    monkeypatch.setattr(elimination, "row_masks", counting_masks)
     calls = record_batches(monkeypatch)
     t = table_type(p, (20, 9, 3))
     if dual_case:
@@ -254,7 +254,28 @@ def test_a_cold_frame_tests_each_large_span_weight_once(monkeypatch, dual_case):
     for _, batch, rep in calls:
         assert len(batch) == 24 and set(batch) == implied and rep == t.orbit_rep()
     large = [v for v in implied if v[0] - v[2] >= p - 3]
-    assert large and sorted(points) == sorted(large)
+    assert large and len(probes) == 1 and sorted(probes[0]) == sorted(large)
+
+
+@pytest.mark.parametrize("p, abc", [(29, (20, 9, 3)), (31, (21, 10, 3)),
+                                    (65521, (40000, 20000, 7))])
+@pytest.mark.parametrize("dual_case", [False, True])
+def test_a_cold_frame_reduces_no_row(monkeypatch, cold_memos, p, abc, dual_case):
+    # a cold frame's decisions test the type's orbit against the membership
+    # rows and the lifts' masks without reducing any row's value: no
+    # row_reps call, at both acceptance primes and the largest supported one
+    def reduced(*args):
+        raise AssertionError("a cold frame reduced a row")
+
+    for module in (arith, predicted, elimination):
+        monkeypatch.setattr(module, "row_reps", reduced)
+    t = table_type(p, abc)
+    if dual_case:
+        t = dual_twist(t, 2)
+    frame = cycling._frame(t)
+    assert frame.case == (CASE_DUAL if dual_case else CASE_DIRECT)
+    assert any(v[0] - v[2] >= p - 3 for v in frame.decided), "no large-span weight"
+    assert sum(frame.decided.values()) >= 9
 
 
 def test_one_memo_per_type():
@@ -459,7 +480,7 @@ def test_one_batch_per_kernel_and_a_warm_start_evaluates_nothing(monkeypatch, co
             for module, name in ((cycling, "are_members"), (cycling, "are_consistent"),
                                  (cycling, "is_predicted"), (predicted, "are_members"),
                                  (predicted, "row_reps"), (elimination, "are_members"),
-                                 (elimination, "row_hits"), (elimination, "row_reps")):
+                                 (elimination, "row_masks"), (elimination, "row_reps")):
                 m.setattr(module, name, evaluated)
             for start in ss:
                 assert cycle(u, weight(29, *start.coords)).status == STATUS_COMPLETE

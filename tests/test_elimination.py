@@ -7,7 +7,7 @@ import re
 import pytest
 
 from gl3weights import breuil, elimination, predicted
-from gl3weights.arith import P_LIMIT, is_prime, orbit_rep
+from gl3weights.arith import P_LIMIT, is_prime, orbit_rep, row_masks
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -30,7 +30,7 @@ from gl3weights.predicted import are_members, is_predicted, membership_reps
 from gl3weights.tame_types import XI_123, XI_132, tau, type_from_exponent
 from gl3weights.weights import weight
 
-from oracles import surviving_family_reps
+from oracles import lift_hits, surviving_family_reps
 
 
 def test_crystalline_branch_positive():
@@ -114,7 +114,7 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     assert derived == [29, 29, 29] and evaluated == [14]
     # the tables are evaluated at plain field tuples: no lift is built
     assert lifts == []
-    rows, getters = elimination._lift_rows(29)
+    rows, getters, _ = elimination._lift_rows(29)
     assert len(rows) == 14 and {form for form, *_ in rows} == {0, 1}
     classes = [set(get(range(14))) for get in getters]
     assert [len(c) for c in classes] == [6, 10, 10] and len(set.intersection(*classes)) == 4
@@ -130,6 +130,22 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     intersection_sets(weight(31, 34, 17, 0))
     assert elimination._lift_rows.cache_info().misses == 2 and evaluated == [14, 14]
     assert derived == [29, 29, 29, 31, 31, 31]
+
+
+def test_lift_masks_match_the_getters_at_every_prime():
+    # the third table of _lift_rows holds, per digit form, each class row's
+    # k0 with the bits 1 << i of the lifts i whose getter reads that class:
+    # 14 keys, 7 per form, no two class rows on one key, and the lifts own
+    # 6, 10 and 10 of them, 4 shared by all three, at every prime below 2^16
+    for p in (p for p in range(5, P_LIMIT) if is_prime(p)):
+        rows, getters, masks = elimination._lift_rows.__wrapped__(p)
+        classes = [set(get(range(len(rows)))) for get in getters]
+        owners = [sum(1 << i for i, c in enumerate(classes) if k in c) for k in range(len(rows))]
+        want = ({}, {})
+        for (form, k0, _, _), bits in zip(rows, owners):
+            want[form][k0] = bits
+        assert masks == want and [len(m) for m in masks] == [7, 7] and len(rows) == 14, p
+        assert [len(c) for c in classes] == [6, 10, 10] and owners.count(0b111) == 4, p
 
 
 def is_orbit_set(reps):
@@ -380,6 +396,30 @@ def test_batched_kernels_match_the_orbit_sets():
             assert are_consistent(p, regimes, rep) == want, (p, rep)
             hits += sum(want)
         assert hits, p
+
+
+def test_the_lift_probe_matches_the_built_lifts():
+    # row_masks over the lift masks against the lift_hits oracle, which
+    # builds each lift and reduces its candidates, at seeded large-span
+    # points per prime, for the reps of the points' lift sets (so lifts hit
+    # alone and together) and seeded ones; are_consistent reads "all three
+    # bits" there
+    seen = set()
+    for p in kernel_primes():
+        rng = random.Random(f"lift probe:{p}")
+        large = kernel_points(p, rng)[3]
+        assert large or p < 17, p
+        masks = elimination._lift_rows(p)[2]
+        reps = {rep for v in large for rep in set().union(*intersection_sets(weight(p, *v))[:3])}
+        reps.update(orbit_rep(p, rng.randrange(p**3 - 1)) for _ in range(3))
+        for rep in sorted(reps):
+            want = [lift_hits(p, v, rep) for v in large]
+            assert row_masks(p, masks, large, rep) == want, (p, rep)
+            assert are_consistent(p, large, rep) == [bits == 0b111 for bits in want], (p, rep)
+            seen.update(want)
+    # every pattern but the principal series alone, whose set lies in the
+    # union of the cuspidal ones
+    assert seen == set(range(8)) - {0b001}
 
 
 def test_a_grey_zone_point_inside_a_batch_is_refused():
