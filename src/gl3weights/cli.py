@@ -106,8 +106,8 @@ def handle_eliminate(params: dict) -> dict:
         "matched_orbit": report.matched_orbit,
     }
     if report.branch == BRANCH_INTERSECTION:
-        doc["lift_sets"] = {kind: sorted(reps) for kind, reps in report.lift_sets}
-        doc["intersection"] = sorted(report.intersection)
+        doc["lift_sets"] = {kind: list(reps) for kind, reps in report.lift_sets}
+        doc["intersection"] = list(report.intersection)
     return doc
 
 

@@ -16,11 +16,13 @@ differ by a power of p share a Frobenius orbit at every point and a digit
 row, so the table keeps one row per such class (14 for the lifts' 26 rows,
 4 of them shared by all three), an index getter per lift, and per digit form
 a dict from a class row's constant to the bits of the lifts owning it.
-`eliminate` reports the lifts' orbit sets, memoized per weight;
-`are_consistent` gives the bare verdict for one type at a batch of weights
-(`is_consistent` is its one-point call): at large span all three lifts must
-hit the type's orbit, six probes of the dicts a weight (`arith.row_masks`),
-building no set, and at small span it asks `predicted.are_members` once.
+At large span all three lifts must hit the type's orbit: six probes of the
+dicts a weight (`arith.row_masks`), building no set.  `eliminate` decides one
+weight so, and its report reads the lifts' orbit sets, memoized per weight
+(`_intersection_data`, the one set computation, behind `intersection_sets`),
+only when its evidence is read; `are_consistent` gives the bare verdict for
+one type at a batch of weights (`is_consistent` is its one-point call), and
+at small span it asks `predicted.are_members` once.
 """
 
 from __future__ import annotations
@@ -47,11 +49,29 @@ class UnsupportedWeight(ValueError):
 
 class EliminationReport(Record):
     """A verdict and its evidence: lift_sets ((kind, candidate orbit set) per
-    lift) and intersection are None on the crystalline branch."""
+    lift) and intersection are None on the crystalline branch.  Both are
+    functions of the weight, so they are not fields: each read takes the
+    orbit sets from the `_intersection_data` memo, and only a read builds
+    them; the repr still prints them after the fields."""
 
     __slots__ = ()
-    _fields = ("weight", "source", "branch", "verdict", "matched_orbit", "lift_sets",
-               "intersection")
+    _fields = ("weight", "source", "branch", "verdict", "matched_orbit")
+
+    @property
+    def lift_sets(self) -> tuple[tuple[str, tuple[int, ...]], ...] | None:
+        if self.branch != BRANCH_INTERSECTION:
+            return None
+        return tuple(zip(LIFT_KINDS, _intersection_data(self.weight.p, self.weight.coords)))
+
+    @property
+    def intersection(self) -> tuple[int, ...] | None:
+        if self.branch != BRANCH_INTERSECTION:
+            return None
+        return _intersection_data(self.weight.p, self.weight.coords)[3]
+
+    def __repr__(self) -> str:
+        return (f"{Record.__repr__(self)[:-1]}, lift_sets={self.lift_sets!r}, "
+                f"intersection={self.intersection!r})")
 
 
 def _branch_of(p: int, coords: tuple[int, int, int]) -> str:
@@ -137,16 +157,18 @@ def are_consistent(p: int, points, rep: int) -> list[bool]:
 
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
-    """Decide whether modularity of w is consistent with the type t."""
+    """Decide whether modularity of w is consistent with the type t.  The
+    verdict builds no orbit set: at large span it reads the lifts' mask
+    probe as `are_consistent` does; the report's evidence is built when read."""
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
     rep = t.orbit_rep()
-    branch = _branch_of(w.p, w.coords)
-    sets = _intersection_data(w.p, w.coords) if branch == BRANCH_INTERSECTION else None
-    # below the wall these are the types tau(xi, (x+2, y+1, z))
-    allowed = sets[3] if sets else membership_reps(w.p, w.coords)
-    hit = rep in allowed
-    # sets is None on the crystalline branch; zip pairs its three lift sets
+    p, coords = w.p, w.coords
+    branch = _branch_of(p, coords)
+    if branch == BRANCH_INTERSECTION:
+        hit = row_masks(p, _lift_rows(p)[2], (coords,), rep)[0] == 0b111
+    else:
+        # below the wall these are the types tau(xi, (x+2, y+1, z))
+        hit = rep in membership_reps(p, coords)
     return EliminationReport(w, t, branch, CONSISTENT if hit else ELIMINATED,
-                             rep if hit else None, sets and tuple(zip(LIFT_KINDS, sets)),
-                             sets and allowed)
+                             rep if hit else None)

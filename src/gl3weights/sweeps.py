@@ -216,10 +216,15 @@ def sweep_elimination(rng: random.Random, p: int, failures: list[dict]) -> None:
         _fail(failures, coords=list(w.coords), reason="prediction mismatch")
     t = tt.type_from_exponent(p, rng.randrange(e))
     if t.is_irreducible():
-        rep = elimination.eliminate(w, t)
-        if (rep.verdict == elimination.CONSISTENT) != predicted.is_predicted(w, t):
+        report = elimination.eliminate(w, t)
+        consistent = report.verdict == elimination.CONSISTENT
+        if consistent != predicted.is_predicted(w, t):
             _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
                   reason="verdict disagrees with membership")
+        # the verdict comes from the lifts' mask probe, the evidence from their orbit sets
+        if consistent != (t.orbit_rep() in report.intersection):
+            _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
+                  reason="verdict disagrees with its evidence")
 
 
 def sweep_cycling(rng: random.Random, p: int, failures: list[dict]) -> None:

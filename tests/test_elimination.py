@@ -11,6 +11,7 @@ from gl3weights.arith import P_LIMIT, is_prime, orbit_rep, row_masks
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
+    LIFT_KINDS,
     PRINCIPAL_SERIES,
     LiftType,
     candidate_orbits,
@@ -130,6 +131,78 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     intersection_sets(weight(31, 34, 17, 0))
     assert elimination._lift_rows.cache_info().misses == 2 and evaluated == [14, 14]
     assert derived == [29, 29, 29, 31, 31, 31]
+
+
+def test_a_verdict_builds_no_evidence(monkeypatch):
+    # eliminate decides a large-span weight by the lifts' mask probe and
+    # builds no orbit set; reading the report's evidence fills one
+    # _intersection_data entry, which a second report at the weight shares
+    reduced = []
+    real_reps = elimination.row_reps
+
+    def counting_reps(p, rows, *point):
+        reduced.append(point)
+        return real_reps(p, rows, *point)
+
+    monkeypatch.setattr(elimination, "row_reps", counting_reps)
+    memo = elimination._intersection_data
+    memo.cache_clear()
+    w = weight(29, 32, 16, 0)
+    kept, dropped = (eliminate(w, type_from_exponent(29, rep)) for rep in (163, 975))
+    assert kept.verdict == CONSISTENT and dropped.verdict == ELIMINATED
+    assert memo.cache_info().currsize == 0 and reduced == []
+    lift_sets = kept.lift_sets
+    assert memo.cache_info().currsize == 1 and reduced == [(32, 16, 0)]
+    sets = memo(29, (32, 16, 0))
+    assert [reps for _, reps in lift_sets] == list(sets[:3])
+    assert all(a is b for (_, a), b in zip(dropped.lift_sets, sets))
+    assert dropped.intersection is sets[3] and kept.intersection is sets[3]
+    assert memo.cache_info().currsize == 1 and len(reduced) == 1
+
+
+@pytest.mark.parametrize("p", [29, 53, 65521])
+def test_a_report_reads_its_evidence_from_the_orbit_sets(p):
+    # a report's verdict comes from the mask probe (large span) or the
+    # membership rows (small span); its evidence from the orbit sets.  At
+    # seeded points of both regimes, for seeded reps and for the reps of
+    # the points' own lift and membership sets (so that lifts hit alone and
+    # together), the two agree and the evidence is the lifts' sets in
+    # LIFT_KINDS order; the crystalline branch carries none
+    rng = random.Random(f"report evidence:{p}")
+    small, large = kernel_points(p, rng)[2:]
+    assert small and large, p
+    reps = {orbit_rep(p, v) for v in range(1, p**3 - 1, (p**3 - 1) // 7)}
+    reps.discard(orbit_rep(p, 0))
+    for v in large:
+        reps.update(set().union(*intersection_sets(weight(p, *v))[:3]))
+    for v in small:
+        reps.update(membership_reps(p, v))
+    verdicts = set()
+    for rep in sorted(reps):
+        t = type_from_exponent(p, rep)
+        if not t.is_irreducible():
+            continue
+        for v in small:
+            report = eliminate(weight(p, *v), t)
+            hit = rep in membership_reps(p, v)
+            assert report.branch == BRANCH_CRYSTALLINE, (v, rep)
+            assert report.lift_sets is None and report.intersection is None, (v, rep)
+            assert report.verdict == (CONSISTENT if hit else ELIMINATED), (v, rep)
+            assert report.matched_orbit == (rep if hit else None), (v, rep)
+        for v in large:
+            w = weight(p, *v)
+            report, sets = eliminate(w, t), intersection_sets(w)
+            hit = rep in report.intersection
+            assert report.branch == BRANCH_INTERSECTION, (v, rep)
+            assert report.lift_sets == tuple(zip(LIFT_KINDS, sets[:3])), (v, rep)
+            assert report.intersection == sets[3], (v, rep)
+            assert report.verdict == (CONSISTENT if hit else ELIMINATED), (v, rep)
+            assert report.matched_orbit == (rep if hit else None), (v, rep)
+            verdicts.add((hit, tuple(rep in s for s in sets[:3])))
+    # consistent reps, and eliminated ones in the principal series set and
+    # in each cuspidal set alone
+    assert {(True, (True, True, True)), (False, (True, True, False)),
+            (False, (False, True, False)), (False, (False, False, True))} <= verdicts, p
 
 
 def test_lift_masks_match_the_getters_at_every_prime():
@@ -368,9 +441,10 @@ def kernel_points(p, rng):
 
 def test_batched_kernels_match_the_orbit_sets():
     # are_members against membership_reps, on both sides of the wall
-    # x - z = p - 2, and are_consistent against eliminate's verdict, on both
-    # regimes, point by point, for seeded representatives and for members of
-    # the points' own orbit sets (so that some points hit)
+    # x - z = p - 2, and are_consistent against the orbit sets, on both
+    # regimes (membership_reps at small span, the lifts' intersection at
+    # large span), point by point, for seeded representatives and for
+    # members of the points' own orbit sets (so that some points hit)
     for p in kernel_primes():
         rng = random.Random(f"batched kernels:{p}")
         e, c2 = p**3 - 1, p * p + p + 1
@@ -391,8 +465,8 @@ def test_batched_kernels_match_the_orbit_sets():
                       for rep in intersection_sets(weight(p, *v))[3]}
         hits = 0
         for rep in sorted(seeded | set(rng.sample(sorted(survivors), 6))):
-            t = type_from_exponent(p, rep)
-            want = [eliminate(weight(p, *v), t).verdict == CONSISTENT for v in regimes]
+            want = [rep in membership_reps(p, v) for v in small]
+            want += [rep in intersection_sets(weight(p, *v))[3] for v in large]
             assert are_consistent(p, regimes, rep) == want, (p, rep)
             hits += sum(want)
         assert hits, p
