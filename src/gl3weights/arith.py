@@ -74,11 +74,14 @@ class Record(tuple):
     record of its own class with equal fields, hashes as the tuple of its
     fields, pickles as a call of its class and prints as a dataclass does.
 
-    `Record.__new__` checks only the field count and stores the fields, so
-    `Cls.__new__(Cls, ...)` is the trusted path; `__init__` holds only the
-    checks, so `Cls(...)` stores, then checks."""
+    There are two stores, both here.  `Record.__new__` checks the field
+    count and stores the fields; `__init__` holds only the checks, so
+    `Cls(...)` counts, stores, then checks.  `Cls._make(values)` is the C
+    store `tuple.__new__` itself, with no count and no check: the trusted
+    path, for values the caller already holds checked."""
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __init_subclass__(cls) -> None:
         for i, f in enumerate(cls._fields):
@@ -147,7 +150,7 @@ def exp_class(p: int, d: int, value: int) -> ExpClass:
     """Build an ExpClass, reducing the exponent modulo p^d - 1."""
     check_prime(p)
     check_niveau(d)
-    return ExpClass.__new__(ExpClass, p, d, value % (p**d - 1))
+    return ExpClass._make((p, d, value % (p**d - 1)))
 
 
 def orbit(c: ExpClass) -> FrobOrbit:
@@ -157,7 +160,7 @@ def orbit(c: ExpClass) -> FrobOrbit:
     while cur != c.value:
         members.append(cur)
         cur = cur * c.p % e
-    return FrobOrbit(c.p, c.d, min(members), len(members))
+    return FrobOrbit._make((c.p, c.d, min(members), len(members)))
 
 
 def orbit_of(p: int, d: int, value: int) -> FrobOrbit:

@@ -214,9 +214,9 @@ def cycle(t: TameType, start: WeightClass) -> CyclingGraph:
         status, nodes = STATUS_STUCK, frozenset([order[k] for k in queue])
         stuck_node = order[reached.index(False)]
         reason = f"closure reached {len(queue)} of {len(order)} predicted weights"
-    return CyclingGraph(t.p, frame.case, frame.params, t, start, nodes,
-                        tuple(edges), tuple(stalls), frame.families, frame.predicted, status,
-                        stuck_node, reason)
+    return CyclingGraph._make((t.p, frame.case, frame.params, t, start, nodes,
+                               tuple(edges), tuple(stalls), frame.families, frame.predicted,
+                               status, stuck_node, reason))
 
 
 def emit_dot(g: CyclingGraph) -> str:

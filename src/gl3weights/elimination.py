@@ -17,12 +17,15 @@ row, so the table keeps one row per such class (14 for the lifts' 26 rows,
 4 of them shared by all three), an index getter per lift, and per digit form
 a dict from a class row's constant to the bits of the lifts owning it.
 At large span all three lifts must hit the type's orbit: six probes of the
-dicts a weight (`arith.row_masks`), building no set.  `eliminate` decides one
-weight so, and its report reads the lifts' orbit sets, memoized per weight
-(`_intersection_data`, the one set computation, behind `intersection_sets`),
-only when its evidence is read; `are_consistent` gives the bare verdict for
-one type at a batch of weights (`is_consistent` is its one-point call), and
-at small span it asks `predicted.are_members` once.
+dicts a weight (`arith.row_masks`), building no set.  At small span the
+verdict is the membership hit test of tau(xi, (x+2, y+1, z)), so every
+verdict is a hit test and none reduces a row.  `eliminate` decides one
+weight so (at small span by `predicted.is_member`), and its report reads the
+lifts' orbit sets, memoized per weight (`_intersection_data`, the one set
+computation, behind `intersection_sets`), only when its evidence is read;
+`are_consistent` gives the bare verdict for one type at a batch of weights
+(`is_consistent` is its one-point call), and at small span it asks
+`predicted.are_members` once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from operator import itemgetter
 
 from .arith import MEMO_SIZE, Record, digit_rows, row_masks, row_reps
 from .breuil import CUSPIDAL, CUSPIDAL_DUAL, LIFT_KINDS, PRINCIPAL_SERIES, candidate_exponents
-from .predicted import are_members, membership_reps
+from .predicted import are_members, is_member
 from .tame_types import TameType
 from .weights import WeightClass
 
@@ -158,8 +161,10 @@ def are_consistent(p: int, points, rep: int) -> list[bool]:
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     """Decide whether modularity of w is consistent with the type t.  The
-    verdict builds no orbit set: at large span it reads the lifts' mask
-    probe as `are_consistent` does; the report's evidence is built when read."""
+    verdict is a hit test that builds no orbit set and fills no per-weight
+    memo: at large span the lifts' mask probe, as `are_consistent` reads it,
+    and at small span `predicted.is_member`; the report's evidence is built
+    when read."""
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
     rep = t.orbit_rep()
@@ -168,7 +173,7 @@ def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     if branch == BRANCH_INTERSECTION:
         hit = row_masks(p, _lift_rows(p)[2], (coords,), rep)[0] == 0b111
     else:
-        # below the wall these are the types tau(xi, (x+2, y+1, z))
-        hit = rep in membership_reps(p, coords)
-    return EliminationReport(w, t, branch, CONSISTENT if hit else ELIMINATED,
-                             rep if hit else None)
+        # the types tau(xi, (x+2, y+1, z)); small span lies in the strip
+        hit = is_member(p, coords, rep)
+    return EliminationReport._make((w, t, branch, CONSISTENT if hit else ELIMINATED,
+                                    rep if hit else None))

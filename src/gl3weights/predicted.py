@@ -7,15 +7,17 @@ when x - z exceeds p - 2.  For generic parameters the resulting set has
 exactly nine classes, organised in three cyclically related families.
 The comparisons are the per-prime membership digit rows: `are_members`
 tests one type's orbit against them at a batch of weights (`is_member` is
-its one-point call), and `membership_reps` reduces them to the orbit set a
-type must hit, memoized per weight, for `eliminate`'s report and the
-sweeps.  One closed-form solve of the membership rows answers both
-inverse questions, `enumerate_predicted` and `table_parameters`.
+its one-point call), and every verdict, `eliminate`'s small-span one
+included, is that hit test.  `membership_reps` reduces the rows to the
+orbit set a type must hit, memoized per weight: evidence for the sweeps,
+read by no verdict.  One closed-form solve of the membership rows answers
+both inverse questions, `enumerate_predicted` and `table_parameters`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .arith import MEMO_SIZE, Record, check_prime, digit_rows, row_reps
 from .tame_types import ORDER_THREE_CYCLES, XI_123, TameType, tau, tau_exponent
@@ -33,7 +35,7 @@ class PredictedSet(Record):
     _fields = ("p", "weights", "source")
 
     def sorted_weights(self) -> tuple[WeightClass, ...]:
-        return tuple(sorted(self.weights, key=lambda w: w.coords))
+        return tuple(sorted(self.weights, key=itemgetter(2)))  # by coords
 
 
 # membership rows (xi, above the wall); the upper two apply when x - z > p - 2
@@ -57,6 +59,8 @@ def membership_reps(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
     """Orbit set (sorted, distinct) a type must hit for the weight to be
     predicted: the per-prime table `_membership_rows`, its upper two rows
     only when x - z > p - 2, evaluated at (x, y, z) in one `row_reps` call.
+    It serves evidence and the sweeps only: no verdict reads it, as
+    `are_members` answers `rep in membership_reps(p, coords)` itself.
     Below the wall mu = (x+2, y+1, z) is strictly decreasing of span at most
     p, so by tame rigidity (`sweeps.sweep_tame`) its two rows never collide."""
     x, y, z = coords
@@ -144,9 +148,8 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
     12 solves read only the representative.
     """
     p, rep = t.p, t.orbit_rep()
-    found = frozenset(WeightClass.__new__(WeightClass, p, 3, xyz)
-                      for xyz in _solutions(p, rep, _solvers(p)))
-    return PredictedSet(p, found, t)
+    found = frozenset(WeightClass._make((p, 3, xyz)) for xyz in _solutions(p, rep, _solvers(p)))
+    return PredictedSet._make((p, found, t))
 
 
 def in_table_range(a: int, b: int, c: int, p: int) -> bool:

@@ -204,27 +204,40 @@ def sweep_predicted(rng: random.Random, p: int, failures: list[dict]) -> None:
 
 
 def sweep_elimination(rng: random.Random, p: int, failures: list[dict]) -> None:
-    e = p**3 - 1
-    g1 = rng.randrange(8, p - 5)
-    g2 = rng.randrange(max(8, p + 2 - g1), p - 5)
+    """A small-span or a large-span weight, half the time each, and a type
+    whose verdict must match the weight's evidence: the membership orbit set
+    at small span, the report's lift intersection at large span.  Most types
+    are eliminated, so a share is drawn from the evidence: at small span half
+    from the membership set, at large span a third from the intersection and
+    a third from one lift's set less the intersection; the rest uniformly."""
     z = rng.randrange(p - 1)
+    small = rng.random() < 0.5
+    g1 = rng.randrange(p - 3) if small else rng.randrange(8, p - 5)
+    g2 = rng.randrange(p - 3 - g1) if small else rng.randrange(max(8, p + 2 - g1), p - 5)
     w = wt.canonicalize((z + g1 + g2, z + g2, z), p)
-    *lift_sets, inter = elimination.intersection_sets(w)
-    if not all(set(inter) <= set(reps) for reps in lift_sets):
-        _fail(failures, coords=list(w.coords), reason="intersection not minimal")
-    if inter != predicted.membership_reps(p, w.coords):
-        _fail(failures, coords=list(w.coords), reason="prediction mismatch")
-    t = tt.type_from_exponent(p, rng.randrange(e))
-    if t.is_irreducible():
-        report = elimination.eliminate(w, t)
-        consistent = report.verdict == elimination.CONSISTENT
-        if consistent != predicted.is_predicted(w, t):
-            _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
-                  reason="verdict disagrees with membership")
-        # the verdict comes from the lifts' mask probe, the evidence from their orbit sets
-        if consistent != (t.orbit_rep() in report.intersection):
-            _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
-                  reason="verdict disagrees with its evidence")
+    members = predicted.membership_reps(p, w.coords)
+    if small:
+        draws = (members, None)
+    else:
+        *lift_sets, inter = elimination.intersection_sets(w)
+        if not all(set(inter) <= set(reps) for reps in lift_sets):
+            _fail(failures, coords=list(w.coords), reason="intersection not minimal")
+        if inter != members:
+            _fail(failures, coords=list(w.coords), reason="prediction mismatch")
+        draws = (inter, sorted(set(rng.choice(lift_sets)).difference(inter)), None)
+    draw = rng.choice(draws)
+    t = tt.type_from_exponent(p, rng.choice(draw) if draw else rng.randrange(p**3 - 1))
+    if not t.is_irreducible():
+        return
+    report = elimination.eliminate(w, t)
+    consistent = report.verdict == elimination.CONSISTENT
+    if not small and consistent != predicted.is_predicted(w, t):
+        _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
+              reason="verdict disagrees with membership")
+    # the verdict is a hit test, the evidence an orbit set
+    if consistent != (t.orbit_rep() in (members if small else report.intersection)):
+        _fail(failures, coords=list(w.coords), rep=t.orbit_rep(),
+              reason="verdict disagrees with its evidence")
 
 
 def sweep_cycling(rng: random.Random, p: int, failures: list[dict]) -> None:

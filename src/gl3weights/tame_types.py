@@ -55,7 +55,7 @@ def type_from_exponent(p: int, value: int) -> TameType:
     """Type psi + psi^p + psi^(p^2) for the character with this exponent."""
     o = orbit(exp_class(p, 3, value))
     # degenerate: psi has niveau 1, the sum is three copies
-    return TameType.__new__(TameType, p, (o,) if o.size == 3 else (o, o, o))
+    return TameType._make((p, (o,) if o.size == 3 else (o, o, o)))
 
 
 def tau_exponent(xi: str, mu: tuple[int, int, int], p: int) -> int:
@@ -89,4 +89,4 @@ def dual_twist(t: TameType, cyclotomic_power: int) -> TameType:
     """
     shift = cyclotomic_power * (t.p * t.p + t.p + 1)
     orbits = [orbit(exp_class(t.p, 3, shift - o.rep)) for o in t.chars]
-    return TameType.__new__(TameType, t.p, tuple(sorted(orbits, key=lambda o: o.rep)))
+    return TameType._make((t.p, tuple(sorted(orbits, key=lambda o: o.rep))))

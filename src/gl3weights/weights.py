@@ -56,7 +56,7 @@ def canonical(coords: tuple[int, int, int], p: int) -> WeightClass:
     shift = coords[-1] - coords[-1] % (p - 1)
     if shift:
         coords = tuple(c - shift for c in coords)
-    return WeightClass.__new__(WeightClass, p, 3, coords)
+    return WeightClass._make((p, 3, coords))
 
 
 def weight(p: int, *coords: int) -> WeightClass:

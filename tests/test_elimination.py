@@ -134,9 +134,10 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
 
 
 def test_a_verdict_builds_no_evidence(monkeypatch):
-    # eliminate decides a large-span weight by the lifts' mask probe and
-    # builds no orbit set; reading the report's evidence fills one
-    # _intersection_data entry, which a second report at the weight shares
+    # eliminate decides a small-span weight by the membership hit test and a
+    # large-span one by the lifts' mask probe, and builds no orbit set;
+    # reading a large-span report's evidence fills one _intersection_data
+    # entry, which a second report at the weight shares
     reduced = []
     real_reps = elimination.row_reps
 
@@ -144,7 +145,14 @@ def test_a_verdict_builds_no_evidence(monkeypatch):
         reduced.append(point)
         return real_reps(p, rows, *point)
 
-    monkeypatch.setattr(elimination, "row_reps", counting_reps)
+    for module in (elimination, predicted):
+        monkeypatch.setattr(module, "row_reps", counting_reps)
+    predicted.membership_reps.cache_clear()
+    v = weight(29, 15, 8, 0)
+    kept, dropped = (eliminate(v, type_from_exponent(29, rep)) for rep in (278, 975))
+    assert kept.branch == dropped.branch == BRANCH_CRYSTALLINE
+    assert kept.verdict == CONSISTENT and dropped.verdict == ELIMINATED
+    assert predicted.membership_reps.cache_info().currsize == 0 and reduced == []
     memo = elimination._intersection_data
     memo.cache_clear()
     w = weight(29, 32, 16, 0)
@@ -158,6 +166,36 @@ def test_a_verdict_builds_no_evidence(monkeypatch):
     assert all(a is b for (_, a), b in zip(dropped.lift_sets, sets))
     assert dropped.intersection is sets[3] and kept.intersection is sets[3]
     assert memo.cache_info().currsize == 1 and len(reduced) == 1
+
+
+def test_a_type_scan_batch_fills_no_evidence_memo():
+    # 50 seeded operations shaped like the type-scan workload at p = 53:
+    # predict a type's weights, then eliminate each against the type and one
+    # other.  Every verdict is a hit test, so neither orbit-set memo gains an
+    # entry, on both branches and for both verdicts
+    p = 53
+    rng = random.Random("type-scan batch")
+    types = []
+    while len(types) < 51:
+        t = type_from_exponent(p, rng.randrange(p**3 - 1))
+        if t.is_irreducible() and t not in types:
+            types.append(t)
+    memos = (predicted.membership_reps, elimination._intersection_data)
+    for memo in memos:
+        memo.cache_clear()
+    seen = set()
+    for t, other in zip(types, types[1:]):
+        for w in predicted.enumerate_predicted(t).sorted_weights():
+            for target in (t, other):
+                try:
+                    report = eliminate(w, target)
+                except UnsupportedWeight:
+                    continue
+                seen.add((report.branch, report.verdict))
+    assert seen == {(branch, verdict) for branch in (BRANCH_CRYSTALLINE, BRANCH_INTERSECTION)
+                    for verdict in (CONSISTENT, ELIMINATED)}
+    infos = [memo.cache_info() for memo in memos]
+    assert [(i.hits, i.misses, i.currsize) for i in infos] == [(0, 0, 0)] * 2
 
 
 @pytest.mark.parametrize("p", [29, 53, 65521])

@@ -1,8 +1,10 @@
-"""Records store their fields in one place, `arith.Record.__new__`, which
-hands them to `tuple.__new__`: no other module calls `tuple.__new__`, no
-module reaches `object.__setattr__` or `object.__new__` or generates code
-with `exec` or `compile`, no module calls `Record.__init__`, and no class but
-`Record` defines `__new__`."""
+"""Records store their fields in `arith.Record` alone, by one of two stores:
+`Record.__new__`, which counts the fields for `Cls(...)` and hands them to
+`tuple.__new__`, and the trusted `Record._make`, which is `tuple.__new__`
+itself.  No other module calls `tuple.__new__`, no module spells the trusted
+path `Cls.__new__(Cls, ...)`, no module reaches `object.__setattr__` or
+`object.__new__` or generates code with `exec` or `compile`, no module calls
+`Record.__init__`, and no class but `Record` defines `__new__`."""
 
 import ast
 from pathlib import Path
@@ -17,16 +19,21 @@ STORE = "tuple.__new__"  # allowed in the home module only
 
 
 def stores(source, home=False):
-    """Line and text of each store but the one: a reference to a raw store,
+    """Line and text of each store but the two: a reference to a raw store,
     a code maker or `Record.__init__`, a reference to `tuple.__new__` outside
-    the home module, or a `__new__` defined in a class other than the home
-    module's `Record`."""
+    the home module, a call `Cls.__new__(Cls, ...)`, or a `__new__` defined
+    in a class other than the home module's `Record`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             name = f"{node.value.id}.{node.attr}"
             if name in RAW_STORES or name == "Record.__init__" or (name == STORE and not home):
                 found.append((node.lineno, name))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+              and node.args and isinstance(node.args[0], ast.Name)
+              and node.args[0].id == node.func.value.id):
+            found.append((node.lineno, f"{node.func.value.id}.__new__({node.args[0].id}, ...)"))
         elif isinstance(node, ast.Name) and node.id in CODE_MAKERS:
             found.append((node.lineno, node.id))
         elif isinstance(node, ast.ClassDef) and not (node.name == "Record" and home):
@@ -50,6 +57,8 @@ def test_the_check_sees_every_form():
         "class Record(tuple):\n"
         "    def __new__(cls, *values):\n"
         "        return tuple.__new__(cls, values)\n"
+        "    _make = classmethod(tuple.__new__)\n"
+        "w = W.__new__(W, 1)\n"
     )
     assert stores(source) == [
         (2, "W.__new__"),
@@ -62,6 +71,8 @@ def test_the_check_sees_every_form():
         (10, "exec"),
         (12, "Record.__new__"),
         (13, "tuple.__new__"),
+        (14, "tuple.__new__"),
+        (15, "W.__new__(W, ...)"),
     ]
     assert stores(source, home=True) == [
         (2, "W.__new__"),
@@ -72,6 +83,7 @@ def test_the_check_sees_every_form():
         (9, "compile"),
         (9, "exec"),
         (10, "exec"),
+        (15, "W.__new__(W, ...)"),
     ]
 
 

@@ -74,10 +74,17 @@ def test_record_semantics(name):
     assert a != other and not a == other and other != a and not other == a
     if name not in UNHASHABLE:
         assert {tuple(fields): 1}.get(a) is None
-    trusted = cls.__new__(cls, *fields)
-    assert trusted == a
+    stored = cls.__new__(cls, *fields)  # Record.__new__ alone, without __init__
+    assert stored == a
     if name not in UNHASHABLE:
-        assert hash(trusted) == hash(a)
+        assert hash(stored) == hash(a)
+    # the trusted store gives the record the checked construction gives
+    made, checked = cls._make(fields), cls(*fields)
+    assert type(made) is cls and made == checked and not made != checked
+    if name not in UNHASHABLE:
+        assert hash(made) == hash(checked)
+    assert repr(made) == repr(checked)
+    assert pickle.loads(pickle.dumps(made)) == checked
     first = cls._fields[0]
     with pytest.raises(AttributeError):
         setattr(a, first, None)
@@ -90,8 +97,10 @@ def test_record_semantics(name):
 
 
 def test_trusted_path_runs_no_check():
-    w = WeightClass.__new__(WeightClass, 9, 3, (0, 1, 2))
-    assert w.coords == (0, 1, 2)
+    w = WeightClass._make((9, 3, (0, 1, 2)))
+    assert type(w) is WeightClass and w.coords == (0, 1, 2)
+    # Record.__new__, the store behind WeightClass(...), counts the fields only
+    assert WeightClass.__new__(WeightClass, 9, 3, (0, 1, 2)) == w
     with pytest.raises(ValueError):
         WeightClass(9, 3, (0, 1, 2))
 
