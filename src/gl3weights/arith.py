@@ -11,10 +11,12 @@ Exponent tables affine in three coordinates are kept as digit rows: each
 row is a power of p times x + p*y + p^2*z or x + p^2*y + p*z plus a
 constant, which `digit_rows` derives once per prime; `row_reps` reduces a
 table's values at a point to their Frobenius orbits' least members, and
-`row_masks` finds the rows valued in one orbit by six dict probes a point,
-reducing none.  An orbit set is a sorted tuple of
-distinct representatives (`row_reps` sorted, deduplicated where rows can
-share an orbit), so a memo value holds nothing the collector tracks.
+`row_mask` finds the rows valued in one orbit by six dict probes at one
+point, reducing none (`row_masks` maps it over a batch), over per-prime
+constants read flat from one tuple (`mask_probe`) that its caller builds
+once per prime.  An orbit set is a sorted tuple of distinct
+representatives (`row_reps` sorted, deduplicated where rows can share an
+orbit), so a memo value holds nothing the collector tracks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from functools import lru_cache
 SUPPORTED_NIVEAUX = (1, 2, 3)
 # exclusive upper bound on the characteristic p
 P_LIMIT = 2**16
-# entry bound of the package's memos; a benchmark pass fills the largest to about 5k
+# entry bound of the package's memos.  A benchmark pass fills each per-prime
+# memo with at most 2 entries, membership_reps and _intersection_data with
+# none, and cycling's _frame with 195 of its own 512
 MEMO_SIZE = 2**15
 
 DIVISIBLE = "divisible"
@@ -206,20 +210,30 @@ def row_reps(p: int, rows, x: int, y: int, z: int) -> list[int]:
     return reps
 
 
+def mask_probe(p: int, masks) -> tuple:
+    """The per-prime constants `row_mask` reads: p, p^2, p^3 - 1 and the
+    bound `get` of each form's dict of masks."""
+    return p, p * p, p**3 - 1, masks[0].get, masks[1].get
+
+
+def row_mask(probe, rep: int, x: int, y: int, z: int) -> int:
+    """The OR of the bits of the digit rows valued at the point (x, y, z) in
+    the Frobenius orbit {rep, p*rep, p^2*rep} of a least member rep.  probe
+    is `mask_probe(p, masks)`, where masks maps per form a row's k0 to its
+    bits; a row of form f hits when k0 is one of the offsets o - f, reduced
+    mod p^3 - 1 (so p*rep and p^2*rep need no reduction of their own), and
+    six probes answer for any table, reducing no row."""
+    p, pp, e, at_f, at_g = probe
+    o1, o2 = rep * p, rep * pp
+    f, g = x + p * y + pp * z, x + pp * y + p * z
+    return (at_f((rep - f) % e, 0) | at_f((o1 - f) % e, 0) | at_f((o2 - f) % e, 0)
+            | at_g((rep - g) % e, 0) | at_g((o1 - g) % e, 0) | at_g((o2 - g) % e, 0))
+
+
 def row_masks(p: int, masks, points, rep: int) -> list[int]:
-    """Per point (x, y, z), in order, the OR of the bits of the digit rows valued
-    there in the orbit {rep, p*rep, p^2*rep} of a least member rep: masks maps
-    per form a row's k0 to its bits, and a row of form f hits when k0 is one of
-    the offsets o - f, so six probes answer for any table, reducing no row."""
-    pp = p * p
-    e, o1, o2 = pp * p - 1, rep * p, rep * pp
-    at_f, at_g = masks[0].get, masks[1].get
-    out = []
-    for x, y, z in points:
-        f, g = x + p * y + pp * z, x + pp * y + p * z
-        out.append(at_f((rep - f) % e, 0) | at_f((o1 - f) % e, 0) | at_f((o2 - f) % e, 0)
-                   | at_g((rep - g) % e, 0) | at_g((o1 - g) % e, 0) | at_g((o2 - g) % e, 0))
-    return out
+    """`row_mask` at each point (x, y, z) of points, in order."""
+    probe = mask_probe(p, masks)
+    return [row_mask(probe, rep, x, y, z) for x, y, z in points]
 
 
 def orbit_rep(p: int, value: int) -> int:

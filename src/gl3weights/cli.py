@@ -278,14 +278,30 @@ def _check(command: str, params: dict) -> dict:
     return checked
 
 
+def _digits(text: str) -> int:
+    """An integer written as ASCII -?[0-9]+, as the envelope takes only JSON
+    integers: `int` would also take "2_9", " 29", "+29" or full-width digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)  # over 4300 digits, Python's limit raises ValueError
+
+
+def _int_flag(text: str) -> int:
+    try:
+        return _digits(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+
+
 def _comma_ints(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",")]
+        return [_digits(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
 
 
-FLAG_TYPES = {"int": int, "triple": _comma_ints, "d-list": _comma_ints}
+FLAG_TYPES = {"int": _int_flag, "triple": _comma_ints, "d-list": _comma_ints}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,17 +15,19 @@ prime, derived from `breuil.candidate_exponents`, at F(x, y, z).  Rows that
 differ by a power of p share a Frobenius orbit at every point and a digit
 row, so the table keeps one row per such class (14 for the lifts' 26 rows,
 4 of them shared by all three), an index getter per lift, and per digit form
-a dict from a class row's constant to the bits of the lifts owning it.
+a dict from a class row's constant to the bits of the lifts owning it,
+with the constants of the one-point probe `arith.row_mask` over those dicts.
 At large span all three lifts must hit the type's orbit: six probes of the
-dicts a weight (`arith.row_masks`), building no set.  At small span the
-verdict is the membership hit test of tau(xi, (x+2, y+1, z)), so every
-verdict is a hit test and none reduces a row.  `eliminate` decides one
-weight so (at small span by `predicted.is_member`), and its report reads the
+dicts a weight, building no set.  At small span the verdict is the
+membership hit test of tau(xi, (x+2, y+1, z)), so every verdict is a hit
+test and none reduces a row.  `eliminate` decides one weight so, by one
+call of `row_mask` or of `predicted.is_member`, and its report reads the
 lifts' orbit sets, memoized per weight (`_intersection_data`, the one set
 computation, behind `intersection_sets`), only when its evidence is read;
 `are_consistent` gives the bare verdict for one type at a batch of weights
-(`is_consistent` is its one-point call), and at small span it asks
-`predicted.are_members` once.
+(`is_consistent` is its one-point call): one `arith.row_masks` call, which
+maps `row_mask`, for its large-span weights, and one `predicted.are_members`
+call for its small-span ones.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .arith import MEMO_SIZE, Record, digit_rows, row_masks, row_reps
+from .arith import MEMO_SIZE, Record, digit_rows, mask_probe, row_mask, row_masks, row_reps
 from .breuil import CUSPIDAL, CUSPIDAL_DUAL, LIFT_KINDS, PRINCIPAL_SERIES, candidate_exponents
 from .predicted import are_members, is_member
 from .tame_types import TameType
@@ -99,10 +101,11 @@ def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, i
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _lift_rows(p: int) -> tuple[tuple, tuple[itemgetter, ...], tuple[dict, dict]]:
-    """(rows, lifts, masks): one digit row per Frobenius class of the lifts' rows, per lift
-    the getter of its classes, whose values at F(x, y, z) hold its candidates' orbits, and
-    per form a dict (read only) from a class row's k0 to the bits 1 << i of its lifts i."""
+def _lift_rows(p: int) -> tuple[tuple, tuple[itemgetter, ...], tuple[dict, dict], tuple]:
+    """(rows, lifts, masks, probe): one digit row per Frobenius class of the lifts' rows,
+    per lift the getter of its classes, whose values at F(x, y, z) hold its candidates'
+    orbits, per form a dict (read only) from a class row's k0 to the bits 1 << i of its
+    lifts i, and the constants `arith.row_mask` reads for those dicts."""
     index: dict[tuple[int, int, int, int], int] = {}
     lifts, masks = [], ({}, {})
     for i in range(3):
@@ -110,7 +113,7 @@ def _lift_rows(p: int) -> tuple[tuple, tuple[itemgetter, ...], tuple[dict, dict]
         lifts.append(itemgetter(*(index.setdefault(row, len(index)) for row in rows)))
         for form, k0, _, _ in rows:
             masks[form][k0] = masks[form].get(k0, 0) | 1 << i
-    return tuple(index), tuple(lifts), masks
+    return tuple(index), tuple(lifts), masks, mask_probe(p, masks)
 
 
 # the candidate orbit sets of the lifts, in LIFT_KINDS order, and their
@@ -118,7 +121,7 @@ def _lift_rows(p: int) -> tuple[tuple, tuple[itemgetter, ...], tuple[dict, dict]
 # test_large_span_lifts_pass_the_gap_check shows their gaps hold
 @lru_cache(maxsize=MEMO_SIZE)
 def _intersection_data(p: int, coords: tuple) -> tuple[tuple[int, ...], ...]:
-    rows, (get_ps, get_cusp, get_cusp_dual), _ = _lift_rows(p)
+    rows, (get_ps, get_cusp, get_cusp_dual), _, _ = _lift_rows(p)
     reps = row_reps(p, rows, *coords)
     ps, cusp, cusp_dual = set(get_ps(reps)), set(get_cusp(reps)), set(get_cusp_dual(reps))
     return (tuple(sorted(ps)), tuple(sorted(cusp)), tuple(sorted(cusp_dual)),
@@ -162,16 +165,18 @@ def are_consistent(p: int, points, rep: int) -> list[bool]:
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     """Decide whether modularity of w is consistent with the type t.  The
     verdict is a hit test that builds no orbit set and fills no per-weight
-    memo: at large span the lifts' mask probe, as `are_consistent` reads it,
-    and at small span `predicted.is_member`; the report's evidence is built
-    when read."""
+    memo: at large span one call of the lifts' mask probe `arith.row_mask`,
+    read as `are_consistent` reads it, and at small span `predicted.is_member`;
+    the report's evidence is built when read."""
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
     rep = t.orbit_rep()
     p, coords = w.p, w.coords
     branch = _branch_of(p, coords)
     if branch == BRANCH_INTERSECTION:
-        hit = row_masks(p, _lift_rows(p)[2], (coords,), rep)[0] == 0b111
+        probe = _lift_rows(p)[3]
+        x, y, z = coords
+        hit = row_mask(probe, rep, x, y, z) == 0b111
     else:
         # the types tau(xi, (x+2, y+1, z)); small span lies in the strip
         hit = is_member(p, coords, rep)

@@ -5,9 +5,10 @@ is decided by comparing the type against tau(xi, (x+2, y+1, z)) for the
 two order-3 cycles, and additionally against tau(xi, (z+p, y+1, x-p+2))
 when x - z exceeds p - 2.  For generic parameters the resulting set has
 exactly nine classes, organised in three cyclically related families.
-The comparisons are the per-prime membership digit rows: `are_members`
-tests one type's orbit against them at a batch of weights (`is_member` is
-its one-point call), and every verdict, `eliminate`'s small-span one
+The comparisons are the per-prime membership digit rows: the one-point
+kernel `_member` tests a type's orbit against them at one weight, over
+per-prime constants read once; `is_member` calls it, `are_members` maps it
+over a batch of weights, and every verdict, `eliminate`'s small-span one
 included, is that hit test.  `membership_reps` reduces the rows to the
 orbit set a type must hit, memoized per weight: evidence for the sweeps,
 read by no verdict.  One closed-form solve of the membership rows answers
@@ -47,11 +48,15 @@ def _mu(x: int, y: int, z: int, p: int, high: bool) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _membership_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
-    """The exponent of F(x, y, z) on each of MEMBERSHIP_ROWS, as digit rows
-    and scales (`arith.digit_rows`)."""
-    return digit_rows(p, lambda v: [tau_exponent(xi, _mu(*v, p, high), p)
-                                    for xi, high in MEMBERSHIP_ROWS])
+def _membership_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...],
+                                      tuple[int, ...]]:
+    """(rows, scales, k): the exponent of F(x, y, z) on each of MEMBERSHIP_ROWS,
+    as digit rows and scales (`arith.digit_rows`), and the constants `_member`
+    reads, flat: p, p^2, p^3 - 1, p - 3, p - 2 and each row's form and k0."""
+    rows, scales = digit_rows(p, lambda v: [tau_exponent(xi, _mu(*v, p, high), p)
+                                            for xi, high in MEMBERSHIP_ROWS])
+    k = (p, p * p, p**3 - 1, p - 3, p - 2, *(c for row in rows for c in row[:2]))
+    return rows, scales, k
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -59,8 +64,8 @@ def membership_reps(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
     """Orbit set (sorted, distinct) a type must hit for the weight to be
     predicted: the per-prime table `_membership_rows`, its upper two rows
     only when x - z > p - 2, evaluated at (x, y, z) in one `row_reps` call.
-    It serves evidence and the sweeps only: no verdict reads it, as
-    `are_members` answers `rep in membership_reps(p, coords)` itself.
+    It serves evidence and the sweeps only: no verdict reads it, as the
+    hit test `_member` answers `rep in membership_reps(p, coords)` itself.
     Below the wall mu = (x+2, y+1, z) is strictly decreasing of span at most
     p, so by tame rigidity (`sweeps.sweep_tame`) its two rows never collide."""
     x, y, z = coords
@@ -79,32 +84,43 @@ def is_predicted(w: WeightClass, t: TameType) -> bool:
     return is_member(w.p, w.coords, t.orbit_rep())
 
 
+def _member(k, orbit, x: int, y: int, z: int) -> bool:
+    """The membership hit test at F(x, y, z): the strip check, then whether a
+    membership row (the upper two only when x - z > p - 2) is valued in
+    orbit, which holds the type's orbit triple.  k is `_membership_rows(p)[2]`.
+    A row hits when its digit-row value f + k0 lies in {rep, p*rep, p^2*rep},
+    so the answer is `rep in membership_reps(p, coords)` without reducing a
+    row, sorting an orbit set or adding a memo entry."""
+    p, pp, e, top, wall, fa, ka, fb, kb, fc, kc, fd, kd = k
+    if not (x - y <= top and y - z <= top):
+        raise ValueError(f"F({x},{y},{z}) has a difference above p-3;"
+                         " membership is undefined there")
+    forms = (x + p * y + pp * z, x + pp * y + p * z)
+    return ((forms[fa] + ka) % e in orbit or (forms[fb] + kb) % e in orbit
+            or x - z > wall and ((forms[fc] + kc) % e in orbit
+                                 or (forms[fd] + kd) % e in orbit))
+
+
+def _orbit(k, rep: int) -> tuple[int, int, int]:
+    """The orbit triple (rep, p*rep, p^2*rep) mod p^3 - 1 of rep; k is `_member`'s."""
+    e = k[2]
+    return rep, rep * k[0] % e, rep * k[1] % e
+
+
 def is_member(p: int, coords: tuple[int, int, int], rep: int) -> bool:
     """`is_predicted` for F(coords) and the type of orbit representative
-    rep, past its entry checks: the one-point call of `are_members`."""
-    return are_members(p, (coords,), rep)[0]
+    rep, past its entry checks: one call of the hit test `_member`."""
+    k = _membership_rows(p)[2]
+    x, y, z = coords
+    return _member(k, _orbit(k, rep), x, y, z)
 
 
 def are_members(p: int, points, rep: int) -> list[bool]:
     """`is_member` at each of points, in order, for one orbit's least member
-    rep: the strip check, then a hit test of the membership rows (the upper
-    two only when x - z > p - 2).  A row hits when its digit-row value
-    f + k0 lies in {rep, p*rep, p^2*rep}, so the answer is
-    `rep in membership_reps(p, coords)` without reducing a row, sorting an
-    orbit set or adding a memo entry."""
-    e, pp = p**3 - 1, p * p
-    orbit = {rep, rep * p % e, rep * pp % e}
-    (fa, ka, _, _), (fb, kb, _, _), (fc, kc, _, _), (fd, kd, _, _) = _membership_rows(p)[0]
-    out = []
-    for x, y, z in points:
-        if not (x - y <= p - 3 and y - z <= p - 3):
-            raise ValueError(f"F({x},{y},{z}) has a difference above p-3;"
-                             " membership is undefined there")
-        forms = (x + p * y + pp * z, x + pp * y + p * z)
-        out.append((forms[fa] + ka) % e in orbit or (forms[fb] + kb) % e in orbit
-                   or x - z > p - 2 and ((forms[fc] + kc) % e in orbit
-                                         or (forms[fd] + kd) % e in orbit))
-    return out
+    rep: the hit test `_member` mapped over the points."""
+    k = _membership_rows(p)[2]
+    orbit = set(_orbit(k, rep))
+    return [_member(k, orbit, x, y, z) for x, y, z in points]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -115,14 +131,14 @@ def _solvers(p: int) -> tuple[tuple[int, int, int, int, int], ...]:
     (g2, g1) on form 0 (u = 1, s = p+1), and (g1, g2) on form 1 (u = p+1,
     s = p^2+1, as -p(p+1) = 1); least is the least x - z of the row."""
     e = p**3 - 1
-    rows, scales = _membership_rows(p)
+    rows, scales, _ = _membership_rows(p)
     return tuple((scale * q % e, k0, p + 1 if form else 1, p * p + 1 if form else p + 1,
                   p - 1 if high else 0)
                  for (form, k0, _, _), scale, (_, high) in zip(rows, scales, MEMBERSHIP_ROWS)
                  for q in (1, p, p * p))
 
 
-def _solutions(p: int, n: int, solvers):
+def _solutions(p: int, n: int, solvers) -> list[tuple[int, int, int]]:
     """Each solver's F(x, y, z), 0 <= z <= p-2, with q*n on its digit row,
     when x - y and y - z are at most top = p-3 (the strip) and x - z at least
     least.  A step in z adds p^2+p+1, so (x - y, y - z) solve one congruence
@@ -130,13 +146,15 @@ def _solutions(p: int, n: int, solvers):
     where it stays below (p+2)(p-3) < p^2+p+1: no other strip weight has q*n."""
     c2 = p * p + p + 1
     e, base, top = c2 * (p - 1), p + 1, p - 3
+    found = []
     for q, k0, u, s, least in solvers:
         m = n * q - k0
         g, h = divmod(m * u % c2, base)
         g1, g2 = (h, g) if u == 1 else (g, h)
         if g1 <= top and g2 <= top and g1 + g2 >= least:
             z = (m - g1 - s * g2) % e // c2
-            yield g1 + g2 + z, g2 + z, z
+            found.append((g1 + g2 + z, g2 + z, z))
+    return found
 
 
 def enumerate_predicted(t: TameType) -> PredictedSet:
@@ -148,7 +166,7 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
     12 solves read only the representative.
     """
     p, rep = t.p, t.orbit_rep()
-    found = frozenset(WeightClass._make((p, 3, xyz)) for xyz in _solutions(p, rep, _solvers(p)))
+    found = frozenset([WeightClass._make((p, 3, xyz)) for xyz in _solutions(p, rep, _solvers(p))])
     return PredictedSet._make((p, found, t))
 
 

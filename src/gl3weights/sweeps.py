@@ -5,17 +5,16 @@ seeded-random instances and reports machine-readable counterexamples.
 A randomized suite checks one instance per call, and instance i of a
 run draws from `random.Random(f"{seed}:{i}")`, so a run is a pure
 function of (suite, p, seed, count) however many processes share it.
+Each suite imports the layers it checks when it runs, so a run loads only
+those (and `fractions` only for `slopes`).
 """
 
 from __future__ import annotations
 
 import os
 import random
-from fractions import Fraction
 
-from . import arith, breuil, cycling, elimination, induction, predicted, slopes
-from . import tame_types as tt
-from . import weights as wt
+from . import arith
 
 
 def _fail(failures: list[dict], **kw) -> None:
@@ -67,15 +66,13 @@ def sweep_orbits(rng: random.Random, p: int, failures: list[dict]) -> None:
         _fail(failures, u=u, reason="embedded class must have niveau 1")
 
 
-def _random_weight(rng: random.Random, p: int) -> wt.WeightClass:
+def sweep_weights(rng: random.Random, p: int, failures: list[dict]) -> None:
+    from . import weights as wt
+
     z = rng.randrange(p - 1)
     g1 = rng.randrange(p)
     g2 = rng.randrange(p)
-    return wt.canonicalize((z + g1 + g2, z + g2, z), p)
-
-
-def sweep_weights(rng: random.Random, p: int, failures: list[dict]) -> None:
-    w = _random_weight(rng, p)
+    w = wt.canonicalize((z + g1 + g2, z + g2, z), p)
     shift = rng.randrange(-3, 4) * (p - 1)
     again = wt.canonicalize(tuple(c + shift for c in w.coords), p)
     if again != w:
@@ -100,6 +97,8 @@ def sweep_weights(rng: random.Random, p: int, failures: list[dict]) -> None:
 
 
 def sweep_tame(rng: random.Random, p: int, failures: list[dict]) -> None:
+    from . import tame_types as tt
+
     e = p**3 - 1
     c = rng.randrange(-p, p)
     g1 = rng.randrange(1, p)
@@ -135,6 +134,8 @@ def sweep_tame(rng: random.Random, p: int, failures: list[dict]) -> None:
 
 
 def sweep_breuil(rng: random.Random, p: int, failures: list[dict]) -> None:
+    from . import breuil
+
     m = breuil.random_module(rng, p, 3, 2)
     try:
         shifts = [breuil.fractional_shift(m, i) for i in range(m.d)]
@@ -164,6 +165,8 @@ def _random_table_triple(rng: random.Random, p: int) -> tuple[int, int, int]:
 
 
 def sweep_candidates(rng: random.Random, p: int, failures: list[dict]) -> None:
+    from . import breuil
+
     g1 = rng.randrange(3, p - 6)
     g2 = rng.randrange(3, p - 3 - g1)
     c = rng.randrange(-p, p)
@@ -178,6 +181,8 @@ def sweep_candidates(rng: random.Random, p: int, failures: list[dict]) -> None:
 
 
 def sweep_predicted(rng: random.Random, p: int, failures: list[dict]) -> None:
+    from . import predicted, tame_types as tt, weights as wt
+
     if p >= 19:
         a, b, c = _random_table_triple(rng, p)
         table = predicted.nine_weight_table(a, b, c, p)
@@ -210,6 +215,8 @@ def sweep_elimination(rng: random.Random, p: int, failures: list[dict]) -> None:
     are eliminated, so a share is drawn from the evidence: at small span half
     from the membership set, at large span a third from the intersection and
     a third from one lift's set less the intersection; the rest uniformly."""
+    from . import elimination, predicted, tame_types as tt, weights as wt
+
     z = rng.randrange(p - 1)
     small = rng.random() < 0.5
     g1 = rng.randrange(p - 3) if small else rng.randrange(8, p - 5)
@@ -241,6 +248,8 @@ def sweep_elimination(rng: random.Random, p: int, failures: list[dict]) -> None:
 
 
 def sweep_cycling(rng: random.Random, p: int, failures: list[dict]) -> None:
+    from . import cycling, predicted, tame_types as tt, weights as wt
+
     a, b, c = _random_table_triple(rng, p)
     table = predicted.nine_weight_table(a, b, c, p)
     t = table.source if rng.random() < 0.5 else tt.dual_twist(table.source, 2)
@@ -254,6 +263,9 @@ def sweep_cycling(rng: random.Random, p: int, failures: list[dict]) -> None:
 
 
 def sweep_slopes(rng: random.Random, p: int, failures: list[dict]) -> None:
+    from fractions import Fraction
+    from . import induction, slopes
+
     del p
     n = rng.randrange(2, 5)
     f = rng.randrange(1, 4)

@@ -230,8 +230,8 @@ def package_tables(p):
         return [tau_exponent(xi, (z + p, y + 1, x - p + 2) if high else (x + 2, y + 1, z), p)
                 for xi, high in predicted.MEMBERSHIP_ROWS]
 
-    yield (affine_rows(membership), *predicted._membership_rows(p))
-    rows, lifts, _ = elimination._lift_rows(p)
+    yield (affine_rows(membership), *predicted._membership_rows(p)[:2])
+    rows, lifts, *_ = elimination._lift_rows(p)
     for i, lift in enumerate(lifts):
         yield (affine_rows(lambda v: candidate_exponents(elimination._lifts(p, v)[i])),
                lift(rows), None)
@@ -328,17 +328,17 @@ def test_digit_row_tables_are_one_template_at_every_prime():
     # prime below 2^16, is what the uncached builders derive there.  At p = 5
     # and 7 some shift has more than one reading, but the template read at 11
     # evaluates to their tables all the same, so they need no case of their own
-    rows, getters, _ = elimination._lift_rows.__wrapped__(11)
+    rows, getters, *_ = elimination._lift_rows.__wrapped__(11)
     lift_template = [(form, signed_digits(11, k)) for form, k, _, _ in rows]
     classes = [get(range(len(rows))) for get in getters]
-    member_rows, scales = predicted._membership_rows.__wrapped__(11)
+    member_rows, scales, _ = predicted._membership_rows.__wrapped__(11)
     member_template = [(form, signed_digits(11, k)) for form, k, _, _ in member_rows]
     powers = [(1, 11, 121).index(q) for q in scales]
     # the determinant condition: every row's shifts sum to 3
     assert all(sum(d) == 3 for _, d in lift_template + member_template)
     for p in (p for p in range(5, P_LIMIT) if is_prime(p)):
-        rows, getters, _ = elimination._lift_rows.__wrapped__(p)
+        rows, getters, *_ = elimination._lift_rows.__wrapped__(p)
         assert rows == evaluate_template(p, lift_template), p
         assert [get(range(len(rows))) for get in getters] == classes, p
         want = (evaluate_template(p, member_template), tuple(p**j for j in powers))
-        assert predicted._membership_rows.__wrapped__(p) == want, p
+        assert predicted._membership_rows.__wrapped__(p)[:2] == want, p

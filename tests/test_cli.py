@@ -488,6 +488,33 @@ def test_conflicting_or_unknown_parameters_are_usage_errors(capsys, argv, comman
     assert outcome(capsys, ["query"], envelope(command, params)) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--p", "2_9", "--orbit-rep", "2391"],
+    ["predict", "--p", "\uff12\uff19", "--orbit-rep", "2391"],  # full-width 29
+    ["predict", "--p", "29", "--orbit-rep", "2_391"],
+    ["dims", "--p", "29", "--F", "1_5,8,0"],
+    ["dims", "--p", "29", "--F", "15,\uff18,0"],
+    ["dims", "--p", "+29", "--F", "15,8,0"],
+    ["dims", "--p", " 29", "--F", "15,8,0"],
+    ["dims", "--p", "29", "--F", "15, 8,0"],
+    ["dims", "--p", "29", "--F", "15,8,0 "],
+    ["dims", "--p", "29", "--F", "15,8,"],
+    ["dims", "--p", "-", "--F", "15,8,0"],
+    ["dims", "--p", "29", "--F", "15,8,\u00b2"],  # superscript two
+    ["decompose", "--n", "9" * 5000, "--p", "7"],
+    ["breuil", "--p", "7", "--heights", "684,684,6_84", "--k0", "100"],
+    ["sweep", "--suite", "weights", "--count", "1_0"],
+])
+def test_integer_flags_take_only_ascii_digits(capsys, argv):
+    # the envelope takes only JSON integers, so a flag takes only -?[0-9]+:
+    # int() alone would read "2_9" and full-width digits as 29
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "must be" in captured.err
+
+
 def test_unknown_envelope_key_is_usage_error(capsys):
     doc = {"version": 1, "command": "decompose", "params": {"n": 10, "p": 7}, "parms": {}}
     assert outcome(capsys, ["query"], json.dumps(doc)) == (2, "")

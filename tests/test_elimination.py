@@ -7,7 +7,7 @@ import re
 import pytest
 
 from gl3weights import breuil, elimination, predicted
-from gl3weights.arith import P_LIMIT, is_prime, orbit_rep, row_masks
+from gl3weights.arith import P_LIMIT, is_prime, orbit_rep, row_mask, row_masks
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
@@ -27,7 +27,7 @@ from gl3weights.elimination import (
     intersection_sets,
     is_consistent,
 )
-from gl3weights.predicted import are_members, is_predicted, membership_reps
+from gl3weights.predicted import are_members, is_member, is_predicted, membership_reps
 from gl3weights.tame_types import XI_123, XI_132, tau, type_from_exponent
 from gl3weights.weights import weight
 
@@ -115,7 +115,7 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     assert derived == [29, 29, 29] and evaluated == [14]
     # the tables are evaluated at plain field tuples: no lift is built
     assert lifts == []
-    rows, getters, _ = elimination._lift_rows(29)
+    rows, getters, *_ = elimination._lift_rows(29)
     assert len(rows) == 14 and {form for form, *_ in rows} == {0, 1}
     classes = [set(get(range(14))) for get in getters]
     assert [len(c) for c in classes] == [6, 10, 10] and len(set.intersection(*classes)) == 4
@@ -172,7 +172,8 @@ def test_a_type_scan_batch_fills_no_evidence_memo():
     # 50 seeded operations shaped like the type-scan workload at p = 53:
     # predict a type's weights, then eliminate each against the type and one
     # other.  Every verdict is a hit test, so neither orbit-set memo gains an
-    # entry, on both branches and for both verdicts
+    # entry, on both branches and for both verdicts, and each per-prime table
+    # the verdicts and the enumeration read is built once
     p = 53
     rng = random.Random("type-scan batch")
     types = []
@@ -181,7 +182,8 @@ def test_a_type_scan_batch_fills_no_evidence_memo():
         if t.is_irreducible() and t not in types:
             types.append(t)
     memos = (predicted.membership_reps, elimination._intersection_data)
-    for memo in memos:
+    per_prime = (predicted._membership_rows, predicted._solvers, elimination._lift_rows)
+    for memo in memos + per_prime:
         memo.cache_clear()
     seen = set()
     for t, other in zip(types, types[1:]):
@@ -196,6 +198,7 @@ def test_a_type_scan_batch_fills_no_evidence_memo():
                     for verdict in (CONSISTENT, ELIMINATED)}
     infos = [memo.cache_info() for memo in memos]
     assert [(i.hits, i.misses, i.currsize) for i in infos] == [(0, 0, 0)] * 2
+    assert [memo.cache_info().misses for memo in per_prime] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("p", [29, 53, 65521])
@@ -249,7 +252,7 @@ def test_lift_masks_match_the_getters_at_every_prime():
     # 14 keys, 7 per form, no two class rows on one key, and the lifts own
     # 6, 10 and 10 of them, 4 shared by all three, at every prime below 2^16
     for p in (p for p in range(5, P_LIMIT) if is_prime(p)):
-        rows, getters, masks = elimination._lift_rows.__wrapped__(p)
+        rows, getters, masks, _ = elimination._lift_rows.__wrapped__(p)
         classes = [set(get(range(len(rows)))) for get in getters]
         owners = [sum(1 << i for i, c in enumerate(classes) if k in c) for k in range(len(rows))]
         want = ({}, {})
@@ -482,7 +485,9 @@ def test_batched_kernels_match_the_orbit_sets():
     # x - z = p - 2, and are_consistent against the orbit sets, on both
     # regimes (membership_reps at small span, the lifts' intersection at
     # large span), point by point, for seeded representatives and for
-    # members of the points' own orbit sets (so that some points hit)
+    # members of the points' own orbit sets (so that some points hit).  The
+    # one-point answers, is_member, is_consistent and eliminate's verdict,
+    # equal the batch answers at every point
     for p in kernel_primes():
         rng = random.Random(f"batched kernels:{p}")
         e, c2 = p**3 - 1, p * p + p + 1
@@ -498,6 +503,7 @@ def test_batched_kernels_match_the_orbit_sets():
         for rep in sorted(seeded | set(rng.sample(sorted(members), 6))):
             got = are_members(p, strip, rep)
             assert got == [rep in membership_reps(p, v) for v in strip], (p, rep)
+            assert [is_member(p, v, rep) for v in strip] == got, (p, rep)
         survivors = {rep for v in small for rep in membership_reps(p, v)}
         survivors |= {rep for v in large
                       for rep in intersection_sets(weight(p, *v))[3]}
@@ -505,7 +511,13 @@ def test_batched_kernels_match_the_orbit_sets():
         for rep in sorted(seeded | set(rng.sample(sorted(survivors), 6))):
             want = [rep in membership_reps(p, v) for v in small]
             want += [rep in intersection_sets(weight(p, *v))[3] for v in large]
-            assert are_consistent(p, regimes, rep) == want, (p, rep)
+            got = are_consistent(p, regimes, rep)
+            assert got == want, (p, rep)
+            assert [is_consistent(p, v, rep) for v in regimes] == got, (p, rep)
+            if rep % c2:  # an irreducible type's
+                t = type_from_exponent(p, rep)
+                assert [eliminate(weight(p, *v), t).verdict == CONSISTENT
+                        for v in regimes] == got, (p, rep)
             hits += sum(want)
         assert hits, p
 
@@ -514,19 +526,21 @@ def test_the_lift_probe_matches_the_built_lifts():
     # row_masks over the lift masks against the lift_hits oracle, which
     # builds each lift and reduces its candidates, at seeded large-span
     # points per prime, for the reps of the points' lift sets (so lifts hit
-    # alone and together) and seeded ones; are_consistent reads "all three
+    # alone and together) and seeded ones, batched and one point at a time
+    # (row_mask, as eliminate calls it); are_consistent reads "all three
     # bits" there
     seen = set()
     for p in kernel_primes():
         rng = random.Random(f"lift probe:{p}")
         large = kernel_points(p, rng)[3]
         assert large or p < 17, p
-        masks = elimination._lift_rows(p)[2]
+        masks, probe = elimination._lift_rows(p)[2:]
         reps = {rep for v in large for rep in set().union(*intersection_sets(weight(p, *v))[:3])}
         reps.update(orbit_rep(p, rng.randrange(p**3 - 1)) for _ in range(3))
         for rep in sorted(reps):
             want = [lift_hits(p, v, rep) for v in large]
             assert row_masks(p, masks, large, rep) == want, (p, rep)
+            assert [row_mask(probe, rep, *v) for v in large] == want, (p, rep)
             assert are_consistent(p, large, rep) == [bits == 0b111 for bits in want], (p, rep)
             seen.update(want)
     # every pattern but the principal series alone, whose set lies in the

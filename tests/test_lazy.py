@@ -26,7 +26,10 @@ COMMAND_LAYERS = [
      {"arith", "breuil"}),
     (["cycle", "--p", "29", "--start", "15,8,0", *TYPE], CYCLE_LAYERS),
     (["cycle", "--p", "29", "--start", "15,8,0", *TYPE, "--dot"], CYCLE_LAYERS),
-    (["sweep", "--suite", "slopes", "--count", "2"], EVERY_LAYER),
+    # a sweep loads the layers of its suite only, and fractions only for slopes
+    (["sweep", "--suite", "slopes", "--count", "2"],
+     {"arith", "weights", "induction", "slopes", "sweeps"}),
+    (["sweep", "--count", "2", "--suite", "weights"], {"arith", "weights", "sweeps"}),
 ]
 
 PROBE = """
@@ -57,7 +60,7 @@ def test_command_loads_only_its_layers(argv, layers):
     seen = json.loads(proc.stderr.splitlines()[-1])
     assert seen["code"] == 0
     assert set(seen["layers"]) == layers
-    assert seen["fractions"] == (argv[0] == "sweep")
+    assert seen["fractions"] == (argv[:3] == ["sweep", "--suite", "slopes"])
     assert seen["record machinery"] == []
 
 
