@@ -15,8 +15,7 @@ table's values at a point to their Frobenius orbits' least members, and
 point, reducing none (`row_masks` maps it over a batch), over per-prime
 constants read flat from one tuple (`mask_probe`) that its caller builds
 once per prime.  An orbit set is a sorted tuple of distinct
-representatives (`row_reps` sorted, deduplicated where rows can share an
-orbit), so a memo value holds nothing the collector tracks.
+representatives: `row_reps` sorted and deduplicated.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from functools import lru_cache
 SUPPORTED_NIVEAUX = (1, 2, 3)
 # exclusive upper bound on the characteristic p
 P_LIMIT = 2**16
-# entry bound of the package's memos.  A benchmark pass fills each per-prime
-# memo with at most 2 entries, membership_reps and _intersection_data with
-# none, and cycling's _frame with 195 of its own 512
+# entry bound of is_prime and the per-prime memos (cycling's _frame has its
+# own 512).  A benchmark pass fills each per-prime memo with at most 2 entries,
+# and _frame with 195
 MEMO_SIZE = 2**15
 
 DIVISIBLE = "divisible"

@@ -14,7 +14,14 @@ character of a module with d = 3, r = 2, k_0 a digit order of (a, b, c)
 and heights h*e, h in {0, 1, 2}^3.  As p = 1 mod p - 1, a candidate and
 its digits are a + b + c + h_0 + h_1 + h_2 mod p - 1, and every h sums to
 3, the determinant condition: hence acceptance 7's digit sum a + b + c + 3.
-Which vectors of sum 3 each (kind, digit order) admits is not derived here.
+Which vectors of sum 3 each (kind, digit order) admits is not derived here,
+but at the large-span lifts of F(x, y, z) (`elimination`) rows 4, 1, 4 of
+(principal series, cuspidal, cuspidal dual) give, up to a power of p,
+`predicted`'s membership row ((1 2 3), low); rows 1, 4, 1 give ((1 3 2),
+low), rows 5, 6, 0 ((1 2 3), high) and rows 2, 0, 6 ((1 3 2), high), and
+acceptance 5's identity fixes these twelve.  The other rows shape only the
+`lift_sets` evidence, which the tests pin only through a second, hand-written
+transcription (tests/oracles.py) and through frozen outputs.
 """
 
 from __future__ import annotations

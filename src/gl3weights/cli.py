@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from .cycling import CyclingGraph
     from .tame_types import TameType
-    from .weights import WeightClass
 
 SCHEMA_VERSION = 1
 
@@ -45,10 +44,6 @@ def _build_type(spec: dict, p: int) -> TameType:
     if "orbit_rep" in spec:
         return type_from_exponent(p, spec["orbit_rep"])
     return tau(spec["xi"], spec["mu"], p)
-
-
-def _weight_doc(w: WeightClass) -> list[int]:
-    return list(w.coords)
 
 
 def _type_doc(t: TameType) -> dict:
@@ -73,7 +68,7 @@ def handle_dims(params: dict) -> dict:
 
     p = params["p"]
     w = canonicalize(params["weight"], p)
-    return {"p": p, "F": _weight_doc(w), "dim": dim_weight(w), "alcove": alcove(w)}
+    return {"p": p, "F": list(w.coords), "dim": dim_weight(w), "alcove": alcove(w)}
 
 
 def handle_predict(params: dict) -> dict:
@@ -85,7 +80,7 @@ def handle_predict(params: dict) -> dict:
     return {
         "p": p,
         "type": _type_doc(t),
-        "weights": [_weight_doc(w) for w in pred.sorted_weights()],
+        "weights": [list(w.coords) for w in pred.sorted_weights()],
     }
 
 
@@ -99,7 +94,7 @@ def handle_eliminate(params: dict) -> dict:
     report = eliminate(w, t)
     doc: dict[str, Any] = {
         "p": p,
-        "F": _weight_doc(w),
+        "F": list(w.coords),
         "type": _type_doc(t),
         "branch": report.branch,
         "verdict": report.verdict,
@@ -116,26 +111,26 @@ def _graph_doc(g: CyclingGraph) -> dict:
         "p": g.p,
         "case": g.case,
         "params": list(g.params),
-        "start": _weight_doc(g.start),
+        "start": list(g.start.coords),
         "status": g.status,
         "stuck": None if g.stuck_node is None else {
-            "node": _weight_doc(g.stuck_node), "reason": g.stuck_reason,
+            "node": list(g.stuck_node.coords), "reason": g.stuck_reason,
         },
-        "nodes": sorted(_weight_doc(w) for w in g.nodes),
+        "nodes": sorted(list(w.coords) for w in g.nodes),
         "edges": [
-            {"from": _weight_doc(u), "to": _weight_doc(v), "op": j}
+            {"from": list(u.coords), "to": list(v.coords), "op": j}
             for u, v, j in sorted(
                 g.edges, key=lambda e: (e[0].coords, e[1].coords, e[2])
             )
         ],
         "non_singletons": [
-            {"at": _weight_doc(w), "op": j, "members": [_weight_doc(v) for v in vs]}
+            {"at": list(w.coords), "op": j, "members": [list(v.coords) for v in vs]}
             for w, j, vs in sorted(
                 g.non_singletons, key=lambda s: (s[0].coords, s[1])
             )
         ],
         "families": [
-            {"F": _weight_doc(w), "family": name} for w, name in g.families
+            {"F": list(w.coords), "family": name} for w, name in g.families
         ],
     }
 

@@ -21,13 +21,12 @@ At large span all three lifts must hit the type's orbit: six probes of the
 dicts a weight, building no set.  At small span the verdict is the
 membership hit test of tau(xi, (x+2, y+1, z)), so every verdict is a hit
 test and none reduces a row.  `eliminate` decides one weight so, by one
-call of `row_mask` or of `predicted.is_member`, and its report reads the
-lifts' orbit sets, memoized per weight (`_intersection_data`, the one set
-computation, behind `intersection_sets`), only when its evidence is read;
-`are_consistent` gives the bare verdict for one type at a batch of weights
-(`is_consistent` is its one-point call): one `arith.row_masks` call, which
-maps `row_mask`, for its large-span weights, and one `predicted.are_members`
-call for its small-span ones.
+call of `row_mask` or of `predicted.is_member`, and its report computes the
+lifts' orbit sets (`intersection_sets`, the one set computation) only when
+its evidence is read; `are_consistent` gives the bare verdict for one type
+at a batch of weights: one `arith.row_masks` call, which maps `row_mask`,
+for its large-span weights, and one `predicted.are_members` call for its
+small-span ones.
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ class UnsupportedWeight(ValueError):
 class EliminationReport(Record):
     """A verdict and its evidence: lift_sets ((kind, candidate orbit set) per
     lift) and intersection are None on the crystalline branch.  Both are
-    functions of the weight, so they are not fields: each read takes the
-    orbit sets from the `_intersection_data` memo, and only a read builds
-    them; the repr still prints them after the fields."""
+    functions of the weight, so they are not fields: each read computes the
+    orbit sets by `intersection_sets`, and only a read builds them; the repr
+    still prints them after the fields."""
 
     __slots__ = ()
     _fields = ("weight", "source", "branch", "verdict", "matched_orbit")
@@ -66,13 +65,13 @@ class EliminationReport(Record):
     def lift_sets(self) -> tuple[tuple[str, tuple[int, ...]], ...] | None:
         if self.branch != BRANCH_INTERSECTION:
             return None
-        return tuple(zip(LIFT_KINDS, _intersection_data(self.weight.p, self.weight.coords)))
+        return tuple(zip(LIFT_KINDS, intersection_sets(self.weight)))
 
     @property
     def intersection(self) -> tuple[int, ...] | None:
         if self.branch != BRANCH_INTERSECTION:
             return None
-        return _intersection_data(self.weight.p, self.weight.coords)[3]
+        return intersection_sets(self.weight)[3]
 
     def __repr__(self) -> str:
         return (f"{Record.__repr__(self)[:-1]}, lift_sets={self.lift_sets!r}, "
@@ -116,39 +115,27 @@ def _lift_rows(p: int) -> tuple[tuple, tuple[itemgetter, ...], tuple[dict, dict]
     return tuple(index), tuple(lifts), masks, mask_probe(p, masks)
 
 
-# the candidate orbit sets of the lifts, in LIFT_KINDS order, and their
-# intersection.  No lift is built, so none is gap-checked;
-# test_large_span_lifts_pass_the_gap_check shows their gaps hold
-@lru_cache(maxsize=MEMO_SIZE)
-def _intersection_data(p: int, coords: tuple) -> tuple[tuple[int, ...], ...]:
-    rows, (get_ps, get_cusp, get_cusp_dual), _, _ = _lift_rows(p)
-    reps = row_reps(p, rows, *coords)
+def intersection_sets(w: WeightClass) -> tuple[tuple[int, ...], ...]:
+    """Candidate orbit sets of the three large-span lifts at w, in LIFT_KINDS
+    order, and their intersection: one `row_reps` call over the class rows,
+    read through each lift's getter.  No lift is built, so none is
+    gap-checked; test_large_span_lifts_pass_the_gap_check shows their gaps hold."""
+    if _branch_of(w.p, w.coords) != BRANCH_INTERSECTION:
+        raise UnsupportedWeight(f"{w} is not in the large-span regime")
+    rows, (get_ps, get_cusp, get_cusp_dual), _, _ = _lift_rows(w.p)
+    reps = row_reps(w.p, rows, *w.coords)
     ps, cusp, cusp_dual = set(get_ps(reps)), set(get_cusp(reps)), set(get_cusp_dual(reps))
     return (tuple(sorted(ps)), tuple(sorted(cusp)), tuple(sorted(cusp_dual)),
             tuple(sorted(ps.intersection(cusp, cusp_dual))))
 
 
-def intersection_sets(w: WeightClass) -> tuple[tuple[int, ...], ...]:
-    """Candidate orbit sets of the three large-span lifts at w, and their intersection."""
-    if _branch_of(w.p, w.coords) != BRANCH_INTERSECTION:
-        raise UnsupportedWeight(f"{w} is not in the large-span regime")
-    return _intersection_data(w.p, w.coords)
-
-
-def is_consistent(p: int, coords: tuple[int, int, int], rep: int) -> bool:
-    """The verdict of `eliminate` for F(coords) and the type of orbit
-    representative rep, past its entry checks: the one-point call of
-    `are_consistent`."""
-    return are_consistent(p, (coords,), rep)[0]
-
-
 def are_consistent(p: int, points, rep: int) -> list[bool]:
-    """`is_consistent` at each of points, in order, for one orbit's least
-    member rep; a point in neither regime raises `UnsupportedWeight`.  At
-    large span no set is built: the lifts with a class row valued in rep's
-    orbit (`arith.row_masks`) must be all three, as (form, k0) fixes a class
-    row.  The small-span points are answered by one `are_members` call,
-    the membership of tau(xi, (x+2, y+1, z))."""
+    """The verdict of `eliminate`, past its entry checks, at each of points,
+    in order, for the type of orbit representative rep; a point in neither
+    regime raises `UnsupportedWeight`.  At large span no set is built: the
+    lifts with a class row valued in rep's orbit (`arith.row_masks`) must be
+    all three, as (form, k0) fixes a class row.  One `are_members` call, the
+    membership of tau(xi, (x+2, y+1, z)), answers the small-span points."""
     small, large, flags = [], [], []
     for coords in points:
         if _branch_of(p, coords) == BRANCH_CRYSTALLINE:
@@ -164,10 +151,10 @@ def are_consistent(p: int, points, rep: int) -> list[bool]:
 
 def eliminate(w: WeightClass, t: TameType) -> EliminationReport:
     """Decide whether modularity of w is consistent with the type t.  The
-    verdict is a hit test that builds no orbit set and fills no per-weight
-    memo: at large span one call of the lifts' mask probe `arith.row_mask`,
-    read as `are_consistent` reads it, and at small span `predicted.is_member`;
-    the report's evidence is built when read."""
+    verdict is a hit test that builds no orbit set: at large span one call of
+    the lifts' mask probe `arith.row_mask`, read as `are_consistent` reads
+    it, and at small span `predicted.is_member`; the report's evidence is
+    built when read."""
     if w.p != t.p:
         raise ValueError("weight and type live over different characteristics")
     rep = t.orbit_rep()

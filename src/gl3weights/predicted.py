@@ -10,9 +10,11 @@ kernel `_member` tests a type's orbit against them at one weight, over
 per-prime constants read once; `is_member` calls it, `are_members` maps it
 over a batch of weights, and every verdict, `eliminate`'s small-span one
 included, is that hit test.  `membership_reps` reduces the rows to the
-orbit set a type must hit, memoized per weight: evidence for the sweeps,
+orbit set a type must hit, computed when read: evidence for the sweeps,
 read by no verdict.  One closed-form solve of the membership rows answers
-both inverse questions, `enumerate_predicted` and `table_parameters`.
+both inverse questions, `enumerate_predicted` and `table_parameters`; one
+per-prime table, `_membership_rows`, holds the rows and the constants of
+both the hit test and the solve.
 """
 
 from __future__ import annotations
@@ -49,32 +51,36 @@ def _mu(x: int, y: int, z: int, p: int, high: bool) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _membership_rows(p: int) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...],
-                                      tuple[int, ...]]:
-    """(rows, scales, k): the exponent of F(x, y, z) on each of MEMBERSHIP_ROWS,
-    as digit rows and scales (`arith.digit_rows`), and the constants `_member`
-    reads, flat: p, p^2, p^3 - 1, p - 3, p - 2 and each row's form and k0."""
+                                      tuple[int, ...], tuple[tuple[int, int, int, int, int], ...]]:
+    """(rows, scales, k, solvers): the exponent of F(x, y, z) on each of
+    MEMBERSHIP_ROWS, as digit rows and scales (`arith.digit_rows`), the
+    constants `_member` reads, flat: p, p^2, p^3 - 1, p - 3, p - 2 and each
+    row's form and k0, and the constants `_solutions` reads, (q, k0, u, s,
+    least) per row and power q of p, the row's scale first: on F(g1+g2+z,
+    g2+z, z) a digit row is g1 + s*g2 + k0 + z*(p^2+p+1), so the base-(p+1)
+    digits of (q*n-k0)*u mod p^2+p+1 are (g2, g1) on form 0 (u = 1, s = p+1),
+    and (g1, g2) on form 1 (u = p+1, s = p^2+1, as -p(p+1) = 1); least is the
+    least x - z of the row."""
+    e = p**3 - 1
     rows, scales = digit_rows(p, lambda v: [tau_exponent(xi, _mu(*v, p, high), p)
                                             for xi, high in MEMBERSHIP_ROWS])
-    k = (p, p * p, p**3 - 1, p - 3, p - 2, *(c for row in rows for c in row[:2]))
-    return rows, scales, k
+    k = (p, p * p, e, p - 3, p - 2, *(c for row in rows for c in row[:2]))
+    solvers = tuple((scale * q % e, k0, p + 1 if form else 1, p * p + 1 if form else p + 1,
+                     p - 1 if high else 0)
+                    for (form, k0, _, _), scale, (_, high) in zip(rows, scales, MEMBERSHIP_ROWS)
+                    for q in (1, p, p * p))
+    return rows, scales, k, solvers
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def membership_reps(p: int, coords: tuple[int, int, int]) -> tuple[int, ...]:
     """Orbit set (sorted, distinct) a type must hit for the weight to be
     predicted: the per-prime table `_membership_rows`, its upper two rows
     only when x - z > p - 2, evaluated at (x, y, z) in one `row_reps` call.
     It serves evidence and the sweeps only: no verdict reads it, as the
-    hit test `_member` answers `rep in membership_reps(p, coords)` itself.
-    Below the wall mu = (x+2, y+1, z) is strictly decreasing of span at most
-    p, so by tame rigidity (`sweeps.sweep_tame`) its two rows never collide."""
+    hit test `_member` answers `rep in membership_reps(p, coords)` itself."""
     x, y, z = coords
     rows = _membership_rows(p)[0]
-    if x - z > p - 2:
-        return tuple(sorted(set(row_reps(p, rows, x, y, z))))
-    reps = row_reps(p, rows[:2], x, y, z)
-    reps.sort()
-    return tuple(reps)
+    return tuple(sorted(set(row_reps(p, rows if x - z > p - 2 else rows[:2], x, y, z))))
 
 
 def is_predicted(w: WeightClass, t: TameType) -> bool:
@@ -90,7 +96,7 @@ def _member(k, orbit, x: int, y: int, z: int) -> bool:
     orbit, which holds the type's orbit triple.  k is `_membership_rows(p)[2]`.
     A row hits when its digit-row value f + k0 lies in {rep, p*rep, p^2*rep},
     so the answer is `rep in membership_reps(p, coords)` without reducing a
-    row, sorting an orbit set or adding a memo entry."""
+    row or sorting an orbit set."""
     p, pp, e, top, wall, fa, ka, fb, kb, fc, kc, fd, kd = k
     if not (x - y <= top and y - z <= top):
         raise ValueError(f"F({x},{y},{z}) has a difference above p-3;"
@@ -123,21 +129,6 @@ def are_members(p: int, points, rep: int) -> list[bool]:
     return [_member(k, orbit, x, y, z) for x, y, z in points]
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _solvers(p: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """(q, k0, u, s, least) per membership row and power q of p, the row's
-    scale first: on F(g1+g2+z, g2+z, z) a digit row is g1 + s*g2 + k0 +
-    z*(p^2+p+1), so the base-(p+1) digits of (q*n-k0)*u mod p^2+p+1 are
-    (g2, g1) on form 0 (u = 1, s = p+1), and (g1, g2) on form 1 (u = p+1,
-    s = p^2+1, as -p(p+1) = 1); least is the least x - z of the row."""
-    e = p**3 - 1
-    rows, scales, _ = _membership_rows(p)
-    return tuple((scale * q % e, k0, p + 1 if form else 1, p * p + 1 if form else p + 1,
-                  p - 1 if high else 0)
-                 for (form, k0, _, _), scale, (_, high) in zip(rows, scales, MEMBERSHIP_ROWS)
-                 for q in (1, p, p * p))
-
-
 def _solutions(p: int, n: int, solvers) -> list[tuple[int, int, int]]:
     """Each solver's F(x, y, z), 0 <= z <= p-2, with q*n on its digit row,
     when x - y and y - z are at most top = p-3 (the strip) and x - z at least
@@ -166,7 +157,8 @@ def enumerate_predicted(t: TameType) -> PredictedSet:
     12 solves read only the representative.
     """
     p, rep = t.p, t.orbit_rep()
-    found = frozenset([WeightClass._make((p, 3, xyz)) for xyz in _solutions(p, rep, _solvers(p))])
+    solved = _solutions(p, rep, _membership_rows(p)[3])
+    found = frozenset([WeightClass._make((p, 3, xyz)) for xyz in solved])
     return PredictedSet._make((p, found, t))
 
 
@@ -217,5 +209,5 @@ def table_parameters(t: TameType) -> tuple[tuple[int, int, int], ...]:
     0 <= c <= p-2, with tau((1 2 3), (a+2, b+1, c)) = t, sorted.  These are
     the solves on the membership row ((1 2 3), low), the first three."""
     p = t.p
-    found = _solutions(p, t.orbit_rep(), _solvers(p)[:3])
+    found = _solutions(p, t.orbit_rep(), _membership_rows(p)[3][:3])
     return tuple(sorted({abc for abc in found if in_table_range(*abc, p)}))

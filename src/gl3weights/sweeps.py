@@ -360,15 +360,11 @@ def run_suite(
 
     size, extra = divmod(count, jobs)
     bounds = [i * size + min(i, extra) for i in range(jobs + 1)]
-    args = [(name, p, seed, bounds[i], bounds[i + 1]) for i in range(jobs)]
     checks = 0
     failures: list[dict] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for got_checks, got_failures in pool.map(_run_star, args):
+        for got_checks, got_failures in pool.map(_run_instances, [name] * jobs, [p] * jobs,
+                                                  [seed] * jobs, bounds[:-1], bounds[1:]):
             checks += got_checks
             failures.extend(got_failures)
     return checks, failures
-
-
-def _run_star(args: tuple[str, int, int, int, int]) -> tuple[int, list[dict]]:
-    return _run_instances(*args)

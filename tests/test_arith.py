@@ -331,7 +331,7 @@ def test_digit_row_tables_are_one_template_at_every_prime():
     rows, getters, *_ = elimination._lift_rows.__wrapped__(11)
     lift_template = [(form, signed_digits(11, k)) for form, k, _, _ in rows]
     classes = [get(range(len(rows))) for get in getters]
-    member_rows, scales, _ = predicted._membership_rows.__wrapped__(11)
+    member_rows, scales, *_ = predicted._membership_rows.__wrapped__(11)
     member_template = [(form, signed_digits(11, k)) for form, k, _, _ in member_rows]
     powers = [(1, 11, 121).index(q) for q in scales]
     # the determinant condition: every row's shifts sum to 3

@@ -190,17 +190,18 @@ def clear_cycling_memos():
 
 
 def test_every_memo_is_bounded():
-    memos = []
+    memos = {}
     for info in pkgutil.iter_modules(gl3weights.__path__):
         mod = importlib.import_module(f"gl3weights.{info.name}")
-        memos += [
-            obj for obj in vars(mod).values()
+        memos.update(
+            (f"{info.name}.{name}", obj) for name, obj in vars(mod).items()
             if hasattr(obj, "cache_info") and obj.__wrapped__.__module__ == mod.__name__
-        ]
-    # arith.is_prime, two in elimination (_lift_rows, _intersection_data)
-    # and three in predicted (_membership_rows, membership_reps, _solvers)
-    assert len(memos) == len(cycling_memos()) + 6
-    for memo in memos:
+        )
+    # the per-weight evidence (membership_reps, intersection_sets) is
+    # computed when read, so only these four memos get entries
+    assert set(memos) == {"arith.is_prime", "predicted._membership_rows",
+                          "elimination._lift_rows", "cycling._frame"}
+    for memo in memos.values():
         assert memo.cache_info().maxsize is not None, memo
 
 
@@ -228,9 +229,9 @@ def test_a_cold_frame_tests_each_large_span_weight_once(monkeypatch, dual_case):
     # a cold frame hands its 24 distinct implied weights to each batched
     # kernel once; the elimination kernel probes the lifts' masks for the
     # type's orbit at each large-span weight once, in one row_masks call,
-    # and the frame leaves the intersection and membership memos as they
-    # were.  A built frame has no weight in neither regime, so
-    # x - z >= p - 3 picks out the large-span ones
+    # and the frame computes no orbit set and reduces no row.  A built frame
+    # has no weight in neither regime, so x - z >= p - 3 picks out the
+    # large-span ones
     p, probes = 29, []
     real_masks = elimination.row_masks
 
@@ -238,16 +239,19 @@ def test_a_cold_frame_tests_each_large_span_weight_once(monkeypatch, dual_case):
         probes.append(list(points))
         return real_masks(p, masks, points, rep)
 
+    def refused(*args):
+        raise AssertionError("a frame computed evidence")
+
     monkeypatch.setattr(elimination, "row_masks", counting_masks)
+    for module, name in ((predicted, "membership_reps"), (elimination, "intersection_sets"),
+                         (predicted, "row_reps"), (elimination, "row_reps")):
+        monkeypatch.setattr(module, name, refused)
     calls = record_batches(monkeypatch)
     t = table_type(p, (20, 9, 3))
     if dual_case:
         t = dual_twist(t, 2)
     clear_cycling_memos()
-    memos = (elimination._intersection_data, predicted.membership_reps)
-    before = [memo.cache_info().currsize for memo in memos]
     frame = cycling._frame(t)
-    assert [memo.cache_info().currsize for memo in memos] == before
     implied = frame_points(frame, p)
     assert len(implied) == 24
     assert [name for name, _, _ in calls] == ["are_members", "are_consistent"]

@@ -1,6 +1,5 @@
 """Weight elimination: branch selection, candidate intersections, verdicts."""
 
-import gc
 import random
 import re
 
@@ -11,6 +10,7 @@ from gl3weights.arith import P_LIMIT, is_prime, orbit_rep, row_mask, row_masks
 from gl3weights.breuil import (
     CUSPIDAL,
     CUSPIDAL_DUAL,
+    LIFT_HEIGHTS,
     LIFT_KINDS,
     PRINCIPAL_SERIES,
     LiftType,
@@ -25,7 +25,6 @@ from gl3weights.elimination import (
     are_consistent,
     eliminate,
     intersection_sets,
-    is_consistent,
 )
 from gl3weights.predicted import are_members, is_member, is_predicted, membership_reps
 from gl3weights.tame_types import XI_123, XI_132, tau, type_from_exponent
@@ -78,9 +77,9 @@ def test_intersection_matches_closed_form():
 def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     # the lifts' rows in the weight's coordinates are derived once per p from
     # the candidate tables, one digit_rows call per lift, and kept one digit
-    # row per Frobenius class: 14 classes for the 6, 10 and 10 rows.  An
-    # intersection miss then evaluates the 14 digit rows in one row_reps call
-    # and reads each lift's set through its index getter
+    # row per Frobenius class: 14 classes for the 6, 10 and 10 rows.  Each
+    # intersection_sets call then evaluates the 14 digit rows in one row_reps
+    # call and reads each lift's set through its index getter
     tables, derived, evaluated, lifts = [], [], [], []
     real_table, real_rows = breuil.candidate_exponents, elimination.digit_rows
     real_reps = elimination.row_reps
@@ -108,7 +107,6 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     monkeypatch.setattr(elimination, "row_reps", counting_reps)
     monkeypatch.setattr(LiftType, "__new__", staticmethod(counting_lift))
     elimination._lift_rows.cache_clear()
-    elimination._intersection_data.cache_clear()
     intersection_sets(weight(29, 32, 16, 0))
     # origin and three unit vectors per lift
     assert sorted(tables) == sorted([PRINCIPAL_SERIES] * 4 + [CUSPIDAL] * 4 + [CUSPIDAL_DUAL] * 4)
@@ -122,58 +120,64 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     for coords in ((33, 17, 1), (32, 16, 0)):
         tables.clear()
         evaluated.clear()
-        elimination._intersection_data.cache_clear()
         intersection_sets(weight(29, *coords))
-        # a miss evaluates the rows at the weight's coordinates and builds no lift
+        # a call evaluates the rows at the weight's coordinates and builds no lift
         assert tables == [] and evaluated == [14] and lifts == []
     assert intersection_sets(weight(29, 32, 16, 0))[3] == (163, 499, 527, 1003)
     assert elimination._lift_rows.cache_info().misses == 1
     intersection_sets(weight(31, 34, 17, 0))
-    assert elimination._lift_rows.cache_info().misses == 2 and evaluated == [14, 14]
+    assert elimination._lift_rows.cache_info().misses == 2 and evaluated == [14, 14, 14]
     assert derived == [29, 29, 29, 31, 31, 31]
 
 
 def test_a_verdict_builds_no_evidence(monkeypatch):
     # eliminate decides a small-span weight by the membership hit test and a
-    # large-span one by the lifts' mask probe, and builds no orbit set;
-    # reading a large-span report's evidence fills one _intersection_data
-    # entry, which a second report at the weight shares
-    reduced = []
-    real_reps = elimination.row_reps
+    # large-span one by the lifts' mask probe, and builds no orbit set:
+    # neither membership_reps nor intersection_sets runs.  Each read of a
+    # large-span report's evidence is one intersection_sets call, which
+    # reduces the lifts' rows once
+    reduced, evidence = [], []
+    real_reps, real_sets = elimination.row_reps, elimination.intersection_sets
 
     def counting_reps(p, rows, *point):
         reduced.append(point)
         return real_reps(p, rows, *point)
 
+    def counting_sets(w):
+        evidence.append(w.coords)
+        return real_sets(w)
+
+    def refused(*args):
+        raise AssertionError("a verdict read membership_reps")
+
     for module in (elimination, predicted):
         monkeypatch.setattr(module, "row_reps", counting_reps)
-    predicted.membership_reps.cache_clear()
+    monkeypatch.setattr(predicted, "membership_reps", refused)
+    monkeypatch.setattr(elimination, "intersection_sets", counting_sets)
     v = weight(29, 15, 8, 0)
     kept, dropped = (eliminate(v, type_from_exponent(29, rep)) for rep in (278, 975))
     assert kept.branch == dropped.branch == BRANCH_CRYSTALLINE
     assert kept.verdict == CONSISTENT and dropped.verdict == ELIMINATED
-    assert predicted.membership_reps.cache_info().currsize == 0 and reduced == []
-    memo = elimination._intersection_data
-    memo.cache_clear()
+    assert reduced == [] and evidence == []
     w = weight(29, 32, 16, 0)
     kept, dropped = (eliminate(w, type_from_exponent(29, rep)) for rep in (163, 975))
     assert kept.verdict == CONSISTENT and dropped.verdict == ELIMINATED
-    assert memo.cache_info().currsize == 0 and reduced == []
+    assert reduced == [] and evidence == []
     lift_sets = kept.lift_sets
-    assert memo.cache_info().currsize == 1 and reduced == [(32, 16, 0)]
-    sets = memo(29, (32, 16, 0))
+    assert reduced == [(32, 16, 0)] and evidence == [(32, 16, 0)]
+    sets = real_sets(w)
     assert [reps for _, reps in lift_sets] == list(sets[:3])
-    assert all(a is b for (_, a), b in zip(dropped.lift_sets, sets))
-    assert dropped.intersection is sets[3] and kept.intersection is sets[3]
-    assert memo.cache_info().currsize == 1 and len(reduced) == 1
+    assert [reps for _, reps in dropped.lift_sets] == list(sets[:3])
+    assert dropped.intersection == kept.intersection == sets[3]
+    assert evidence == [(32, 16, 0)] * 4 and len(reduced) == 5
 
 
-def test_a_type_scan_batch_fills_no_evidence_memo():
+def test_a_type_scan_batch_fills_no_evidence_memo(monkeypatch):
     # 50 seeded operations shaped like the type-scan workload at p = 53:
     # predict a type's weights, then eliminate each against the type and one
-    # other.  Every verdict is a hit test, so neither orbit-set memo gains an
-    # entry, on both branches and for both verdicts, and each per-prime table
-    # the verdicts and the enumeration read is built once
+    # other.  Every verdict is a hit test, so no orbit set is computed and no
+    # row reduced, on both branches and for both verdicts, and each per-prime
+    # table the verdicts and the enumeration read is built once
     p = 53
     rng = random.Random("type-scan batch")
     types = []
@@ -181,9 +185,14 @@ def test_a_type_scan_batch_fills_no_evidence_memo():
         t = type_from_exponent(p, rng.randrange(p**3 - 1))
         if t.is_irreducible() and t not in types:
             types.append(t)
-    memos = (predicted.membership_reps, elimination._intersection_data)
-    per_prime = (predicted._membership_rows, predicted._solvers, elimination._lift_rows)
-    for memo in memos + per_prime:
+    def refused(*args):
+        raise AssertionError("a verdict computed evidence")
+
+    for module, name in ((predicted, "membership_reps"), (elimination, "intersection_sets"),
+                         (predicted, "row_reps"), (elimination, "row_reps")):
+        monkeypatch.setattr(module, name, refused)
+    per_prime = (predicted._membership_rows, elimination._lift_rows)
+    for memo in per_prime:
         memo.cache_clear()
     seen = set()
     for t, other in zip(types, types[1:]):
@@ -196,9 +205,7 @@ def test_a_type_scan_batch_fills_no_evidence_memo():
                 seen.add((report.branch, report.verdict))
     assert seen == {(branch, verdict) for branch in (BRANCH_CRYSTALLINE, BRANCH_INTERSECTION)
                     for verdict in (CONSISTENT, ELIMINATED)}
-    infos = [memo.cache_info() for memo in memos]
-    assert [(i.hits, i.misses, i.currsize) for i in infos] == [(0, 0, 0)] * 2
-    assert [memo.cache_info().misses for memo in per_prime] == [1, 1, 1]
+    assert [memo.cache_info().misses for memo in per_prime] == [1, 1]
 
 
 @pytest.mark.parametrize("p", [29, 53, 65521])
@@ -246,20 +253,37 @@ def test_a_report_reads_its_evidence_from_the_orbit_sets(p):
             (False, (False, True, False)), (False, (False, False, True))} <= verdicts, p
 
 
+# per membership row, in MEMBERSHIP_ROWS order, the LIFT_HEIGHTS row of each
+# lift kind, in LIFT_KINDS order, whose class row it is
+SHARED_HEIGHT_ROWS = ((4, 1, 4), (1, 4, 1), (5, 6, 0), (2, 0, 6))
+
+
 def test_lift_masks_match_the_getters_at_every_prime():
     # the third table of _lift_rows holds, per digit form, each class row's
     # k0 with the bits 1 << i of the lifts i whose getter reads that class:
     # 14 keys, 7 per form, no two class rows on one key, and the lifts own
-    # 6, 10 and 10 of them, 4 shared by all three, at every prime below 2^16
+    # 6, 10 and 10 of them, 4 shared by all three, at every prime below 2^16.
+    # The shared keys are the membership rows' (form, k0), and each
+    # membership row is the class row of the named LIFT_HEIGHTS row of each
+    # kind, and of no other row of it
+    assert [len(LIFT_HEIGHTS[kind]) for kind in LIFT_KINDS] == [6, 10, 10]
     for p in (p for p in range(5, P_LIMIT) if is_prime(p)):
         rows, getters, masks, _ = elimination._lift_rows.__wrapped__(p)
-        classes = [set(get(range(len(rows)))) for get in getters]
+        held = [get(range(len(rows))) for get in getters]  # class of each height row
+        classes = [set(h) for h in held]
         owners = [sum(1 << i for i, c in enumerate(classes) if k in c) for k in range(len(rows))]
         want = ({}, {})
         for (form, k0, _, _), bits in zip(rows, owners):
             want[form][k0] = bits
         assert masks == want and [len(m) for m in masks] == [7, 7] and len(rows) == 14, p
         assert [len(c) for c in classes] == [6, 10, 10] and owners.count(0b111) == 4, p
+        member_rows = predicted._membership_rows.__wrapped__(p)[0]
+        shared = {(form, k0) for form in (0, 1) for k0, bits in masks[form].items()
+                  if bits == 0b111}
+        assert shared == {(form, k0) for form, k0, _, _ in member_rows}, p
+        for row, named in zip(member_rows, SHARED_HEIGHT_ROWS):
+            givers = [[i for i, c in enumerate(h) if rows[c] == row] for h in held]
+            assert givers == [[i] for i in named], (p, row)
 
 
 def is_orbit_set(reps):
@@ -278,23 +302,6 @@ def test_orbit_sets_are_sorted_tuples_of_distinct_ints():
     assert [kind for kind, _ in report.lift_sets] == [PRINCIPAL_SERIES, CUSPIDAL, CUSPIDAL_DUAL]
     assert all(is_orbit_set(reps) for _, reps in report.lift_sets)
     assert is_orbit_set(report.intersection)
-
-
-def test_memo_values_are_untracked_after_collection():
-    # memo values hold only ints and tuples of them, so the collector stops
-    # walking them: a tuple of ints is untracked at the first collection that
-    # sees it, and the intersection memo's 4-tuple of orbit sets, whose sets
-    # may still be tracked when it is examined, by the second
-    elimination._intersection_data.cache_clear()
-    predicted.membership_reps.cache_clear()
-    sets = intersection_sets(weight(29, 32, 16, 0))
-    below = predicted.membership_reps(29, (15, 8, 0))
-    above = predicted.membership_reps(29, (43, 28, 8))
-    gc.collect()
-    assert not any(gc.is_tracked(v) for v in (*sets, below, above))
-    gc.collect()
-    assert not gc.is_tracked(sets)
-    assert sets is intersection_sets(weight(29, 32, 16, 0))
 
 
 def gap_check_weights(p):
@@ -329,7 +336,7 @@ def test_large_span_lifts_pass_the_gap_check(p):
 
 @pytest.mark.parametrize("p", [19, 23])
 def test_is_consistent_reads_the_intersection(p):
-    # at large span is_consistent tests one orbit against the lifts' rows and
+    # at large span are_consistent tests one orbit against the lifts' rows and
     # builds no set; it must read as membership in the intersection of the
     # three lift sets.  Every large-span weight at z in {0, 1, p//2, p-2},
     # each against the union of its lift sets and 20 seeded irreducible reps
@@ -345,7 +352,7 @@ def test_is_consistent_reads_the_intersection(p):
             if v % c2:  # a multiple of p^2+p+1 is a reducible type's
                 seeded.add(orbit_rep(p, v))
         for rep in sorted(reps | seeded):
-            assert is_consistent(p, coords, rep) == (rep in sets[3]), (coords, rep)
+            assert are_consistent(p, (coords,), rep) == [rep in sets[3]], (coords, rep)
             patterns.add(tuple(rep in s for s in sets[:3]))
     # reps in exactly one lift set, and in exactly each two of them: a test
     # that any lift hits, or one that drops a lift, reads some as consistent.
@@ -435,21 +442,22 @@ REGIME_EDGES = [
 
 @pytest.mark.parametrize("inside, branch, outside", REGIME_EDGES)
 def test_regime_edges(inside, branch, outside):
-    # the one-point and the batched consistency kernel agree with eliminate
-    # on the supported side of each edge, and refuse the weight past it
+    # the consistency kernel, on one point and on a batch, agrees with
+    # eliminate on the supported side of each edge, and refuses the weight
+    # past it
     p, reps = 29, (100, 163, 527)
     w = weight(p, *inside)
     verdicts = [eliminate(w, type_from_exponent(p, rep)) for rep in reps]
     assert {report.branch for report in verdicts} == {branch}
     for rep, report in zip(reps, verdicts):
         want = report.verdict == CONSISTENT
-        assert is_consistent(p, inside, rep) == want, rep
+        assert are_consistent(p, (inside,), rep) == [want], rep
         assert are_consistent(p, (inside, inside), rep) == [want, want], rep
     with pytest.raises(UnsupportedWeight):
         eliminate(weight(p, *outside), type_from_exponent(p, 163))
     named = re.escape("F(%d,%d,%d)" % outside)
     with pytest.raises(UnsupportedWeight, match=named):
-        is_consistent(p, outside, 163)
+        are_consistent(p, (outside,), 163)
     with pytest.raises(UnsupportedWeight, match=named):
         are_consistent(p, (inside, outside, inside), 163)
 
@@ -486,8 +494,8 @@ def test_batched_kernels_match_the_orbit_sets():
     # regimes (membership_reps at small span, the lifts' intersection at
     # large span), point by point, for seeded representatives and for
     # members of the points' own orbit sets (so that some points hit).  The
-    # one-point answers, is_member, is_consistent and eliminate's verdict,
-    # equal the batch answers at every point
+    # one-point answers, is_member, are_consistent on a 1-tuple and
+    # eliminate's verdict, equal the batch answers at every point
     for p in kernel_primes():
         rng = random.Random(f"batched kernels:{p}")
         e, c2 = p**3 - 1, p * p + p + 1
@@ -513,7 +521,7 @@ def test_batched_kernels_match_the_orbit_sets():
             want += [rep in intersection_sets(weight(p, *v))[3] for v in large]
             got = are_consistent(p, regimes, rep)
             assert got == want, (p, rep)
-            assert [is_consistent(p, v, rep) for v in regimes] == got, (p, rep)
+            assert [are_consistent(p, (v,), rep)[0] for v in regimes] == got, (p, rep)
             if rep % c2:  # an irreducible type's
                 t = type_from_exponent(p, rep)
                 assert [eliminate(weight(p, *v), t).verdict == CONSISTENT
@@ -554,4 +562,4 @@ def test_a_grey_zone_point_inside_a_batch_is_refused():
     with pytest.raises(UnsupportedWeight, match=re.escape("F(27,14,0)")):
         are_consistent(p, batch, rep)
     assert are_consistent(p, batch[:2] + batch[3:], rep) == [
-        is_consistent(p, v, rep) for v in batch[:2] + batch[3:]]
+        are_consistent(p, (v,), rep)[0] for v in batch[:2] + batch[3:]]

@@ -111,7 +111,7 @@ def seeded_strip_weights(p, count):
 
 
 def test_the_two_membership_rows_never_collide_below_the_wall():
-    # membership_reps sorts its two below-wall reps without a set: mu =
+    # below the wall the two membership rows never share an orbit: mu =
     # (x+2, y+1, z) is strictly decreasing of span at most p there, so tame
     # rigidity gives the two cycles different types.  Every below-wall strip
     # point up to p = 31, then 200 seeded ones at 20 seeded primes and 65521
@@ -140,9 +140,9 @@ def test_membership_reps_match_the_rows_by_tau(p):
 
 def test_membership_miss_reads_the_row_constants(monkeypatch):
     # the membership digit rows and the solver constants are derived once per
-    # p; a membership miss then evaluates 2 or 4 digit rows at the weight's
-    # coordinates in one row_reps call, and an enumeration solves from the
-    # solver constants alone
+    # p, in one table; each membership_reps call then evaluates 2 or 4 digit
+    # rows at the weight's coordinates in one row_reps call, and an
+    # enumeration solves from the solver constants alone
     p, below, above = 29, (15, 8, 0), (43, 28, 8)
     taus, evaluated = [], []
     real_tau, real_reps = predicted.tau_exponent, arith.row_reps
@@ -158,8 +158,7 @@ def test_membership_miss_reads_the_row_constants(monkeypatch):
     monkeypatch.setattr(predicted, "tau_exponent", counting_tau)
     monkeypatch.setattr(predicted, "row_reps", counting_reps)
     monkeypatch.setattr(arith, "row_reps", counting_reps)
-    for memo in (predicted._membership_rows, predicted._solvers, membership_reps):
-        memo.cache_clear()
+    predicted._membership_rows.cache_clear()
     membership_reps(p, below)
     # origin and three unit vectors, four rows at each
     assert len(taus) == 16 and evaluated == [2]
@@ -169,12 +168,12 @@ def test_membership_miss_reads_the_row_constants(monkeypatch):
     for abc in ((15, 8, 0), (16, 8, 1)):
         enumerate_predicted(the_table_type(p, abc))
     assert taus == [] and evaluated == [2, 4]
+    assert predicted._membership_rows.cache_info().misses == 1
     membership_reps(31, below)
     assert predicted._membership_rows.cache_info().misses == 2
-    assert predicted._solvers.cache_info().misses == 1
     # three solver constants per row, each row's own scale first
-    assert len(predicted._solvers(p)) == 12
-    assert [c[0] for c in predicted._solvers(p)[::3]] == list(predicted._membership_rows(p)[1])
+    _, scales, _, solvers = predicted._membership_rows(p)
+    assert len(solvers) == 12 and [c[0] for c in solvers[::3]] == list(scales)
 
 
 def test_nine_weight_families_example():

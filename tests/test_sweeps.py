@@ -103,8 +103,8 @@ class _InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("cpus,jobs,workers", [
