@@ -2,11 +2,11 @@
 
 The package factors into small layers: integer digit arithmetic and
 Frobenius orbits (`arith`), restricted weight classes (`weights`), tame
-inertial types (`tame_types`), rank-one module invariants and reduction
-candidate tables (`breuil`), predicted weight sets (`predicted`),
-parabolic induction constituents (`induction`), weight elimination
-(`elimination`), weight-cycling closures (`cycling`), slope bounds
-(`slopes`), and randomized invariant sweeps (`sweeps`).
+inertial types (`tame_types`), rank-one Breuil module invariants
+(`breuil`), predicted weight sets (`predicted`), parabolic induction
+constituents (`induction`), weight elimination and the lifts' reduction
+candidate tables (`elimination`), weight-cycling closures (`cycling`),
+slope bounds (`slopes`), and randomized invariant sweeps (`sweeps`).
 
 `import gl3weights` loads none of them: each layer is imported the first
 time one of its names, or the submodule itself, is looked up here.
@@ -23,14 +23,13 @@ _EXPORTS = {
     "weights": "WeightClass alcove canonicalize dim_weight dual is_delta_generic is_generic"
                " shadow weight weyl_dim",
     "tame_types": "TameType dual_twist iso tau tau_exponent type_from_exponent",
-    "breuil": "BreuilModule LiftType cuspidal cuspidal_dual fractional_shift"
-              " inertial_character is_maximal is_minimal maximal_model principal_series"
-              " random_module validate",
+    "breuil": "BreuilModule fractional_shift inertial_character is_maximal is_minimal"
+              " maximal_model random_module validate",
     "predicted": "PredictedSet enumerate_predicted is_predicted nine_weight_families"
                  " nine_weight_table theta",
     "induction": "AntidominantCochar implied_weights",
-    "elimination": "CONSISTENT ELIMINATED EliminationReport UnsupportedWeight eliminate"
-                   " intersection_sets",
+    "elimination": "CONSISTENT ELIMINATED EliminationReport LiftType UnsupportedWeight"
+                   " cuspidal cuspidal_dual eliminate intersection_sets principal_series",
     "cycling": "ConsistencyError CyclingGraph cycle emit_dot",
     "slopes": "HodgeData hecke_normalization hodge_data newton_hodge_gap"
               " ordinarity_threshold slope_criticality",

@@ -85,7 +85,7 @@ def handle_predict(params: dict) -> dict:
 
 
 def handle_eliminate(params: dict) -> dict:
-    from .elimination import BRANCH_INTERSECTION, eliminate
+    from .elimination import BRANCH_INTERSECTION, LIFT_KINDS, eliminate, intersection_sets
     from .weights import canonicalize
 
     p = params["p"]
@@ -101,8 +101,10 @@ def handle_eliminate(params: dict) -> dict:
         "matched_orbit": report.matched_orbit,
     }
     if report.branch == BRANCH_INTERSECTION:
-        doc["lift_sets"] = {kind: list(reps) for kind, reps in report.lift_sets}
-        doc["intersection"] = list(report.intersection)
+        # one evidence read: the report's lift_sets and intersection would each compute it
+        *lift_sets, common = intersection_sets(w)
+        doc["lift_sets"] = {kind: list(reps) for kind, reps in zip(LIFT_KINDS, lift_sets)}
+        doc["intersection"] = list(common)
     return doc
 
 

@@ -9,9 +9,27 @@ constrain the type to a finite candidate set, and only types in the
 intersection of the three sets survive.  Weights in neither regime are
 rejected rather than guessed at.
 
-The lifts' candidates are affine in the weight's coordinates, so the
+The three lifts' candidates are tabulated here: for each relevant shape of
+potentially crystalline rank-3 lift, the finitely many niveau-3
+exponents whose characters can appear in mod-p reductions of the lift's
+inertial type.  `LIFT_HEIGHTS` holds them as rank-one Breuil module data
+(`breuil`): each is the inertial character of a module with d = 3, r = 2,
+k_0 a digit order of (a, b, c) and heights h*e, h in {0, 1, 2}^3.  As
+p = 1 mod p - 1, a candidate and its digits are a + b + c + h_0 + h_1 + h_2
+mod p - 1, and every h sums to 3, the determinant condition: hence
+acceptance 7's digit sum a + b + c + 3.  Which vectors of sum 3 each (kind,
+digit order) admits is not derived here, but at the large-span lifts of
+F(x, y, z) rows 4, 1, 4 of (principal series, cuspidal, cuspidal dual)
+give, up to a power of p, `predicted`'s membership row ((1 2 3), low); rows
+1, 4, 1 give ((1 3 2), low), rows 5, 6, 0 ((1 2 3), high) and rows 2, 0, 6
+((1 3 2), high), and acceptance 5's identity fixes these twelve.  The other
+rows shape only the `lift_sets` evidence, which the tests pin only through
+a second, hand-written transcription (tests/oracles.py) and through frozen
+outputs.
+
+These candidates are affine in the weight's coordinates, so the
 large-span branch reads one table of digit rows (`arith.digit_rows`) per
-prime, derived from `breuil.candidate_exponents`, at F(x, y, z).  Rows that
+prime, derived from `candidate_exponents`, at F(x, y, z).  Rows that
 differ by a power of p share a Frobenius orbit at every point and a digit
 row, so the table keeps one row per such class (14 for the lifts' 26 rows,
 4 of them shared by all three), an index getter per lift, and per digit form
@@ -32,13 +50,31 @@ small-span ones.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
-from .arith import MEMO_SIZE, Record, digit_rows, mask_probe, row_mask, row_masks, row_reps
-from .breuil import CUSPIDAL, CUSPIDAL_DUAL, LIFT_KINDS, PRINCIPAL_SERIES, candidate_exponents
+from .arith import (MEMO_SIZE, Record, check_prime, digit_rows, mask_probe, orbit_rep, row_mask,
+                    row_masks, row_reps)
 from .predicted import are_members, is_member
 from .tame_types import TameType
 from .weights import WeightClass
+
+PRINCIPAL_SERIES = "principal_series"
+CUSPIDAL = "cuspidal"
+CUSPIDAL_DUAL = "cuspidal_dual"
+
+# per kind, its candidates in order: (digit order (i, j, k) of (a, b, c), h);
+# the cuspidal dual's are 2(p^2+p+1) - n of the cuspidal n at (-c, -b, -a)
+LIFT_HEIGHTS = {
+    PRINCIPAL_SERIES: (((0, 2, 1), (1, 1, 1)), ((0, 1, 2), (1, 1, 1)),
+                       ((0, 2, 1), (1, 2, 0)), ((0, 1, 2), (2, 1, 0)),
+                       ((0, 2, 1), (2, 1, 0)), ((0, 1, 2), (2, 0, 1))),
+    CUSPIDAL: tuple(((0, 2, 1), h) for h in ((0, 2, 1), (1, 1, 1), (1, 2, 0)))
+    + tuple(((0, 1, 2), h) for h in product(range(3), repeat=3) if sum(h) == 3),
+}
+LIFT_HEIGHTS[CUSPIDAL_DUAL] = tuple((tuple(2 - i for i in order), tuple(2 - x for x in h))
+                                    for order, h in LIFT_HEIGHTS[CUSPIDAL])
+LIFT_KINDS = tuple(LIFT_HEIGHTS)
 
 BRANCH_CRYSTALLINE = "crystalline"
 BRANCH_INTERSECTION = "intersection"
@@ -46,9 +82,89 @@ BRANCH_INTERSECTION = "intersection"
 CONSISTENT = "consistent"
 ELIMINATED = "eliminated"
 
+# the constant reasons of `UnsupportedWeight`
+_NEITHER_REGIME = "falls in neither the small-span nor the large-span regime"
+_NOT_LARGE_SPAN = "is not in the large-span regime"
+
 
 class UnsupportedWeight(ValueError):
-    """Raised for weights where neither elimination regime applies."""
+    """Raised for weights where neither elimination regime applies, and by
+    `intersection_sets` off the large-span regime.  Its args are the weight's
+    coordinates and a constant reason, so raising it builds no string; its
+    text F(x,y,z) reason is formatted when read."""
+
+    def __str__(self) -> str:
+        (x, y, z), reason = self.args
+        return f"F({x},{y},{z}) {reason}"
+
+
+def _check_lift(kind: str, p: int) -> None:
+    """The prime check, then the kind check, by comparison: an unhashable kind is unknown too."""
+    check_prime(p)
+    if kind not in LIFT_KINDS:
+        raise ValueError(f"unknown lift kind {kind!r}")
+
+
+class LiftType(Record):
+    """Inertial type of a potentially crystalline rank-3 lift.
+
+    kind selects the digit layout of the characteristic-zero type:
+    a sum of three tame characters (principal series), a niveau-3
+    character with ascending digits (a, b, c), or one with the digits
+    reversed (c, b, a).  The checked constructor, which every factory
+    calls, also requires the gaps a-b > 2, b-c > 2 and a-c < p-3.
+    """
+
+    __slots__ = ()
+    _fields = ("kind", "p", "a", "b", "c")
+
+    def __init__(self, kind: str, p: int, a: int, b: int, c: int) -> None:
+        _check_lift(kind, p)
+        if not (a - b > 2 and b - c > 2 and a - c < p - 3):
+            raise ValueError(
+                f"parameters {(a, b, c)} violate a-b > 2, b-c > 2, a-c < p-3 at p={p}"
+            )
+
+    @property
+    def params(self) -> tuple[int, int, int]:
+        return (self.a, self.b, self.c)
+
+
+def principal_series(p: int, exps: tuple[int, int, int]) -> LiftType:
+    a, b, c = sorted(exps, reverse=True)
+    return LiftType(PRINCIPAL_SERIES, p, a, b, c)
+
+
+def cuspidal(p: int, params: tuple[int, int, int]) -> LiftType:
+    return LiftType(CUSPIDAL, p, *params)
+
+
+def cuspidal_dual(p: int, params: tuple[int, int, int]) -> LiftType:
+    return LiftType(CUSPIDAL_DUAL, p, *params)
+
+
+def candidate_exponents(lift: tuple) -> list[int]:
+    """Candidate niveau-3 exponents of a lift, before reduction to orbit representatives.
+
+    Row (i, j, k), h of the kind's `LIFT_HEIGHTS` is k_0 = v_i + p v_j + p^2 v_k,
+    v = (a, b, c), plus `fractional_shift` of heights h*e: p (h_0 p^2 + h_1 p + h_2)
+    = h_0 + p h_2 + p^2 h_1 mod p^3 - 1.  Plain fields get the prime and kind
+    checks of `LiftType`, not its gap check."""
+    kind, p, *v = lift
+    _check_lift(kind, p)
+    return [v[i] + h0 + p * (v[j] + h2) + p * p * (v[k] + h1)
+            for (i, j, k), (h0, h1, h2) in LIFT_HEIGHTS[kind]]
+
+
+def candidate_orbits(lift: tuple) -> tuple[int, ...]:
+    """All inertial exponents of rank-one subquotients of reductions.
+
+    Each candidate is the niveau-3 exponent of a character that can
+    occur in a reduction of a lattice in the lift; candidates are
+    collected as Frobenius orbit representatives, a sorted tuple.  The
+    lift is a `LiftType` or its fields (kind, p, a, b, c).
+    """
+    return tuple(sorted({orbit_rep(lift[1], n) for n in candidate_exponents(lift)}))
 
 
 class EliminationReport(Record):
@@ -84,8 +200,7 @@ def _branch_of(p: int, coords: tuple[int, int, int]) -> str:
         return BRANCH_CRYSTALLINE
     if x - y < p - 5 and y - z < p - 5 and x - z > p + 1:
         return BRANCH_INTERSECTION
-    raise UnsupportedWeight(f"F({x},{y},{z}) falls in neither the small-span"
-                            " nor the large-span regime")
+    raise UnsupportedWeight(coords, _NEITHER_REGIME)
 
 
 def _lifts(p: int, coords: tuple[int, int, int]) -> tuple[tuple[str, int, int, int, int], ...]:
@@ -121,7 +236,7 @@ def intersection_sets(w: WeightClass) -> tuple[tuple[int, ...], ...]:
     read through each lift's getter.  No lift is built, so none is
     gap-checked; test_large_span_lifts_pass_the_gap_check shows their gaps hold."""
     if _branch_of(w.p, w.coords) != BRANCH_INTERSECTION:
-        raise UnsupportedWeight(f"{w} is not in the large-span regime")
+        raise UnsupportedWeight(w.coords, _NOT_LARGE_SPAN)
     rows, (get_ps, get_cusp, get_cusp_dual), _, _ = _lift_rows(w.p)
     reps = row_reps(w.p, rows, *w.coords)
     ps, cusp, cusp_dual = set(get_ps(reps)), set(get_cusp(reps)), set(get_cusp_dual(reps))

@@ -165,16 +165,16 @@ def _random_table_triple(rng: random.Random, p: int) -> tuple[int, int, int]:
 
 
 def sweep_candidates(rng: random.Random, p: int, failures: list[dict]) -> None:
-    from . import breuil
+    from . import elimination
 
     g1 = rng.randrange(3, p - 6)
     g2 = rng.randrange(3, p - 3 - g1)
     c = rng.randrange(-p, p)
     a, b = c + g1 + g2, c + g2
     params = (a, b, c)
-    for make in (breuil.principal_series, breuil.cuspidal, breuil.cuspidal_dual):
+    for make in (elimination.principal_series, elimination.cuspidal, elimination.cuspidal_dual):
         lift = make(p, params)
-        for value in breuil.candidate_exponents(lift):
+        for value in elimination.candidate_exponents(lift):
             if (value - (a + b + c + 3)) % (p - 1):
                 _fail(failures, params=list(params), kind=lift.kind,
                       value=value, reason="determinant digit sum")

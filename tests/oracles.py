@@ -11,8 +11,8 @@ from collections import deque
 from functools import lru_cache
 
 from gl3weights.arith import MEMO_SIZE
-from gl3weights.breuil import candidate_orbits, cuspidal, cuspidal_dual, principal_series
 from gl3weights.cycling import CASE_DIRECT, CASE_DUAL, STATUS_COMPLETE, STATUS_STUCK, CyclingGraph
+from gl3weights.elimination import candidate_orbits, cuspidal, cuspidal_dual, principal_series
 from gl3weights.induction import implied_weights
 from gl3weights.predicted import PredictedSet, is_predicted, nine_weight_families
 from gl3weights.tame_types import XI_123, XI_132, TameType, tau_exponent
@@ -21,7 +21,7 @@ from gl3weights.weights import WeightClass, canonicalize, dual
 # The library derives two tables from smaller data: the nine-weight
 # families as three forms rotated by theta (predicted.nine_weight_families)
 # and the lifts' candidates as rank-one Breuil height data, the cuspidal-dual
-# rows reflected from the cuspidal ones (breuil.LIFT_HEIGHTS).  These are the
+# rows reflected from the cuspidal ones (elimination.LIFT_HEIGHTS).  These are the
 # tables typed out by hand, the lifts' as digit formulas over parameter triples.
 
 

@@ -54,7 +54,7 @@ from gl3weights import (
     validate,
     weight,
 )
-from gl3weights.breuil import candidate_orbits
+from gl3weights.elimination import candidate_orbits
 from gl3weights.induction import constituents_long, constituents_short
 from gl3weights.slopes import ABOVE_BOUND, BELOW_BOUND, CRITICAL
 

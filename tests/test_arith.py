@@ -24,7 +24,7 @@ from gl3weights.arith import (
     row_masks,
     row_reps,
 )
-from gl3weights.breuil import candidate_exponents
+from gl3weights.elimination import candidate_exponents
 from gl3weights.tame_types import tau_exponent
 
 from oracles import least_orbit_member, orbit_elements, split_solutions

@@ -7,26 +7,28 @@ import pytest
 
 from gl3weights.arith import is_prime
 from gl3weights.breuil import (
-    CUSPIDAL,
-    CUSPIDAL_DUAL,
-    LIFT_HEIGHTS,
-    LIFT_KINDS,
-    PRINCIPAL_SERIES,
     BreuilModule,
-    LiftType,
-    candidate_exponents,
-    candidate_orbits,
-    cuspidal,
-    cuspidal_dual,
     descent_exponents,
     fractional_shift,
     inertial_character,
     is_maximal,
     is_minimal,
     maximal_model,
-    principal_series,
     random_module,
     validate,
+)
+from gl3weights.elimination import (
+    CUSPIDAL,
+    CUSPIDAL_DUAL,
+    LIFT_HEIGHTS,
+    LIFT_KINDS,
+    PRINCIPAL_SERIES,
+    LiftType,
+    candidate_exponents,
+    candidate_orbits,
+    cuspidal,
+    cuspidal_dual,
+    principal_series,
 )
 from gl3weights.tame_types import dual_twist, type_from_exponent
 

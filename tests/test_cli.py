@@ -79,6 +79,27 @@ def test_eliminate(capsys):
     }
 
 
+def test_eliminate_reads_its_evidence_once(capsys, monkeypatch):
+    # lift_sets and intersection come from one intersection_sets call
+    from gl3weights import elimination
+
+    calls, real = [], elimination.intersection_sets
+    monkeypatch.setattr(elimination, "intersection_sets",
+                        lambda w: calls.append(w.coords) or real(w))
+    code, out, _ = invoke(
+        capsys, "eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"
+    )
+    assert code == 0
+    assert calls == [(32, 16, 0)]
+    assert out == (
+        '{"F":[32,16,0],"branch":"intersection","intersection":[163,499,527,1003],'
+        '"lift_sets":{"cuspidal":[135,163,191,499,527,975,1003,4755,5035,5567],'
+        '"cuspidal_dual":[163,191,471,499,527,1003,1311,1339,5035,5875],'
+        '"principal_series":[163,499,527,975,1003,1339]},"matched_orbit":163,"p":29,'
+        '"type":{"niveau":3,"orbit_rep":163,"p":29},"verdict":"consistent"}\n'
+    )
+
+
 def test_eliminate_at_the_small_span_edge(capsys):
     # x - z = p - 4 is the widest small-span weight; x - z = p - 3 is in
     # neither regime

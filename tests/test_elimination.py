@@ -1,28 +1,28 @@
 """Weight elimination: branch selection, candidate intersections, verdicts."""
 
+import pickle
 import random
 import re
 
 import pytest
 
-from gl3weights import breuil, elimination, predicted
+from gl3weights import elimination, predicted
 from gl3weights.arith import P_LIMIT, is_prime, orbit_rep, row_mask, row_masks
-from gl3weights.breuil import (
-    CUSPIDAL,
-    CUSPIDAL_DUAL,
-    LIFT_HEIGHTS,
-    LIFT_KINDS,
-    PRINCIPAL_SERIES,
-    LiftType,
-    candidate_orbits,
-)
 from gl3weights.elimination import (
     BRANCH_CRYSTALLINE,
     BRANCH_INTERSECTION,
     CONSISTENT,
+    CUSPIDAL,
+    CUSPIDAL_DUAL,
     ELIMINATED,
+    LIFT_HEIGHTS,
+    LIFT_KINDS,
+    PRINCIPAL_SERIES,
+    LiftType,
     UnsupportedWeight,
     are_consistent,
+    candidate_orbits,
+    cuspidal,
     eliminate,
     intersection_sets,
 )
@@ -81,7 +81,7 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
     # intersection_sets call then evaluates the 14 digit rows in one row_reps
     # call and reads each lift's set through its index getter
     tables, derived, evaluated, lifts = [], [], [], []
-    real_table, real_rows = breuil.candidate_exponents, elimination.digit_rows
+    real_table, real_rows = elimination.candidate_exponents, elimination.digit_rows
     real_reps = elimination.row_reps
 
     def counting_table(t):
@@ -101,7 +101,6 @@ def test_one_intersection_miss_reduces_each_lift_once(monkeypatch):
         return real_lift(cls, *fields)
 
     real_lift = LiftType.__new__
-    monkeypatch.setattr(breuil, "candidate_exponents", counting_table)
     monkeypatch.setattr(elimination, "candidate_exponents", counting_table)
     monkeypatch.setattr(elimination, "digit_rows", counting_rows)
     monkeypatch.setattr(elimination, "row_reps", counting_reps)
@@ -293,7 +292,7 @@ def is_orbit_set(reps):
 
 def test_orbit_sets_are_sorted_tuples_of_distinct_ints():
     p, w = 29, weight(29, 32, 16, 0)
-    assert is_orbit_set(candidate_orbits(breuil.cuspidal(17, (8, 4, 0))))
+    assert is_orbit_set(candidate_orbits(cuspidal(17, (8, 4, 0))))
     # below the wall (2 rows) and above it (4 rows)
     assert is_orbit_set(predicted.membership_reps(p, (15, 8, 0)))
     assert is_orbit_set(predicted.membership_reps(p, (43, 28, 8)))
@@ -422,6 +421,46 @@ def test_grey_zone_unsupported():
             eliminate(w, t)
     with pytest.raises(UnsupportedWeight):
         intersection_sets(weight(29, 27, 14, 0))
+
+
+def refused_weights(p, count=12):
+    """Seeded weights at p in neither regime, and small-span ones; gaps are
+    drawn near 0, near p - 1 or anywhere, so the grey zone is reached at
+    every p."""
+    rng = random.Random(f"refused weights at {p}")
+    neither, small = [], []
+    while len(neither) < count or len(small) < count:
+        z = rng.randrange(p - 1)
+        d1, d2 = (rng.choice((rng.randrange(6), rng.randrange(p - 6, p), rng.randrange(p)))
+                  for _ in range(2))
+        x, y = z + d1 + d2, z + d2
+        if x - z < p - 3:
+            small.append(weight(p, x, y, z))
+        elif not (x - y < p - 5 and y - z < p - 5 and x - z > p + 1):
+            neither.append(weight(p, x, y, z))
+    return neither[:count], small[:count]
+
+
+@pytest.mark.parametrize("p", [29, 53, 65521])
+def test_a_refusal_reads_as_before_and_pickles(p):
+    # the text, formatted from the coordinates and a constant reason when
+    # read, is each raise site's f-string below, also after a pickle round
+    # trip (how an error leaves a --jobs worker)
+    t = type_from_exponent(p, 1 + 2 * p + 3 * p * p)
+    neither, small = refused_weights(p)
+    cases = []
+    for w in neither:
+        x, y, z = w.coords
+        text = f"F({x},{y},{z}) falls in neither the small-span nor the large-span regime"
+        cases += [(eliminate, (w, t), text), (intersection_sets, (w,), text),
+                  (are_consistent, (p, (w.coords,), t.orbit_rep()), text)]
+    cases += [(intersection_sets, (w,), f"{w} is not in the large-span regime") for w in small]
+    for call, args, text in cases:
+        with pytest.raises(UnsupportedWeight) as info:
+            call(*args)
+        assert str(info.value) == text
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is UnsupportedWeight and str(copy) == text
 
 
 def test_reducible_type_rejected():

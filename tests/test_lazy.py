@@ -13,7 +13,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 TYPE = ["--xi", "123", "--mu", "17,9,0"]
 EVERY_LAYER = {"arith", "weights", "tame_types", "breuil", "predicted",
                "induction", "elimination", "cycling", "slopes", "sweeps"}
-CYCLE_LAYERS = EVERY_LAYER - {"sweeps", "slopes"}
+CYCLE_LAYERS = EVERY_LAYER - {"sweeps", "slopes", "breuil"}
 
 # command line -> package modules (besides cli) its process may hold
 COMMAND_LAYERS = [
@@ -21,7 +21,7 @@ COMMAND_LAYERS = [
     (["dims", "--p", "29", "--F", "15,8,0"], {"arith", "weights"}),
     (["predict", "--p", "29", *TYPE], {"arith", "weights", "tame_types", "predicted"}),
     (["eliminate", "--p", "29", "--F", "32,16,0", "--orbit-rep", "163"],
-     {"arith", "weights", "tame_types", "breuil", "predicted", "elimination"}),
+     {"arith", "weights", "tame_types", "predicted", "elimination"}),
     (["breuil", "--p", "7", "--heights", "684,684,684", "--k0", "100"],
      {"arith", "breuil"}),
     (["cycle", "--p", "29", "--start", "15,8,0", *TYPE], CYCLE_LAYERS),
@@ -30,6 +30,8 @@ COMMAND_LAYERS = [
     (["sweep", "--suite", "slopes", "--count", "2"],
      {"arith", "weights", "induction", "slopes", "sweeps"}),
     (["sweep", "--count", "2", "--suite", "weights"], {"arith", "weights", "sweeps"}),
+    (["sweep", "--count", "2", "--p", "29", "--suite", "candidates"],
+     {"arith", "weights", "tame_types", "predicted", "elimination", "sweeps"}),
 ]
 
 PROBE = """
@@ -68,6 +70,12 @@ def test_bare_import_loads_no_layer():
     proc = _python("import sys, gl3weights; "
                    "print(sorted(m for m in sys.modules if m.startswith('gl3weights')))")
     assert proc.stdout.strip() == "['gl3weights']"
+
+
+def test_cycling_loads_no_breuil_module():
+    # the lifts' candidate tables live in elimination, beside their one reader
+    proc = _python("import sys, gl3weights.cycling; print('gl3weights.breuil' in sys.modules)")
+    assert proc.stdout.strip() == "False"
 
 
 def test_submodule_attribute_without_prior_import():

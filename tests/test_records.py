@@ -10,16 +10,9 @@ import pytest
 
 from gl3weights import cycling
 from gl3weights.arith import Record, decompose_exponent, exp_class, orbit_of
-from gl3weights.breuil import (
-    cuspidal,
-    cuspidal_dual,
-    descent_exponents,
-    principal_series,
-    random_module,
-    validate,
-)
+from gl3weights.breuil import descent_exponents, random_module, validate
 from gl3weights.cycling import cycle
-from gl3weights.elimination import eliminate
+from gl3weights.elimination import cuspidal, cuspidal_dual, eliminate, principal_series
 from gl3weights.induction import AntidominantCochar, constituents_short
 from gl3weights.predicted import PredictedSet, enumerate_predicted, nine_weight_table
 from gl3weights.slopes import hodge_data
